@@ -117,7 +117,7 @@ def cmd_generate(args) -> int:
         if p["r"] == 0:
             p["r"] = p["k"]
         g, _ = grid(p["k"], p["r"])
-        meta = {"columns": p["k"], "rows": p["r"]}
+        meta = {"rows": p["k"], "columns": p["r"]}
     elif fam == "gamma":
         p = _parse_params(args.params, {"k": None})
         tg = gamma(p["k"])

@@ -66,9 +66,6 @@ class Graph:
             return False
         return b in self._adj.get(a, ())
 
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
@@ -151,13 +148,6 @@ def connected_components(g: Graph) -> list:
                     stack.append(w)
         comps.append(tuple(sorted(comp)))
     return comps
-
-
-def component_of(g: Graph, v: int) -> Tuple[int, ...]:
-    for comp in connected_components(g):
-        if v in comp:
-            return comp
-    raise ValueError(f"unknown vertex {v}")
 
 
 def is_connected(g: Graph) -> bool:

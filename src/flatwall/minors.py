@@ -189,7 +189,21 @@ def _host_masks(g: Graph) -> Tuple[List[int], List[int]]:
 
 def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP,
                host_cap: int = MINOR_HOST_CAP) -> Optional[MinorModel]:
-    """Exhaustive branch-set search: a valid model, or None if none exists."""
+    """Exhaustive branch-set search: a valid model, or None if none exists.
+
+    Pattern vertices are placed in the fixed order (degree descending,
+    then id); each branch set is a connected subset of the free host
+    vertices, enumerated small sets first.  The search is depth-first and
+    returns the first complete model in that order.
+
+    Capacity rule: after placing a branch set, every placed pattern vertex
+    q with c unplaced pattern neighbours must still have at least c free
+    host vertices adjacent to its branch set, since each of those
+    neighbours needs its own disjoint branch set touching it.  A partial
+    placement that breaks the rule has no completion, so cutting it skips
+    only dead subtrees: the order in which complete models are reached is
+    unchanged and the first model found is the same as without the rule.
+    """
     if pattern.n > pattern_cap:
         raise SizeCapExceeded("pattern capped at %d vertices, got %d" % (pattern_cap, pattern.n))
     if host.n > host_cap:
@@ -202,6 +216,14 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
     order, adj = _host_masks(host)
     full = (1 << host.n) - 1
     porder = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
+    # needs[i]: (q, unplaced neighbour count) for each q placed once porder[i]
+    # is, newest first, since the set just placed is the likeliest to fail
+    needs = []
+    for i in range(len(porder)):
+        later = set(porder[i + 1:])
+        needs.append([(q, c) for q in reversed(porder[:i + 1])
+                      if (c := sum(1 for r in pattern.neighbors(q) if r in later))])
+    nbs: Dict[int, int] = {}  # placed pattern vertex -> N(branch set)
 
     def rec(i: int, used: int, sets: Dict[int, int]) -> Optional[Dict[int, int]]:
         if i == len(porder):
@@ -211,10 +233,14 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
         max_size = free.bit_count() - (len(porder) - i - 1)
         if max_size <= 0:
             return None
-        req = [sets[q] for q in pattern.neighbors(p) if q in sets]
-        anchors = (_mask_neighborhood(adj, req[0]) & free) if req else free
+        req = [nbs[q] for q in pattern.neighbors(p) if q in sets]
+        anchors = (req[0] & free) if req else free
         for s in _connected_subsets(adj, free, anchors, max_size):
-            if any(not _mask_neighborhood(adj, s) & r for r in req[1:]):
+            if any(not r & s for r in req[1:]):
+                continue
+            nbs[p] = _mask_neighborhood(adj, s)
+            left = free & ~s
+            if any((nbs[q] & left).bit_count() < c for q, c in needs[i]):
                 continue
             sets[p] = s
             out = rec(i + 1, used | s, sets)

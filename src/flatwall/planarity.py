@@ -325,17 +325,6 @@ def faces_of(emb: RotationEmbedding) -> List[Tuple[int, ...]]:
     return trace_faces(emb.graph, emb.rotation)
 
 
-def find_face(emb: RotationEmbedding, vertex_walk: Sequence[int]) -> Optional[Tuple[int, ...]]:
-    """The facial walk equal to the given closed walk (up to rotation), if any."""
-    want = _canon_cycle(vertex_walk)
-    for f in faces_of(emb):
-        if len(f) == len(want) and _canon_cycle(f) == want:
-            return f
-        if len(f) == len(want) and _canon_cycle(tuple(reversed(f))) == want:
-            return f
-    return None
-
-
 def embeds_in_disk_with_boundary(g: Graph, cycle: Sequence[int]) -> bool:
     """True iff g embeds in a closed disk whose boundary is exactly this cycle.
 

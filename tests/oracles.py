@@ -6,9 +6,12 @@ exhaustive path packing.  Keep inputs tiny.
 
 import itertools
 import random
+from typing import Optional
 
 from flatwall.graph import Graph
 from flatwall.decomposition import TreeDecomposition
+from flatwall.minors import (MinorModel, _connected_subsets, _host_masks,
+                             _mask_neighborhood)
 
 
 def treewidth_by_elimination(g: Graph) -> int:
@@ -115,3 +118,41 @@ def random_elimination_td(rng: random.Random, g: Graph) -> TreeDecomposition:
     tree_edges += list(zip(roots, roots[1:]))  # chain components into one tree
     tree = Graph(range(g.n), tree_edges)
     return TreeDecomposition(g, tree, bags)
+
+
+def find_minor_unpruned(host: Graph, pattern: Graph) -> Optional[MinorModel]:
+    """find_minor without its capacity cut: same order, same first model."""
+    if pattern.n > host.n or pattern.m > host.m:
+        return None
+    if pattern.n == 0:
+        return MinorModel(host, pattern, {})
+
+    order, adj = _host_masks(host)
+    full = (1 << host.n) - 1
+    porder = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
+
+    def rec(i, used, sets):
+        if i == len(porder):
+            return sets
+        p = porder[i]
+        free = full & ~used
+        max_size = free.bit_count() - (len(porder) - i - 1)
+        if max_size <= 0:
+            return None
+        req = [sets[q] for q in pattern.neighbors(p) if q in sets]
+        anchors = (_mask_neighborhood(adj, req[0]) & free) if req else free
+        for s in _connected_subsets(adj, free, anchors, max_size):
+            if any(not _mask_neighborhood(adj, s) & r for r in req[1:]):
+                continue
+            sets[p] = s
+            out = rec(i + 1, used | s, sets)
+            if out is not None:
+                return out
+            del sets[p]
+        return None
+
+    found = rec(0, 0, {})
+    if found is None:
+        return None
+    branch = {p: [order[i] for i in range(host.n) if s >> i & 1] for p, s in found.items()}
+    return MinorModel(host, pattern, branch)

@@ -66,6 +66,13 @@ def test_generate_grid_defaults_square(capsys):
     assert doc["graph"]["n"] == 9
 
 
+def test_generate_grid_reports_rows_by_columns(capsys):
+    # grid(k, r) has k rows of r vertices each
+    rc, doc, _ = run_json(capsys, "generate", "--family", "grid", "--params", "k=2,r=3")
+    assert rc == 0
+    assert doc["meta"] == {"rows": 2, "columns": 3}
+
+
 def test_generate_param_errors(capsys):
     rc, out, err = run(capsys, "generate", "--family", "grid", "--params", "q=3")
     assert rc == 2 and out == "" and "unknown parameter" in err

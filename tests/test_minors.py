@@ -3,7 +3,7 @@ import random
 import pytest
 
 from flatwall.common import SizeCapExceeded
-from flatwall.generators import grid, wall
+from flatwall.generators import grid, pyramid, wall
 from flatwall.graph import Graph, complete_graph, cycle_graph, delete, path_graph
 from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitness,
                              delta_y, dissolve, find_minor, find_topological_minor,
@@ -11,7 +11,10 @@ from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitn
                              verify_smooth_contraction)
 from flatwall.planarity import embed_planar, faces_of, _canon_cycle
 
-from oracles import has_minor_by_partition, random_graph
+from oracles import find_minor_unpruned, has_minor_by_partition, random_graph
+
+K33 = Graph(range(6), [(a, b) for a in range(3) for b in range(3, 6)])
+C5_CHORD = Graph(range(5), list(cycle_graph(5).edges) + [(0, 2)])
 
 
 def test_find_minor_on_known_hosts():
@@ -35,6 +38,33 @@ def test_find_minor_matches_partition_oracle():
         assert (got is not None) == want
         if got is not None:
             assert verify_minor_model(got)
+
+
+def test_find_minor_same_first_model_as_unpruned_search():
+    rng = random.Random(11)
+    pats = [complete_graph(4), complete_graph(5), K33, cycle_graph(4), C5_CHORD]
+    found = 0
+    for i in range(200):
+        host = random_graph(rng, rng.randint(5, 10), rng.choice([0.3, 0.45, 0.6]))
+        pat = pats[i % len(pats)]
+        got, want = find_minor(host, pat), find_minor_unpruned(host, pat)
+        assert (got and got.branch_sets) == (want and want.branch_sets)
+        found += got is not None
+    assert 50 < found < 150  # the corpus holds both answers
+
+
+def test_find_minor_heavy_negatives():
+    assert find_minor(grid(3, 4)[0], K33) is None
+    assert find_minor(wall(2).graph, complete_graph(5)) is None
+    assert find_minor(pyramid(3, 1), complete_graph(6)) is None
+
+
+def test_find_minor_pyramid_first_model():
+    # the model the unpruned search finds (in about 30 s) for test_criterion_07
+    m = find_minor(pyramid(4, 1), pyramid(3, 1), pattern_cap=10, host_cap=17)
+    assert {p: sorted(s) for p, s in m.branch_sets.items()} == {
+        0: [5], 1: [6], 2: [7], 3: [9], 4: [10], 5: [11], 6: [13], 7: [14], 8: [15],
+        9: [0, 1, 2, 3, 4, 8, 12, 16]}
 
 
 def test_find_minor_caps():
