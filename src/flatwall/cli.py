@@ -10,8 +10,7 @@ Exit status taxonomy:
   3  undetermined at this scale (search budget or size cap)
 
 Identical inputs produce byte-identical reports: keys are sorted and the
-library is deterministic (the --seed flag is reserved for scripted
-pipelines; no core operation draws randomness).
+library is deterministic (no core operation draws randomness).
 """
 
 import argparse
@@ -274,8 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="flatwall",
         description="walls, flat walls, rural divisions, minors and treewidth")
-    top.add_argument("--seed", type=int, default=0,
-                     help="seed for scripted pipelines (the library is deterministic)")
     sub = top.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("generate", help="emit a named graph family member")

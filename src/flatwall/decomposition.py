@@ -11,24 +11,13 @@ elimination order, which keeps outputs reproducible.
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .common import SizeCapExceeded, Verdict
-from .graph import Graph, induced_subgraph
+from .graph import Graph, adjacency_masks, bfs, induced_subgraph, is_connected, path_to
 
 TREEWIDTH_CAP = 18
 
 
 def _is_tree(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    if g.m != g.n - 1:
-        return False
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        for w in g.neighbors(stack.pop()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    return g.n > 0 and g.m == g.n - 1 and is_connected(g)
 
 
 class TreeDecomposition:
@@ -77,15 +66,7 @@ def validate(td: TreeDecomposition) -> Verdict:
                                   detail="edge %r-%r is inside no bag" % (a, b))
     for v in td.host.vertices:
         trace = [i for i in td.tree.vertices if v in td.bags[i]]
-        seen = {trace[0]}
-        stack = [trace[0]]
-        trace_set = set(trace)
-        while stack:
-            for w in td.tree.neighbors(stack.pop()):
-                if w in trace_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(trace):
+        if len(bfs(td.tree, trace[0], set(trace))[0]) != len(trace):
             return Verdict.reject("disconnected-trace", witness=v,
                                   detail="trace of vertex %r spans a disconnected set of bags" % (v,))
     return Verdict.accept()
@@ -141,16 +122,6 @@ def make_small(td: TreeDecomposition) -> TreeDecomposition:
     return TreeDecomposition(td.host, tree, bags)
 
 
-def _adjacency_masks(g: Graph) -> Tuple[List[int], List[int]]:
-    order = list(g.vertices)
-    index = {v: i for i, v in enumerate(order)}
-    adj = [0] * len(order)
-    for a, b in g.edges:
-        adj[index[a]] |= 1 << index[b]
-        adj[index[b]] |= 1 << index[a]
-    return order, adj
-
-
 def _elim_neighborhood(adj: List[int], done: int, v: int) -> int:
     # Vertices outside done reachable from v via paths internal to done:
     # the neighborhood of v once done has been eliminated.
@@ -179,7 +150,7 @@ def exact_treewidth(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDecomp
     if n == 0:
         return -1, TreeDecomposition(g, Graph([0]), {0: ()})
 
-    order, adj = _adjacency_masks(g)
+    order, adj = adjacency_masks(g)
     full = (1 << n) - 1
     best = bytearray(full + 1)  # best[S] = min over orders of eliminating V\S after S
     for s in range(full - 1, -1, -1):
@@ -259,12 +230,5 @@ def select_tree_vertex(wt: WeightedTree, k: int) -> int:
     heavy = [v for v in wt.tree.vertices if wt.weight[v] >= k]
     if not heavy:
         raise ValueError("no vertex of weight >= %d" % (k,))
-    root = wt.tree.vertices[0]
-    dist = {root: 0}
-    queue = [root]
-    for u in queue:
-        for w in wt.tree.neighbors(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return min(heavy, key=lambda v: (-dist[v], v))
+    parent, _ = bfs(wt.tree, wt.tree.vertices[0], set(wt.tree.vertices))
+    return min(heavy, key=lambda v: (-len(path_to(parent, v)), v))

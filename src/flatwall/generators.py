@@ -7,7 +7,7 @@ north.  Vertex ids are row-major over the underlying full grid, so the
 coordinate map stays stable when construction prunes vertices.
 """
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Tuple
 
 from .graph import Graph, delete
 from .planarity import embed_planar
@@ -42,16 +42,6 @@ class GridCoords:
 
     def contains(self, x: int, y: int) -> bool:
         return 1 <= x <= self.cols and 1 <= y <= self.rows
-
-    def corner_ids(self) -> Tuple[int, ...]:
-        """The four degree-2 vertices of the full grid."""
-        return tuple(self.id(x, y) for x, y in
-                     ((1, 1), (self.cols, 1), (self.cols, self.rows), (1, self.rows)))
-
-    def internal_ids(self) -> Tuple[int, ...]:
-        """Degree-4 vertices: both coordinates strictly inside."""
-        return tuple(self.id(x, y)
-                     for y in range(2, self.rows) for x in range(2, self.cols))
 
     def external_ids(self) -> Tuple[int, ...]:
         """Boundary vertices in clockwise cyclic order starting at (1,1)."""
@@ -162,52 +152,6 @@ class WallGraph:
 
     def coord(self, v: int) -> Tuple[int, int]:
         return self.coords.coord(v)
-
-    def row_ids(self, y: int) -> Tuple[int, ...]:
-        return tuple(self.coords.id(x, y) for x in range(1, self.coords.cols + 1)
-                     if self.graph.has_vertex(self.coords.id(x, y)))
-
-    def horizontal_path(self, j: int) -> Tuple[int, ...]:
-        """Row j west to east; rows are induced paths of the wall."""
-        return self.row_ids(j)
-
-    def vertical_path(self, i: int) -> Tuple[int, ...]:
-        """The zigzag climb from row 1 to row k+1 within columns i, i+1."""
-        if not 1 <= i <= 2 * self.height + 1:
-            raise ValueError("column index %d out of range" % (i,))
-        strip = [v for v in self.graph.vertices if self.coord(v)[0] in (i, i + 1)]
-        sub = {v: [w for w in self.graph.neighbors(v) if self.coord(w)[0] in (i, i + 1)]
-               for v in strip}
-        start = self.id(i, 1)
-        top = self.height + 1
-        goal_x = i if self.graph.has_vertex(self.coords.id(i, top)) else i + 1
-        goal = self.id(goal_x, top)
-        prev = {start: None}
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            if u == goal:
-                break
-            for w in sub[u]:
-                if w not in prev:
-                    prev[w] = u
-                    queue.append(w)
-        path = [goal]
-        while prev[path[-1]] is not None:
-            path.append(prev[path[-1]])
-        return tuple(reversed(path))
-
-    def northern_path(self) -> Tuple[int, ...]:
-        return self.horizontal_path(1)
-
-    def southern_path(self) -> Tuple[int, ...]:
-        return self.horizontal_path(self.height + 1)
-
-    def western_path(self) -> Tuple[int, ...]:
-        return self.vertical_path(1)
-
-    def eastern_path(self) -> Tuple[int, ...]:
-        return self.vertical_path(2 * self.height + 1)
 
     def perimeter(self) -> Tuple[int, ...]:
         """Boundary cycle, starting at corner 1 and heading toward corner 2."""

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from collections import deque
+from typing import Container, Iterable, List, Mapping, Optional, Tuple
 
 
 def _norm_edge(e) -> Tuple[int, int]:
@@ -129,29 +130,65 @@ def delete(g: Graph, vertices: Iterable[int] = (), edges: Iterable = ()) -> Grap
     return Graph(keep, kept_edges)
 
 
+def bfs(g: Graph, start: int, allowed: Container[int],
+        targets: Container[int] = ()) -> Tuple[dict, Optional[int]]:
+    """Breadth-first search from start, entering only vertices in allowed.
+
+    start itself is always entered.  Neighbours are queued in ascending id
+    order; the search stops at the first vertex of targets taken off the
+    queue.  Returns (parent, hit): parent maps every vertex reached to its
+    predecessor (start to None) in the order reached, and hit is the target
+    found or None.
+    """
+    adj = g._adj
+    parent = {start: None}
+    queue = deque((start,))
+    while queue:
+        u = queue.popleft()
+        if u in targets:
+            return parent, u
+        for w in adj[u]:
+            if w not in parent and w in allowed:
+                parent[w] = u
+                queue.append(w)
+    return parent, None
+
+
+def path_to(parent: Mapping[int, Optional[int]], v: int) -> List[int]:
+    """The path from the root of a bfs parent map to v."""
+    path = []
+    while v is not None:
+        path.append(v)
+        v = parent[v]
+    return path[::-1]
+
+
 def connected_components(g: Graph) -> list:
     """Components as sorted vertex tuples, ordered by smallest contained id."""
     seen = set()
     comps = []
     for v in g.vertices:
-        if v in seen:
-            continue
-        comp = []
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in g.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
+        if v not in seen:
+            comp = bfs(g, v, g._adj)[0]
+            seen.update(comp)
+            comps.append(tuple(sorted(comp)))
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+    return g.n <= 1 or len(bfs(g, g.vertices[0], g._adj)[0]) == g.n
+
+
+def adjacency_masks(g: Graph) -> Tuple[List[int], List[int]]:
+    """(order, adj): vertices in ascending order, adj[i] the bitmask of the
+    neighbours of order[i] by position."""
+    order = list(g.vertices)
+    index = {v: i for i, v in enumerate(order)}
+    adj = [0] * len(order)
+    for a, b in g.edges:
+        adj[index[a]] |= 1 << index[b]
+        adj[index[b]] |= 1 << index[a]
+    return order, adj
 
 
 def union(a: Graph, b: Graph) -> Graph:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .common import SizeCapExceeded, Verdict
-from .graph import Graph, delete, induced_subgraph, is_connected
+from .graph import Graph, adjacency_masks, delete, induced_subgraph, is_connected
 from .planarity import RotationEmbedding, _canon_cycle, faces_of, validate_embedding
 
 MINOR_PATTERN_CAP = 6
@@ -177,16 +177,6 @@ def _connected_subsets(adj: List[int], allowed: int, anchors: int,
         banned |= low
 
 
-def _host_masks(g: Graph) -> Tuple[List[int], List[int]]:
-    order = list(g.vertices)
-    index = {v: i for i, v in enumerate(order)}
-    adj = [0] * len(order)
-    for a, b in g.edges:
-        adj[index[a]] |= 1 << index[b]
-        adj[index[b]] |= 1 << index[a]
-    return order, adj
-
-
 def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP,
                host_cap: int = MINOR_HOST_CAP) -> Optional[MinorModel]:
     """Exhaustive branch-set search: a valid model, or None if none exists.
@@ -213,7 +203,7 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
     if pattern.n == 0:
         return MinorModel(host, pattern, {})
 
-    order, adj = _host_masks(host)
+    order, adj = adjacency_masks(host)
     full = (1 << host.n) - 1
     porder = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
     # needs[i]: (q, unplaced neighbour count) for each q placed once porder[i]
@@ -361,7 +351,8 @@ def iter_topological_embeddings(host: Graph, pattern: Graph,
         return
 
     # Process pattern edges so each has a mapped endpoint when reached;
-    # any leftover isolated pattern vertices are mapped at the end.
+    # any leftover isolated pattern vertices are mapped at the end.  The walk
+    # keeps its own queue: the order it meets edges in fixes plan.
     comps = []
     seen = set()
     for v in pattern.vertices:
@@ -529,65 +520,30 @@ def verify_smooth_contraction(w: SmoothContractionWitness) -> Verdict:
     if not chosen:
         return Verdict.reject("disk-not-a-disk", detail="no faces chosen")
 
-    # Multiplicity of each undirected edge over the chosen faces: interior
-    # edges are covered twice, boundary edges once.
-    edge_count: Dict[Tuple[int, int], int] = {}
+    # The chosen faces covering each undirected edge: interior edges are
+    # covered twice, boundary edges once.
+    edge_faces: Dict[Tuple[int, int], List[int]] = {}
     region_vertices = set()
-    for f in chosen:
+    for i, f in enumerate(chosen):
         region_vertices.update(f)
-        for i in range(len(f)):
-            a, b = f[i], f[(i + 1) % len(f)]
-            e = (a, b) if a < b else (b, a)
-            edge_count[e] = edge_count.get(e, 0) + 1
-    if any(c > 2 for c in edge_count.values()):
+        for j in range(len(f)):
+            a, b = f[j], f[(j + 1) % len(f)]
+            edge_faces.setdefault((a, b) if a < b else (b, a), []).append(i)
+    if any(len(fs) > 2 for fs in edge_faces.values()):
         return Verdict.reject("disk-not-a-disk", detail="an edge lies on more than two chosen face sides")
 
     # Chosen faces must form one edge-connected patch.
-    face_adj = {i: set() for i in range(len(chosen))}
-    edge_faces: Dict[Tuple[int, int], List[int]] = {}
-    for i, f in enumerate(chosen):
-        for j in range(len(f)):
-            a, b = f[j], f[(j + 1) % len(f)]
-            e = (a, b) if a < b else (b, a)
-            edge_faces.setdefault(e, []).append(i)
-    for members in edge_faces.values():
-        for i in members:
-            for j in members:
-                if i != j:
-                    face_adj[i].add(j)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in face_adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    if len(seen) != len(chosen):
+    patch = Graph(range(len(chosen)),
+                  [(i, j) for fs in edge_faces.values() for i in fs for j in fs if i < j])
+    if not is_connected(patch):
         return Verdict.reject("disk-not-a-disk", detail="chosen faces are not edge-connected")
 
-    if len(region_vertices) - len(edge_count) + len(chosen) != 1:
+    if len(region_vertices) - len(edge_faces) + len(chosen) != 1:
         return Verdict.reject("disk-not-a-disk", detail="face union is not simply connected")
 
-    boundary = [e for e, c in edge_count.items() if c == 1]
-    bdeg: Dict[int, int] = {}
-    for a, b in boundary:
-        bdeg[a] = bdeg.get(a, 0) + 1
-        bdeg[b] = bdeg.get(b, 0) + 1
-    if not boundary or any(d != 2 for d in bdeg.values()):
-        return Verdict.reject("disk-not-a-disk", detail="boundary is not a single cycle")
-    bverts = sorted(bdeg)
-    bseen = {bverts[0]}
-    bstack = [bverts[0]]
-    badj: Dict[int, List[int]] = {}
-    for a, b in boundary:
-        badj.setdefault(a, []).append(b)
-        badj.setdefault(b, []).append(a)
-    while bstack:
-        for y in badj[bstack.pop()]:
-            if y not in bseen:
-                bseen.add(y)
-                bstack.append(y)
-    if len(bseen) != len(bverts):
+    boundary = [e for e, fs in edge_faces.items() if len(fs) == 1]
+    ring = Graph({v for e in boundary for v in e}, boundary)
+    if not boundary or any(ring.degree(v) != 2 for v in ring.vertices) or not is_connected(ring):
         return Verdict.reject("disk-not-a-disk", detail="boundary is not a single cycle")
 
     exterior = set(host.vertices) - region_vertices

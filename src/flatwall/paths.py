@@ -9,9 +9,9 @@ max-flow, polynomial).
 import hashlib
 import time
 from collections import deque
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from .graph import Graph
+from .graph import Graph, bfs, path_to
 
 
 class DisjointPathsResult:
@@ -35,27 +35,6 @@ class DisjointPathsResult:
 
     def __repr__(self) -> str:
         return "DisjointPathsResult(%r, explored=%d)" % (self.verdict, self.explored)
-
-
-def _bfs_path(g: Graph, s: int, t: int, blocked: set) -> Optional[List[int]]:
-    """Shortest s-t path avoiding blocked vertices, or None."""
-    if s in blocked or t in blocked:
-        return None
-    parent = {s: None}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        if u == t:
-            path = []
-            while u is not None:
-                path.append(u)
-                u = parent[u]
-            return path[::-1]
-        for w in g.neighbors(u):
-            if w not in parent and w not in blocked:
-                parent[w] = u
-                queue.append(w)
-    return None
 
 
 class _OutOfTime(Exception):
@@ -84,43 +63,48 @@ def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int]
     explored = 0
 
     path = [s1]
-    on_path = {s1}
-    banned = {s1, s2, t2}  # the first path may never touch the second pair
+    free = set(g.vertices) - {s1}  # vertices off the first path
+    banned = {s2, t2}  # the first path may never touch the second pair
+    goal = (t2,)
+    todo = []  # one neighbour iterator per path vertex still being expanded
 
-    def extend() -> Optional[Tuple[List[int], List[int]]]:
+    def enter() -> Optional[Tuple[List[int], List[int]]]:
+        # Visit the partial first path; queue its last vertex for expansion
+        # unless it ends at t1 or already cuts the second pair apart.
         nonlocal explored
         explored += 1
         if deadline is not None and time.monotonic() > deadline:
             raise _OutOfTime
         u = path[-1]
+        parent, hit = bfs(g, s2, free, goal)
         if u == t1:
-            other = _bfs_path(g, s2, t2, on_path)
-            log.update(("done %s %d\n" % (" ".join(map(str, path)), other is not None)).encode())
-            if other is not None:
-                return list(path), other
-            return None
-        if _bfs_path(g, s2, t2, on_path) is None:
-            log.update(("cut %d %d\n" % (u, len(path))).encode())
-            return None
-        for w in g.neighbors(u):
-            if w in banned or w in on_path:
-                continue
-            path.append(w)
-            on_path.add(w)
-            hit = extend()
-            path.pop()
-            on_path.discard(w)
+            log.update(("done %s %d\n" % (" ".join(map(str, path)), hit is not None)).encode())
             if hit is not None:
-                return hit
+                return list(path), path_to(parent, hit)
+        elif hit is None:
+            log.update(("cut %d %d\n" % (u, len(path))).encode())
+        else:
+            todo.append(iter(g.neighbors(u)))
         return None
 
     try:
-        hit = extend()
+        found = enter()
+        while found is None and todo:
+            for w in todo[-1]:
+                if w in free and w not in banned:
+                    path.append(w)
+                    free.discard(w)
+                    found = enter()
+                    break
+            else:
+                todo.pop()
+            if len(todo) < len(path):
+                free.add(path.pop())
     except _OutOfTime:
         return DisjointPathsResult("unknown", None, explored, "")
     log.update(("end %d\n" % explored).encode())
-    if hit is not None:
-        return DisjointPathsResult("found", hit, explored, log.hexdigest())
+    if found is not None:
+        return DisjointPathsResult("found", found, explored, log.hexdigest())
     return DisjointPathsResult("none", None, explored, log.hexdigest())
 
 
@@ -156,6 +140,7 @@ def max_vertex_disjoint_paths(g: Graph, sources: Iterable[int],
     for v in snk:
         arc(2 * idx[v] + 1, T)
 
+    # augmenting paths by BFS over the residual capacities (not a Graph)
     flow = 0
     while True:
         parent = {S: None}

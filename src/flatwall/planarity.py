@@ -16,10 +16,10 @@ set and block rotations are concatenated at cut vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .common import Verdict
-from .graph import Graph, Hypergraph, incidence_graph
+from .graph import Graph, Hypergraph, bfs, connected_components, incidence_graph, path_to
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +27,8 @@ from .graph import Graph, Hypergraph, incidence_graph
 
 
 def biconnected_blocks(g: Graph) -> List[Tuple[Tuple[int, int], ...]]:
-    """Edge sets of the biconnected components, iterative Hopcroft-Tarjan."""
+    """Edge sets of the biconnected components, iterative Hopcroft-Tarjan
+    (a lowpoint DFS, hence its own stack of neighbour iterators)."""
     depth: Dict[int, int] = {}
     low: Dict[int, int] = {}
     parent: Dict[int, int] = {}
@@ -74,7 +75,8 @@ def biconnected_blocks(g: Graph) -> List[Tuple[Tuple[int, int], ...]]:
 
 
 def _find_cycle(g: Graph, start: int) -> List[int]:
-    # DFS until a back edge closes a cycle; g is biconnected with >= 3 vertices
+    # DFS until a back edge closes a cycle; g is biconnected with >= 3 vertices.
+    # Its own loop on purpose: the cycle it finds seeds, and so fixes, the embedding.
     parent = {start: None}
     stack = [start]
     order = []
@@ -109,57 +111,25 @@ def _find_cycle(g: Graph, start: int) -> List[int]:
 def _bridges(g: Graph, emb_v: set, emb_e: set):
     """Bridges of g relative to the embedded subgraph.
 
-    Returns a list of (attachments, path_provider) where path_provider() gives
-    a path between two attachments whose interior avoids embedded vertices.
+    Returns a list of (attachments, path) where path runs between two
+    attachments and its interior avoids embedded vertices.
     """
     out = []
     for e in g.edges:
         if e not in emb_e and e[0] in emb_v and e[1] in emb_v:
             out.append((frozenset(e), list(e)))
-    seen = set(emb_v)
+    outside = set(g.vertices) - emb_v
     for v in g.vertices:
-        if v in seen:
+        if v not in outside:
             continue
-        comp = []
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in g.neighbors(u):
-                if w not in seen and w not in emb_v:
-                    seen.add(w)
-                    stack.append(w)
-        compset = set(comp)
+        comp = bfs(g, v, outside)[0]
+        outside.difference_update(comp)
         attach = sorted({w for u in comp for w in g.neighbors(u) if w in emb_v})
-        # biconnected block: every such component has >= 2 attachments
+        # biconnected block: every such component has >= 2 attachments; the
+        # path runs a -> first component vertex next to b, in BFS order
         a, b = attach[0], attach[1]
-        # BFS a -> b through the component
-        prev = {a: None}
-        queue = [a]
-        found = False
-        while queue and not found:
-            nxt = []
-            for u in queue:
-                cand = g.neighbors(u)
-                for w in cand:
-                    if w in prev:
-                        continue
-                    if w == b and u != a:
-                        prev[w] = u
-                        found = True
-                        break
-                    if w in compset:
-                        prev[w] = u
-                        nxt.append(w)
-                if found:
-                    break
-            queue = nxt
-        path = [b]
-        while path[-1] != a:
-            path.append(prev[path[-1]])
-        path.reverse()
-        out.append((frozenset(attach), path))
+        parent, hit = bfs(g, a, comp, comp.keys() & set(g.neighbors(b)))
+        out.append((frozenset(attach), path_to(parent, hit) + [b]))
     return out
 
 
@@ -310,8 +280,6 @@ def validate_embedding(emb: RotationEmbedding) -> Verdict:
     if emb.outer_face and _canon_cycle(emb.outer_face) not in {_canon_cycle(f) for f in faces}:
         return Verdict.reject("outer-face", emb.outer_face)
     # Euler formula per connected component; an isolated vertex counts one face
-    from .graph import connected_components
-
     for comp in connected_components(g):
         cset = set(comp)
         ecount = sum(1 for e in g.edges if e[0] in cset)

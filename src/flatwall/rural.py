@@ -19,8 +19,8 @@ fixtures reject deterministically:
 from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from .common import Verdict
-from .graph import Graph, Hypergraph, incidence_graph
-from .paths import _bfs_path, max_vertex_disjoint_paths
+from .graph import Graph, Hypergraph, bfs, incidence_graph
+from .paths import max_vertex_disjoint_paths
 from .planarity import is_planar
 from .wall import Compass, perimeter
 
@@ -109,7 +109,7 @@ def check_linkage(k: Compass, e: Iterable[int]) -> bool:
 
 def _pair_joined(d: Graph, u: int, v: int, others: set) -> bool:
     # internal vertices must avoid the rest of the boundary, endpoints may not
-    return _bfs_path(d, u, v, others - {u, v}) is not None
+    return bfs(d, u, (set(d.vertices) - others) | {v}, (v,))[1] is not None
 
 
 def validate_rural(rd: RuralDivision) -> Verdict:

@@ -7,7 +7,7 @@ decomposition, or an apex set plus a flat wall with a rural division --
 or reports "undetermined" when none is certifiable at desk scale.  Every
 certificate is re-checkable from scratch by verify_certificate.
 
-The quantity bookkeeping (g, f3, f4, f5) keeps two published black-box
+The quantity bookkeeping (f3, f4, f5) keeps two published black-box
 quantities as injected parameters; only the formula plumbing is computed
 here.
 """
@@ -36,7 +36,7 @@ def _ceil_sqrt(x: int) -> int:
 
 
 class StructureConstants:
-    """Derived quantities g, f5, f4, f3 over injected base parameters.
+    """Derived quantities f5, f4, f3 over injected base parameters.
 
     f1_value and f2_value stand in for quantities with no effective
     construction; they are supplied, never computed.
@@ -57,10 +57,6 @@ class StructureConstants:
 
     def f5(self) -> int:
         return 14 * (self.h - self.an_h) + _ceil_sqrt(self.an_h) - 24
-
-    def g(self) -> int:
-        # same expression as f5; both names appear in use
-        return self.f5()
 
     def f4(self) -> int:
         exp = self.a_size - self.an_h + 1
@@ -163,7 +159,7 @@ def apex_reduce(g: Graph, h_graph: Graph, a: Iterable[int], w: SubdividedWall,
     if h_graph.n <= MINOR_PATTERN_CAP and g.n <= MINOR_HOST_CAP:
         if find_minor(g, h_graph) is not None:
             raise ValueError("the excluded graph is already a minor of the host")
-    count = consts.g() ** 2 if window_count is None else window_count
+    count = consts.f5() ** 2 if window_count is None else window_count
     if count < 1:
         raise ValueError("window count %d is not positive" % count)
 

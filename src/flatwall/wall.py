@@ -13,7 +13,7 @@ from math import isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .common import SizeCapExceeded, Verdict
-from .graph import Graph, connected_components, delete, induced_subgraph
+from .graph import Graph, bfs, connected_components, delete, induced_subgraph, path_to
 from .generators import WallGraph, gamma, wall
 from .minors import (SmoothContractionWitness, SubdivisionEmbedding, delta_y,
                      iter_topological_embeddings, subdivide,
@@ -285,23 +285,10 @@ def disjoint_subwalls(w: SubdividedWall, count: int, sub_height: int,
 
 def _route_to_set(g: Graph, allowed: frozenset, start: int, targets) -> List[int]:
     """Shortest path from start to the target set, staying inside allowed."""
-    parent = {start: None}
-    queue = [start]
-    at = 0
-    while at < len(queue):
-        u = queue[at]
-        at += 1
-        if u in targets:
-            out = []
-            while u is not None:
-                out.append(u)
-                u = parent[u]
-            return out[::-1]
-        for w in g.neighbors(u):
-            if w in allowed and w not in parent:
-                parent[w] = u
-                queue.append(w)
-    raise ValueError("branch set fails to reach its own attachment")
+    parent, hit = bfs(g, start, allowed, targets)
+    if hit is None:
+        raise ValueError("branch set fails to reach its own attachment")
+    return path_to(parent, hit)
 
 
 def _lift_wall_through_contraction(g: Graph, model, gw_map: Dict[int, int],

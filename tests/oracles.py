@@ -6,12 +6,12 @@ exhaustive path packing.  Keep inputs tiny.
 
 import itertools
 import random
-from typing import Optional
+from collections import Counter
+from typing import Dict, List, Optional, Tuple
 
-from flatwall.graph import Graph
+from flatwall.graph import Graph, adjacency_masks
 from flatwall.decomposition import TreeDecomposition
-from flatwall.minors import (MinorModel, _connected_subsets, _host_masks,
-                             _mask_neighborhood)
+from flatwall.minors import MinorModel, _connected_subsets, _mask_neighborhood
 
 
 def treewidth_by_elimination(g: Graph) -> int:
@@ -127,7 +127,7 @@ def find_minor_unpruned(host: Graph, pattern: Graph) -> Optional[MinorModel]:
     if pattern.n == 0:
         return MinorModel(host, pattern, {})
 
-    order, adj = _host_masks(host)
+    order, adj = adjacency_masks(host)
     full = (1 << host.n) - 1
     porder = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
 
@@ -156,3 +156,132 @@ def find_minor_unpruned(host: Graph, pattern: Graph) -> Optional[MinorModel]:
         return None
     branch = {p: [order[i] for i in range(host.n) if s >> i & 1] for p, s in found.items()}
     return MinorModel(host, pattern, branch)
+
+
+def _branch_multigraph(g: Graph):
+    """Collapse maximal chains of degree-2 vertices.
+
+    Returns (branch_vertices, chains, cycles) where chains is a list of
+    (u, v, length) for paths between branch vertices (length = edge count) and
+    cycles is a list of lengths of components that are bare cycles.
+    """
+    branch = [v for v in g.vertices if g.degree(v) != 2]
+    bset = set(branch)
+    chains: List[Tuple[int, int, int]] = []
+    seen_dir = set()
+    for u in branch:
+        for w in g.neighbors(u):
+            if (u, w) in seen_dir:
+                continue
+            # walk the chain starting with edge u-w until the next branch vertex
+            path = [u, w]
+            seen_dir.add((u, w))
+            prev, cur = u, w
+            while cur not in bset:
+                nxt = [x for x in g.neighbors(cur) if x != prev][0]
+                prev, cur = cur, nxt
+                path.append(cur)
+            seen_dir.add((path[-1], path[-2]))
+            chains.append((min(u, path[-1]), max(u, path[-1]), len(path) - 1))
+    # components with no branch vertex at all are bare cycles
+    reach = set(branch)
+    stack = list(branch)
+    while stack:
+        v = stack.pop()
+        for w in g.neighbors(v):
+            if w not in reach:
+                reach.add(w)
+                stack.append(w)
+    cycles: List[int] = []
+    comp_seen = set()
+    for v in g.vertices:
+        if v in reach or v in comp_seen:
+            continue
+        comp = [v]
+        comp_seen.add(v)
+        stk = [v]
+        while stk:
+            u = stk.pop()
+            for w in g.neighbors(u):
+                if w not in comp_seen and w not in reach:
+                    comp_seen.add(w)
+                    comp.append(w)
+                    stk.append(w)
+        cycles.append(len(comp))
+    chains.sort()
+    return branch, chains, cycles
+
+
+def is_isomorphic_to_subdivision(big: Graph, small: Graph) -> bool:
+    """True iff big is isomorphic to some subdivision of small.
+
+    Both graphs are collapsed to branch multigraphs (vertices of degree != 2
+    joined by chains with recorded lengths, plus bare-cycle components); big
+    matches iff there is a multigraph isomorphism under which every chain of
+    small maps to a chain at least as long, and bare cycles pair up likewise.
+    """
+    b1, ch1, cy1 = _branch_multigraph(big)
+    b2, ch2, cy2 = _branch_multigraph(small)
+    if len(b1) != len(b2) or len(ch1) != len(ch2) or len(cy1) != len(cy2):
+        return False
+    # bare cycles: ascending pairing realizes a big >= small matching if any exists
+    if any(big_len < small_len for big_len, small_len in zip(sorted(cy1), sorted(cy2))):
+        return False
+    # group chains by endpoints
+    def grouped(chains):
+        d: Dict[Tuple[int, int], List[int]] = {}
+        for u, v, ln in chains:
+            d.setdefault((u, v), []).append(ln)
+        for lens in d.values():
+            lens.sort()
+        return d
+
+    g1, g2 = grouped(ch1), grouped(ch2)
+    # degree (in the multigraph) signature per branch vertex
+    def mdeg(groups, verts):
+        d = {v: 0 for v in verts}
+        for (u, v), lens in groups.items():
+            d[u] += len(lens)
+            d[v] += len(lens)
+        return d
+
+    d1, d2 = mdeg(g1, b1), mdeg(g2, b2)
+    if Counter(d1.values()) != Counter(d2.values()):
+        return False
+
+    order = sorted(b2, key=lambda v: (-d2[v], v))
+    mapping: Dict[int, int] = {}
+    used = set()
+
+    def pair_ok(v_small: int, v_big: int) -> bool:
+        # every already-mapped small neighbor group must match in multiplicity
+        for u in mapping:
+            key_s = (min(u, v_small), max(u, v_small))
+            key_b = (min(mapping[u], v_big), max(mapping[u], v_big))
+            lens_s = g2.get(key_s, [])
+            lens_b = g1.get(key_b, [])
+            if len(lens_s) != len(lens_b):
+                return False
+            if any(lb < ls for ls, lb in zip(lens_s, lens_b)):
+                return False
+        return True
+
+    def extend(i: int) -> bool:
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in sorted(b1):
+            if w in used or d1[w] != d2[v]:
+                continue
+            if pair_ok(v, w):
+                mapping[v] = w
+                used.add(w)
+                if extend(i + 1):
+                    return True
+                del mapping[v]
+                used.discard(w)
+        return False
+
+    # pair_ok enforced multiplicities and lengths for every mapped pair, and the
+    # total chain counts agree, so a completed extension is a full match
+    return extend(0)

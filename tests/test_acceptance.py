@@ -122,7 +122,7 @@ def test_criterion_05_flatness_suite():
 
 def test_criterion_06_transform_invariance():
     started = time.time()
-    from flatwall.isomorphism import is_isomorphic_to_subdivision
+    from oracles import is_isomorphic_to_subdivision
     from flatwall.wall import refind_after_transform
     rng = random.Random(9)
     hosts = fixture_hosts()

@@ -49,6 +49,41 @@ def test_transcript_hash_is_reproducible():
     assert a.explored == b.explored
 
 
+def ladder(n: int, step: int) -> Graph:
+    """Paths 0..n-1 and n..2n-1 with a rung i -- n+i at every step-th i."""
+    edges = [(i, i + 1) for i in range(n - 1)] + [(n + i, n + i + 1) for i in range(n - 1)]
+    edges += [(i, n + i) for i in range(0, n, step)]
+    return Graph(range(2 * n), edges)
+
+
+def test_two_disjoint_paths_long_ladder():
+    # the first path is 1,200 vertices long: deeper than Python's recursion limit
+    g = ladder(1200, 50)
+    r = two_disjoint_paths(g, (0, 1199), (1200, 2399))
+    assert r.verdict == "found"
+    p1, p2 = r.paths
+    assert (p1[0], p1[-1], p2[0], p2[-1]) == (0, 1199, 1200, 2399)
+    for p in (p1, p2):
+        assert len(set(p)) == len(p)
+        assert all(g.has_edge(a, b) for a, b in zip(p, p[1:]))
+    assert not set(p1) & set(p2)
+
+
+def test_two_disjoint_paths_transcripts_pinned():
+    # explored counts and transcript hashes of the recursive search this
+    # iterative one replaced: the exploration order is unchanged
+    g, coords = grid(4, 4)
+    r = two_disjoint_paths(g, (coords.id(1, 1), coords.id(4, 4)),
+                           (coords.id(4, 1), coords.id(1, 4)))
+    assert (r.verdict, r.explored) == ("none", 123)
+    assert r.transcript_hash == \
+        "5719a7734c2908223b48299b4edc37738663ead85831e9c650919b459db1b3b5"
+    r = two_disjoint_paths(ladder(150, 50), (0, 149), (150, 299))
+    assert (r.verdict, r.explored) == ("found", 150)
+    assert r.transcript_hash == \
+        "8edbcfca10bd7a7ac3a2f64c6393248ac7288ba6205f7475d01222d4e9690acd"
+
+
 def test_max_disjoint_paths_known_counts():
     g = complete_graph(5)
     count, paths = max_vertex_disjoint_paths(g, [0, 1], [3, 4])

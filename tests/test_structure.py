@@ -29,7 +29,6 @@ K7 = complete_graph(7)
 def test_constants_arithmetic():
     c = StructureConstants(6, 1, 1, 1, 1)
     assert c.f5() == 14 * 5 + 1 - 24 == 47
-    assert c.g() == c.f5()
     assert c.f4() == 47  # exponent a_size - an_h + 1 = 1
     assert c.f3(2) == 1 * (4 * 2 * 47 + 12) + 1
     # ceil sqrt enters through the apex parameter

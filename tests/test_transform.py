@@ -4,9 +4,10 @@ import pytest
 
 from flatwall.generators import wall
 from flatwall.graph import Graph
-from flatwall.isomorphism import is_isomorphic_to_subdivision
 from flatwall.wall import SubdividedWall, compass, identity_wall, is_flat, \
     refind_after_transform, verify_wall
+
+from oracles import is_isomorphic_to_subdivision
 
 
 def anchored(g: Graph) -> SubdividedWall:

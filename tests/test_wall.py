@@ -5,7 +5,6 @@ import pytest
 from flatwall.common import SizeCapExceeded
 from flatwall.generators import gamma, wall
 from flatwall.graph import Graph, delete, induced_subgraph
-from flatwall.isomorphism import is_isomorphic_to_subdivision
 from flatwall.minors import subdivide
 from flatwall.wall import (Compass, SubdividedWall, bricks, compass, disjoint_subwalls,
                            extract_wall_from_gamma_contraction, identity_wall, is_flat,
