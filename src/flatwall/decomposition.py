@@ -2,10 +2,9 @@
 decompositions, exact treewidth, and heavy-vertex selection in weighted
 trees.
 
-Exact treewidth uses the elimination-ordering dynamic program over vertex
-subsets (2^n * n states), so it is capped at small n.  The witnessing
-decomposition is rebuilt from the lexicographically smallest optimal
-elimination order, which keeps outputs reproducible.
+Exact treewidth raises a threshold from the minor-min-width lower bound and,
+for each one, searches elimination orders depth first, smallest vertex
+first (see exact_treewidth); no 2^n table is built.
 """
 
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -142,8 +141,60 @@ def _elim_neighborhood(adj: List[int], done: int, v: int) -> int:
     return reach & ~done & ~vbit
 
 
+def _minor_min_width(adj: List[int]) -> int:
+    # Contract a min-degree vertex into its min-degree neighbour (an isolated
+    # one into itself) until none is left; no minor's min degree exceeds tw.
+    adj = list(adj)
+    alive = list(range(len(adj)))
+    lb = 0
+    while len(alive) > lb + 1:
+        v = min(alive, key=lambda x: (adj[x].bit_count(), x))
+        nb = adj[v]
+        lb = max(lb, nb.bit_count())
+        alive.remove(v)
+        u = min((x for x in alive if nb >> x & 1), key=lambda x: (adj[x].bit_count(), x), default=v)
+        for w in alive:
+            if nb >> w & 1:
+                adj[w] = adj[w] & ~(1 << v) | 1 << u
+        adj[u] = (adj[u] | nb) & ~(1 << v | 1 << u)
+    return lb
+
+
+def _first_feasible_order(adj: List[int], k: int) -> Tuple[int, List[int]]:
+    # Depth-first over elimination prefixes, smallest vertex first, entering v
+    # only if it has at most k elimination neighbours; k rises when the root
+    # fails.  Stack frames are [prefix, untried, vertex]; failed[s] = k+1
+    # means no order from prefix s fits within k (nor any lower threshold).
+    n = len(adj)
+    full = (1 << n) - 1
+    failed: Dict[int, int] = {}
+    stack = [[0, full, None]]
+    while True:
+        s, todo, _ = stack[-1]
+        if n - len(stack) <= k:  # at most k+1 vertices left: any order fits
+            return k, [f[2] for f in stack[1:]] + [v for v in range(n) if not s >> v & 1]
+        if not todo:
+            failed[s] = k + 1
+            stack.pop()
+            if not stack:
+                k += 1
+                stack = [[0, full, None]]
+            continue
+        low = todo & -todo
+        v = low.bit_length() - 1
+        stack[-1][1] = todo ^ low
+        if failed.get(s | low, 0) <= k and _elim_neighborhood(adj, s, v).bit_count() <= k:
+            stack.append([s | low, full & ~(s | low), v])
+
+
 def exact_treewidth(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDecomposition]:
-    """Exact treewidth with a witnessing decomposition of that width."""
+    """Exact treewidth with a witnessing decomposition of that width.
+
+    Tries k upward from the minor-min-width lower bound; the first k with an
+    elimination order of width <= k is the treewidth.  Taking the smallest
+    feasible vertex after every prefix yields the lexicographically smallest
+    optimal order, so the bags and the tree are reproducible.
+    """
     n = g.n
     if n > cap:
         raise SizeCapExceeded("treewidth DP capped at %d vertices, got %d" % (cap, n))
@@ -151,38 +202,7 @@ def exact_treewidth(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDecomp
         return -1, TreeDecomposition(g, Graph([0]), {0: ()})
 
     order, adj = adjacency_masks(g)
-    full = (1 << n) - 1
-    best = bytearray(full + 1)  # best[S] = min over orders of eliminating V\S after S
-    for s in range(full - 1, -1, -1):
-        rem = full & ~s
-        b = n  # any single elimination step touches at most n-1 neighbors
-        m = rem
-        while m:
-            low = m & -m
-            q = _elim_neighborhood(adj, s, low.bit_length() - 1).bit_count()
-            sub = best[s | low]
-            val = q if q > sub else sub
-            if val < b:
-                b = val
-            m ^= low
-        best[s] = b
-
-    tw = best[0]
-
-    # Lexicographically smallest elimination order achieving width tw:
-    # from each prefix, the smallest next vertex that stays within tw.
-    elim = []
-    s = 0
-    for _ in range(n):
-        for v in range(n):
-            bit = 1 << v
-            if s & bit:
-                continue
-            q = _elim_neighborhood(adj, s, v).bit_count()
-            if q <= tw and best[s | bit] <= tw:
-                elim.append(v)
-                s |= bit
-                break
+    tw, elim = _first_feasible_order(adj, _minor_min_width(adj))
 
     # Bag of the i-th eliminated vertex: itself plus its elimination
     # neighborhood; its parent is the first-eliminated member of that

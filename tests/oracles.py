@@ -10,7 +10,8 @@ from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from flatwall.graph import Graph, adjacency_masks
-from flatwall.decomposition import TreeDecomposition
+from flatwall.common import SizeCapExceeded
+from flatwall.decomposition import TREEWIDTH_CAP, TreeDecomposition, _elim_neighborhood
 from flatwall.minors import MinorModel, _connected_subsets, _mask_neighborhood
 
 
@@ -118,6 +119,70 @@ def random_elimination_td(rng: random.Random, g: Graph) -> TreeDecomposition:
     tree_edges += list(zip(roots, roots[1:]))  # chain components into one tree
     tree = Graph(range(g.n), tree_edges)
     return TreeDecomposition(g, tree, bags)
+
+
+def exact_treewidth_dp(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDecomposition]:
+    """exact_treewidth by the full subset DP over all 2^n elimination
+    prefixes, then a greedy walk taking from each prefix the smallest v with
+    best[S|v] <= tw; it must give the same (tw, bags, tree)."""
+    n = g.n
+    if n > cap:
+        raise SizeCapExceeded("treewidth DP capped at %d vertices, got %d" % (cap, n))
+    if n == 0:
+        return -1, TreeDecomposition(g, Graph([0]), {0: ()})
+
+    order, adj = adjacency_masks(g)
+    full = (1 << n) - 1
+    best = bytearray(full + 1)  # best[S] = min over orders of eliminating V\S after S
+    for s in range(full - 1, -1, -1):
+        rem = full & ~s
+        b = n  # any single elimination step touches at most n-1 neighbors
+        m = rem
+        while m:
+            low = m & -m
+            q = _elim_neighborhood(adj, s, low.bit_length() - 1).bit_count()
+            sub = best[s | low]
+            val = q if q > sub else sub
+            if val < b:
+                b = val
+            m ^= low
+        best[s] = b
+
+    tw = best[0]
+
+    # Lexicographically smallest elimination order achieving width tw:
+    # from each prefix, the smallest next vertex that stays within tw.
+    elim = []
+    s = 0
+    for _ in range(n):
+        for v in range(n):
+            bit = 1 << v
+            if s & bit:
+                continue
+            q = _elim_neighborhood(adj, s, v).bit_count()
+            if q <= tw and best[s | bit] <= tw:
+                elim.append(v)
+                s |= bit
+                break
+
+    # Bag of the i-th eliminated vertex: itself plus its elimination
+    # neighborhood; its parent is the first-eliminated member of that
+    # neighborhood.  Parent-less bags (one per component) are chained.
+    pos = {v: i for i, v in enumerate(elim)}
+    bags = {}
+    parent: Dict[int, Optional[int]] = {}
+    done = 0
+    for i, v in enumerate(elim):
+        nb = _elim_neighborhood(adj, done, v)
+        members = [u for u in range(n) if nb >> u & 1]
+        bags[i] = [order[v]] + [order[u] for u in members]
+        parent[i] = min(pos[u] for u in members) if members else None
+        done |= 1 << v
+    tree_edges = [(i, p) for i, p in parent.items() if p is not None]
+    roots = sorted(i for i, p in parent.items() if p is None)
+    tree_edges.extend(zip(roots, roots[1:]))
+    td = TreeDecomposition(g, Graph(range(n), tree_edges), bags)
+    return tw, td
 
 
 def find_minor_unpruned(host: Graph, pattern: Graph) -> Optional[MinorModel]:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from flatwall.cli import main
-from flatwall.graph import complete_graph
+from flatwall.graph import complete_graph, path_graph
 from flatwall.minors import verify_minor_model
 from flatwall.serialize import graph_to_json, minor_from_json
 
@@ -100,6 +100,13 @@ def test_treewidth_cap_is_undetermined(capsys, tmp_path):
     assert doc["verdict"] == "undetermined"
     assert "capped" in doc["reason"]
     assert "treewidth" in err
+
+
+def test_treewidth_long_path_under_large_cap(capsys, tmp_path):
+    path = write_doc(tmp_path, "path.json", graph_to_json(path_graph(1200)))
+    rc, doc, _ = run_json(capsys, "treewidth", "--graph", path, "--cap", "2000")
+    assert rc == 0
+    assert doc["treewidth"] == 1
 
 
 def test_td_validate_rejects_holes(capsys, tmp_path):

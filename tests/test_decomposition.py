@@ -1,15 +1,20 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from flatwall.common import SizeCapExceeded
-from flatwall.decomposition import (TreeDecomposition, WeightedTree, closure_bag,
-                                    exact_treewidth, make_small, select_tree_vertex,
-                                    validate, width)
+from flatwall.decomposition import (TreeDecomposition, WeightedTree, _minor_min_width,
+                                    closure_bag, exact_treewidth, make_small,
+                                    select_tree_vertex, validate, width)
 from flatwall.generators import grid, pyramid, wall
-from flatwall.graph import Graph, complete_graph, cycle_graph, delete, path_graph
+from flatwall.graph import (Graph, adjacency_masks, complete_graph, cycle_graph, delete,
+                            path_graph, union)
+from flatwall.serialize import td_to_json
 
-from oracles import random_elimination_td, random_graph, treewidth_by_elimination
+from oracles import (exact_treewidth_dp, random_elimination_td, random_graph,
+                     treewidth_by_elimination)
 
 
 def tw(g):
@@ -46,6 +51,91 @@ def test_treewidth_matches_elimination_oracle():
 def test_treewidth_cap():
     with pytest.raises(SizeCapExceeded):
         exact_treewidth(grid(5, 5)[0], cap=20)
+
+
+def _result(res):
+    k, td = res
+    return k, sorted(td.tree.edges), {i: sorted(b) for i, b in td.bags.items()}
+
+
+def test_treewidth_matches_subset_dp():
+    # Same width, same bags and same tree as the full subset DP.
+    rng = random.Random(5)
+    graphs = [Graph(range(n)) for n in range(5)] + [complete_graph(n) for n in range(1, 10)]
+    graphs += [union(cycle_graph(4), Graph(range(4, 9), [(4, 5), (5, 6), (6, 4), (7, 8)])),
+               union(complete_graph(4), Graph(range(4, 10)))]
+    for _ in range(300):
+        extra = rng.randint(1, 4) if rng.random() < 0.2 else 0  # a second component
+        g = random_graph(rng, rng.randint(1, 12 - extra), rng.choice([0.1, 0.2, 0.3, 0.5, 0.8]))
+        h = random_graph(rng, extra, 0.6)
+        graphs.append(union(g, Graph([g.n + v for v in h.vertices],
+                                     [(g.n + a, g.n + b) for a, b in h.edges])))
+    for g in graphs:
+        assert _result(exact_treewidth(g)) == _result(exact_treewidth_dp(g))
+
+
+# sha256 of the sorted-key JSON of {"treewidth", "decomposition"} from the
+# subset DP (oracles.exact_treewidth_dp) at the 18-vertex cap, where the DP
+# takes 4-6 s per graph.
+CAP_DIGESTS = {
+    "grid 3x6": "634c7a6fafc0856d868e9ea7ddcbffb752f75162a7b94371e6345a4eb28e22fd",
+    "G(18, 0.3)": "050ee8c6a4f9cbce3f8973e719a661d2d805d4a4a6e11fcfb35e51011e7a4435",
+}
+
+
+def test_treewidth_at_cap_matches_pinned_dp_output():
+    graphs = {"grid 3x6": grid(3, 6)[0], "G(18, 0.3)": random_graph(random.Random(1), 18, 0.3)}
+    digests = {}
+    for name, g in graphs.items():
+        k, td = exact_treewidth(g)
+        doc = json.dumps({"treewidth": k, "decomposition": td_to_json(td)}, sort_keys=True)
+        digests[name] = hashlib.sha256(doc.encode()).hexdigest()
+    assert digests == CAP_DIGESTS
+
+
+def test_treewidth_long_path_under_large_cap():
+    # 1,200 vertices: no 2^n table, and the search keeps its own stack.
+    assert exact_treewidth(path_graph(1200), cap=2000)[0] == 1
+
+
+def test_treewidth_between_lower_and_upper_bounds():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.approximation import treewidth_min_degree, treewidth_min_fill_in
+    rng = random.Random(6)
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(1, 16), rng.choice([0.15, 0.3, 0.5, 0.7]))
+        ng = nx.Graph()
+        ng.add_nodes_from(g.vertices)
+        ng.add_edges_from(g.edges)
+        k = tw(g)
+        assert _minor_min_width(adjacency_masks(g)[1]) <= k
+        assert k <= treewidth_min_fill_in(ng)[0]
+        assert k <= treewidth_min_degree(ng)[0]
+
+
+def test_treewidth_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def build(n, bits):
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        return Graph(range(n), [e for e, keep in zip(pairs, bits) if keep])
+
+    graphs = st.integers(0, 9).flatmap(
+        lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                           max_size=n * (n - 1) // 2).map(lambda bits: build(n, bits)))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(graphs)
+    def check(g):
+        k, td = exact_treewidth(g)
+        assert validate(td)
+        assert width(td) == k
+        assert _result((k, td)) == _result(exact_treewidth_dp(g))
+        for e in g.edges:
+            assert tw(Graph(g.vertices, [f for f in g.edges if f != e])) <= k
+
+    check()
 
 
 def test_validate_rejects_broken_decompositions():
