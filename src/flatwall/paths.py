@@ -3,7 +3,9 @@
 Two search problems live here: the exhaustive two-disjoint-paths decision
 (exact, exponential, fine at the scales we run) and the maximum number of
 vertex-disjoint paths between two terminal sets (Menger via unit-capacity
-max-flow, polynomial).
+max-flow, polynomial).  The two-paths search re-runs its second-pair
+breadth-first search only when the first path steps onto the last route
+found, or reaches its end.
 """
 
 import hashlib
@@ -48,6 +50,15 @@ def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int]
     Depth-first enumeration of candidate first paths, abandoning a branch as
     soon as the rest of the graph disconnects the second pair.  Endpoints
     count: the paths must be disjoint including their ends.
+
+    The cut check reuses the last s2-t2 route a breadth-first search found:
+    while the vertex just added to the first path is off that route, the
+    route is still free and the check cannot fail, so no search runs.  A
+    fresh search runs when the added vertex is on the route, and always at
+    t1, so a "found" second path is the breadth-first one.  Backtracking
+    only frees vertices, so a route stays free until the path enters it;
+    the visited states, explored and transcript_hash are those of a search
+    at every state.
     """
     s1, t1 = first
     s2, t2 = second
@@ -67,20 +78,28 @@ def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int]
     banned = {s2, t2}  # the first path may never touch the second pair
     goal = (t2,)
     todo = []  # one neighbour iterator per path vertex still being expanded
+    route = None  # vertex set of the last s2-t2 route found; free until the path enters it
 
     def enter() -> Optional[Tuple[List[int], List[int]]]:
         # Visit the partial first path; queue its last vertex for expansion
         # unless it ends at t1 or already cuts the second pair apart.
-        nonlocal explored
+        nonlocal explored, route
         explored += 1
         if deadline is not None and time.monotonic() > deadline:
             raise _OutOfTime
         u = path[-1]
+        if u != t1 and route is not None and u not in route:
+            # the path took no route vertex since the route was found: still free
+            todo.append(iter(g.neighbors(u)))
+            return None
         parent, hit = bfs(g, s2, free, goal)
+        if hit is not None:
+            second_path = path_to(parent, hit)
+            route = set(second_path)
         if u == t1:
             log.update(("done %s %d\n" % (" ".join(map(str, path)), hit is not None)).encode())
             if hit is not None:
-                return list(path), path_to(parent, hit)
+                return list(path), second_path
         elif hit is None:
             log.update(("cut %d %d\n" % (u, len(path))).encode())
         else:

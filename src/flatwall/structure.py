@@ -290,6 +290,10 @@ def _find_flat_wall_certificate(g: Graph, apexes: Tuple[int, ...], k: int):
                 c = compass(ga, cand)
             except ValueError:
                 continue
+            # kept ahead of the division, unlike in verify_certificate: on the
+            # height 1-2 walls searched here it is a cheap pre-filter, and
+            # without it every crossed candidate pays validate_rural's
+            # planarity and linkage checks
             if is_flat(c).flat is not True:
                 continue
             rd = trivial_division(c)
@@ -340,7 +344,22 @@ def trichotomy_check(g: Graph, h_graph: Graph, k: int,
 
 def verify_certificate(g: Graph, h_graph: Graph, k: int,
                        cert: WeakStructureCertificate) -> Verdict:
-    """Re-validate every part of the claimed clause from scratch."""
+    """Re-validate every part of the claimed clause from scratch.
+
+    Clause 3 checks, in order: apex set, wall, wall height, compass, rural
+    division, flatness, internal flap widths.  The division comes before
+    flatness because a valid one proves the wall flat.  Lemma: if a
+    division passes properties 1, 2 and 4 and the disk part of 5, no
+    disjoint c1-c3 and c2-c4 paths exist.  Such paths would split at flap
+    changes into paths of the boundary incidence graph (a vertex shared by
+    two flaps lies on both boundaries); no flap carries both, as its
+    boundary would need 4 vertices; so with the corner 4-cycle and hub of
+    check_disk_embeddable they would form a K5 minor, and the gadget would
+    not be planar.  The exhaustive is_flat search therefore runs only when
+    the division rejects, and a crossed wall still reports not-flat ahead
+    of division-invalid: every verdict is what checking flatness first
+    gives.
+    """
     if not isinstance(cert, WeakStructureCertificate):
         raise ValueError("not a certificate: %r" % (cert,))
     if cert.clause == "undetermined":
@@ -391,17 +410,20 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
         c = compass(ga, w)
     except ValueError as e:
         return Verdict.reject("wall-invalid", detail=str(e))
-    flat = is_flat(c)
-    if flat.flat is not True:
-        return Verdict.reject("not-flat", witness=flat.witness)
     rd = RuralDivision(c, cert.division.flaps)
     try:
         ok = validate_rural(rd)
     except ValueError as e:
-        return Verdict.reject("division-invalid", detail=str(e))
-    if not ok:
-        return Verdict.reject("division-invalid", witness=ok.witness,
-                              detail="%s: %s" % (ok.condition, ok.detail))
+        invalid = Verdict.reject("division-invalid", detail=str(e))
+    else:
+        invalid = None if ok else Verdict.reject(
+            "division-invalid", witness=ok.witness, detail="%s: %s" % (ok.condition, ok.detail))
+    if invalid is not None:
+        # only now can the wall still be crossed, which outranks the division
+        flat = is_flat(c)
+        if flat.flat is not True:
+            return Verdict.reject("not-flat", witness=flat.witness)
+        return invalid
     for d in internal_flaps(rd):
         tw, _ = exact_treewidth(d)
         if tw > cert.flap_width_bound:

@@ -4,15 +4,18 @@ Everything here is deliberately naive: permutations, subset sweeps and
 exhaustive path packing.  Keep inputs tiny.
 """
 
+import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from flatwall.graph import Graph, adjacency_masks
+from flatwall.graph import Graph, adjacency_masks, bfs, path_to
 from flatwall.common import SizeCapExceeded
 from flatwall.decomposition import TREEWIDTH_CAP, TreeDecomposition, _elim_neighborhood
 from flatwall.minors import MinorModel, _connected_subsets, _mask_neighborhood
+from flatwall.paths import DisjointPathsResult, _OutOfTime
 
 
 def treewidth_by_elimination(g: Graph) -> int:
@@ -221,6 +224,68 @@ def find_minor_unpruned(host: Graph, pattern: Graph) -> Optional[MinorModel]:
         return None
     branch = {p: [order[i] for i in range(host.n) if s >> i & 1] for p, s in found.items()}
     return MinorModel(host, pattern, branch)
+
+
+def two_disjoint_paths_bfs_each_node(g: Graph, first: Tuple[int, int],
+                                     second: Tuple[int, int],
+                                     budget_ms: Optional[float] = None) -> DisjointPathsResult:
+    """two_disjoint_paths with a fresh second-pair search at every state,
+    no route reuse: same states, explored and transcript_hash."""
+    s1, t1 = first
+    s2, t2 = second
+    for v in (s1, t1, s2, t2):
+        if not g.has_vertex(v):
+            raise ValueError("vertex %r is not in the graph" % (v,))
+    if len({s1, t1, s2, t2}) != 4:
+        raise ValueError("need four distinct endpoints")
+
+    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+    log = hashlib.sha256()
+    log.update(("two-disjoint-paths %d-%d %d-%d\n" % (s1, t1, s2, t2)).encode())
+    explored = 0
+
+    path = [s1]
+    free = set(g.vertices) - {s1}  # vertices off the first path
+    banned = {s2, t2}  # the first path may never touch the second pair
+    goal = (t2,)
+    todo = []  # one neighbour iterator per path vertex still being expanded
+
+    def enter() -> Optional[Tuple[List[int], List[int]]]:
+        nonlocal explored
+        explored += 1
+        if deadline is not None and time.monotonic() > deadline:
+            raise _OutOfTime
+        u = path[-1]
+        parent, hit = bfs(g, s2, free, goal)
+        if u == t1:
+            log.update(("done %s %d\n" % (" ".join(map(str, path)), hit is not None)).encode())
+            if hit is not None:
+                return list(path), path_to(parent, hit)
+        elif hit is None:
+            log.update(("cut %d %d\n" % (u, len(path))).encode())
+        else:
+            todo.append(iter(g.neighbors(u)))
+        return None
+
+    try:
+        found = enter()
+        while found is None and todo:
+            for w in todo[-1]:
+                if w in free and w not in banned:
+                    path.append(w)
+                    free.discard(w)
+                    found = enter()
+                    break
+            else:
+                todo.pop()
+            if len(todo) < len(path):
+                free.add(path.pop())
+    except _OutOfTime:
+        return DisjointPathsResult("unknown", None, explored, "")
+    log.update(("end %d\n" % explored).encode())
+    if found is not None:
+        return DisjointPathsResult("found", found, explored, log.hexdigest())
+    return DisjointPathsResult("none", None, explored, log.hexdigest())
 
 
 def _branch_multigraph(g: Graph):

@@ -4,9 +4,11 @@ import pytest
 
 from flatwall.generators import grid, wall
 from flatwall.graph import Graph, complete_graph, cycle_graph, path_graph
+from flatwall.minors import subdivide
 from flatwall.paths import max_vertex_disjoint_paths, two_disjoint_paths
+from flatwall.wall import compass, identity_wall, refind_after_transform
 
-from oracles import min_vertex_cut, random_graph
+from oracles import min_vertex_cut, random_graph, two_disjoint_paths_bfs_each_node
 
 
 def test_two_disjoint_paths_on_cycle():
@@ -69,9 +71,25 @@ def test_two_disjoint_paths_long_ladder():
     assert not set(p1) & set(p2)
 
 
+def outcome(r):
+    return r.verdict, r.paths, r.explored, r.transcript_hash
+
+
+def subdivided_compass(k: int, times: int):
+    rng = random.Random("compass %d %d" % (k, times))
+    w = identity_wall(k)
+    g, ops = w.host, []
+    for _ in range(times):
+        e = rng.choice(g.edges)
+        g, _ = subdivide(g, e)
+        ops.append(("subdivide", e))
+    w = refind_after_transform(compass(w.host, w), ops)
+    return compass(w.host, w)
+
+
 def test_two_disjoint_paths_transcripts_pinned():
-    # explored counts and transcript hashes of the recursive search this
-    # iterative one replaced: the exploration order is unchanged
+    # explored counts and transcript hashes of the earlier searches (recursive,
+    # then iterative with a BFS at every state): the exploration order is unchanged
     g, coords = grid(4, 4)
     r = two_disjoint_paths(g, (coords.id(1, 1), coords.id(4, 4)),
                            (coords.id(4, 1), coords.id(1, 4)))
@@ -82,6 +100,36 @@ def test_two_disjoint_paths_transcripts_pinned():
     assert (r.verdict, r.explored) == ("found", 150)
     assert r.transcript_hash == \
         "8edbcfca10bd7a7ac3a2f64c6393248ac7288ba6205f7475d01222d4e9690acd"
+    c = subdivided_compass(4, 0)
+    c1, c2, c3, c4 = c.corners
+    r = two_disjoint_paths(c.graph, (c1, c3), (c2, c4))
+    assert (r.verdict, r.explored) == ("none", 8391)
+    assert r.transcript_hash == \
+        "75dcfdbd0677a50ad9be82468e6a7b1c0e663355eaa43ee9fa800265034b8e78"
+
+
+def test_route_reuse_matches_bfs_each_node_on_random_graphs():
+    rng = random.Random(11)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(6, 14)
+        g = random_graph(rng, n, rng.choice((0.2, 0.3, 0.4, 0.55, 0.7)))
+        a, b, c, d = rng.sample(range(n), 4)
+        want = two_disjoint_paths_bfs_each_node(g, (a, b), (c, d))
+        assert outcome(two_disjoint_paths(g, (a, b), (c, d))) == outcome(want)
+        verdicts.add(want.verdict)
+    assert verdicts == {"found", "none"}
+
+
+def test_route_reuse_matches_bfs_each_node_on_wall_compasses():
+    for k in (3, 4):
+        for times in (0, 10, 20):
+            c = subdivided_compass(k, times)
+            c1, c2, c3, c4 = c.corners
+            # the crossing pairs are exhaustive "none" searches, the side pairs "found"
+            for first, second in [((c1, c3), (c2, c4)), ((c1, c2), (c3, c4))]:
+                want = two_disjoint_paths_bfs_each_node(c.graph, first, second)
+                assert outcome(two_disjoint_paths(c.graph, first, second)) == outcome(want)
 
 
 def test_max_disjoint_paths_known_counts():

@@ -1,13 +1,16 @@
 import itertools
+import random
 
 import pytest
 
 from flatwall.generators import wall
 from flatwall.graph import Graph, Hypergraph
+from flatwall.minors import subdivide
 from flatwall.rural import (RuralDivision, boundary, check_disk_embeddable, check_linkage,
                             division_from_edge_lists, internal_flaps, trivial_division,
                             validate_rural)
-from flatwall.wall import Compass, SubdividedWall, compass, identity_wall, perimeter
+from flatwall.wall import (Compass, SubdividedWall, compass, identity_wall, is_flat,
+                           perimeter, refind_after_transform)
 
 from oracles import min_vertex_cut
 
@@ -151,3 +154,68 @@ def test_check_linkage_rejects_oversize_boundary():
     non_corners = [v for v in c.graph.vertices if v not in c.corners][:5]
     with pytest.raises(ValueError):
         check_linkage(c, frozenset(non_corners))
+
+
+def subdivided_wall(rng: random.Random, k: int) -> SubdividedWall:
+    w = identity_wall(k)
+    g, ops = w.host, []
+    for _ in range(rng.randint(0, 20)):
+        e = rng.choice(g.edges)
+        g, _ = subdivide(g, e)
+        ops.append(("subdivide", e))
+    return refind_after_transform(compass(w.host, w), ops)
+
+
+def merged_divisions(rng: random.Random, c: Compass, groups):
+    """The division by groups, then after each of a few random merges of
+    two flaps that share a vertex, mostly one of compass degree 2 (such a
+    merge keeps the division valid)."""
+    groups = [list(f) for f in groups]
+    yield division_from_edge_lists(c, groups)
+    for _ in range(6):
+        i = rng.randrange(len(groups))
+        ends = {v for e in groups[i] for v in e}
+        touching = [j for j, f in enumerate(groups)
+                    if j != i and ends & {v for e in f for v in e}]
+        if rng.random() < 0.7:
+            touching = [j for j in touching if any(
+                c.graph.degree(v) == 2 for e in groups[j] for v in e if v in ends)] or touching
+        j = rng.choice(touching)
+        groups[i] = groups[i] + groups[j]
+        del groups[j]
+        yield division_from_edge_lists(c, groups)
+
+
+def test_valid_division_proves_flatness():
+    # lemma behind verify_certificate's check order: a division that
+    # validates leaves no room for disjoint c1-c3 and c2-c4 paths
+    rng = random.Random(3)
+    accepted = rejected = 0
+    for _ in range(40):
+        w = subdivided_wall(rng, rng.choice((2, 3)))
+        c = compass(w.host, w)
+        for rd in merged_divisions(rng, c, [[e] for e in c.graph.edges]):
+            if validate_rural(rd):
+                accepted += 1
+                assert is_flat(c).flat is True
+            else:
+                rejected += 1
+    assert accepted > 80 and rejected > 80  # 40 of the accepted are trivial divisions
+
+
+def test_crossed_wall_has_no_valid_division():
+    rng = random.Random(4)
+    for _ in range(30):
+        w = subdivided_wall(rng, rng.choice((2, 3)))
+        c1, c2, c3, c4 = w.corners
+        i1, i2 = rng.sample(sorted(w.vertices() - set(perimeter(w))), 2)
+        z1 = w.host.fresh_id()
+        z2 = z1 + 1
+        wires = [[(c1, z1), (z1, c3), (z1, i1)], [(c2, z2), (z2, c4), (z2, i2)]]
+        g = w.host.add_vertices([z1, z2]).add_edges(wires[0] + wires[1])
+        c = compass(g, SubdividedWall(g, w.height, w.original, w.paths))
+        assert is_flat(c).flat is False
+        plain = [[e] for e in c.graph.edges if z1 not in e and z2 not in e]
+        for groups in ([[e] for e in c.graph.edges], plain + wires):
+            for rd in merged_divisions(rng, c, groups):
+                assert not validate_rural(rd)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from flatwall.common import SizeCapExceeded
-from flatwall.decomposition import TreeDecomposition
+from flatwall.decomposition import TreeDecomposition, exact_treewidth
 from flatwall.generators import grid, lower_bound_graph, pyramid, wall
 from flatwall.graph import Graph, complete_graph, cycle_graph, delete, path_graph
 from flatwall.minors import MinorModel, find_minor, verify_minor_model
@@ -16,7 +16,7 @@ from flatwall.structure import (HMinorFound, StructureConstants,
                                 WeakStructureCertificate, apex_number,
                                 apex_reduce, merge_flaps, pyramid_minor_model,
                                 trichotomy_check, verify_certificate)
-from flatwall.wall import SubdividedWall, compass, identity_wall
+from flatwall.wall import SubdividedWall, compass, identity_wall, perimeter, subwall
 
 from fixtures import apexed_wall_host
 
@@ -303,3 +303,67 @@ def test_hand_built_flat_wall_certificate():
     v = verify_certificate(g, K6, 2, squeezed)
     assert v.condition == "flap-width"
     assert "width 1 exceeds 0" in v.detail
+
+
+def apex_wall3_certificates():
+    """(name, host, certificate) for clause 3 on one apex over wall(3)."""
+    wg = wall(3).graph
+    w = identity_wall(3)
+    c1, c2, c3, c4 = w.corners
+    inner = sorted(w.vertices() - set(perimeter(w)))
+    z1, z2 = max(wg.vertices) + 1, max(wg.vertices) + 2
+    apex = z2 + 1
+    touch = [(apex, v) for v in (c1, c3, inner[0], inner[3], inner[6], inner[-1])]
+    plain = wg.add_vertices([apex]).add_edges(touch)
+    crossed = wg.add_vertices([z1, z2, apex]).add_edges(
+        [(c1, z1), (z1, c3), (z1, inner[2]), (c2, z2), (z2, c4), (z2, inner[5])] + touch)
+    cp = compass(wg, w)
+    rd = trivial_division(cp)
+    flaps = list(rd.flaps)
+    bound = max(exact_treewidth(d)[0] for d in internal_flaps(rd))
+    ends = set(flaps[0].vertices)
+    j = next(j for j, d in enumerate(flaps) if not ends & set(d.vertices))
+    merged = [Graph(sorted(ends | set(flaps[j].vertices)), flaps[0].edges + flaps[j].edges)]
+    merged += [d for i, d in enumerate(flaps) if i not in (0, j)]
+    alien = flaps + [Graph([c1, c3], [(c1, c3)])]  # not a compass edge
+    covering = trivial_division(compass(crossed, SubdividedWall(crossed, 3, w.original, w.paths)))
+
+    def cert(wl, fl):
+        return WeakStructureCertificate(3, apex_set=(apex,), wall=wl,
+                                        division=RuralDivision(cp, fl), flap_width_bound=bound)
+
+    return [
+        ("valid", plain, cert(w, flaps)),
+        ("crossed", crossed, cert(w, flaps)),
+        ("dropped", plain, cert(w, flaps[1:])),
+        ("merged", plain, cert(w, merged)),
+        ("height", plain, cert(subwall(w, 1, 1, 2), flaps)),
+        ("alien", plain, cert(w, alien)),
+        ("crossed-covered", crossed, cert(w, list(covering.flaps))),
+    ]
+
+
+CROSSING = ([0, 1, 2, 3, 4, 12, 11, 10, 9, 17, 18, 19, 20, 21, 13, 14, 15, 23, 22, 30],
+            [6, 32, 24])
+
+# (ok, condition, detail, witness) as the verifier gave them when it still
+# ran the exhaustive flatness search before the division check
+CLAUSE3_VERDICTS = {
+    "valid": (True, None, "", None),
+    "crossed": (False, "not-flat", "", CROSSING),
+    "dropped": (False, "division-invalid", "property-1: edge 0-1 is in no flap", (0, 1)),
+    "merged": (False, "division-invalid",
+               "property-3: boundary pair 0,2 not joined inside flap 0", (0, 0, 2)),
+    "height": (False, "wall-height", "wall height 2, expected 3", 2),
+    "alien": (False, "division-invalid", "flap 38 references edge 0-30 outside the compass",
+              None),
+    # the division covers the wires, so only the lemma makes it reject: the
+    # crossing still outranks division-invalid
+    "crossed-covered": (False, "not-flat", "", CROSSING),
+}
+
+
+def test_clause3_verdicts_pinned():
+    for name, g, cert in apex_wall3_certificates():
+        v = verify_certificate(g, K6, 3, cert)
+        assert (bool(v), v.condition, v.detail, v.witness) == CLAUSE3_VERDICTS[name], name
