@@ -1,7 +1,7 @@
 """Desk-scale toolkit for walls, flat walls, rural divisions, graph minors
 and treewidth, with machine-checkable certificates throughout."""
 
-from .common import BudgetExceeded, SizeCapExceeded, Verdict
+from .common import SizeCapExceeded, Verdict
 from .graph import Graph, Hypergraph, complete_graph, cycle_graph, delete, graph_hash, \
     induced_subgraph, path_graph, union
 from .decomposition import TreeDecomposition, closure_bag, exact_treewidth, make_small, width
@@ -21,7 +21,7 @@ from .structure import HMinorFound, StructureConstants, WeakStructureCertificate
     verify_certificate
 
 __all__ = [
-    "BudgetExceeded", "SizeCapExceeded", "Verdict",
+    "SizeCapExceeded", "Verdict",
     "Graph", "Hypergraph", "complete_graph", "cycle_graph", "delete", "graph_hash",
     "induced_subgraph", "path_graph", "union",
     "TreeDecomposition", "closure_bag", "exact_treewidth", "make_small", "width",

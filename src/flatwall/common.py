@@ -28,7 +28,3 @@ class Verdict:
 
 class SizeCapExceeded(ValueError):
     """Input is larger than the configured exhaustive-search cap."""
-
-
-class BudgetExceeded(Exception):
-    """Cooperative time budget ran out before the search finished."""

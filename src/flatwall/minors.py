@@ -4,7 +4,9 @@ A contraction is certified by a total map phi (host vertex -> pattern
 vertex), a minor by disjoint connected branch sets, a topological minor by
 an injective branch-vertex map plus internally disjoint paths.  The find_*
 searches are exhaustive within size caps, so a failure is a proof of
-absence, not a timeout.
+absence, not a timeout.  find_minor also answers None without a search
+when the host's apex number is below the pattern's; apex number cannot
+grow under taking minors, so that None is a proof of absence too.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,8 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .common import SizeCapExceeded, Verdict
 from .graph import Graph, adjacency_masks, delete, induced_subgraph, is_connected
-from .planarity import RotationEmbedding, _canon_cycle, faces_of, validate_embedding
+from .planarity import (RotationEmbedding, _canon_cycle, faces_of, planarizing_set,
+                        validate_embedding)
 
 MINOR_PATTERN_CAP = 6
 MINOR_HOST_CAP = 30
@@ -193,6 +196,16 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
     placement that breaks the rule has no completion, so cutting it skips
     only dead subtrees: the order in which complete models are reached is
     unchanged and the first model found is the same as without the rule.
+
+    Apex rule, checked before the search: the graphs G with a set A of at
+    most a vertices such that G - A is planar form a minor-closed class.
+    Deleting a vertex or an edge keeps G - A planar; contracting an edge
+    outside A contracts G - A, which stays planar; contracting an edge
+    that touches A merges its ends into one vertex of A.  So a host that
+    turns planar after deleting fewer vertices than the pattern needs has
+    no pattern minor, and None is returned without a search.  The rule
+    answers only calls whose search would end in None, so every model
+    found is the one found without it.
     """
     if pattern.n > pattern_cap:
         raise SizeCapExceeded("pattern capped at %d vertices, got %d" % (pattern_cap, pattern.n))
@@ -202,6 +215,13 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
         return None
     if pattern.n == 0:
         return MinorModel(host, pattern, {})
+    # sizes below the pattern's apex number: a planarizing set that small
+    # in the host proves there is no minor
+    for size in range(pattern.n):
+        if planarizing_set(pattern, size) is not None:
+            break
+        if planarizing_set(host, size) is not None:
+            return None
 
     order, adj = adjacency_masks(host)
     full = (1 << host.n) - 1

@@ -16,10 +16,11 @@ set and block rotations are concatenated at cut vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .common import Verdict
-from .graph import Graph, Hypergraph, bfs, connected_components, incidence_graph, path_to
+from .graph import Graph, Hypergraph, bfs, connected_components, delete, incidence_graph, path_to
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +268,29 @@ def embed_planar(g) -> Optional[RotationEmbedding]:
 
 def is_planar(g) -> bool:
     return embed_planar(g) is not None
+
+
+def planarizing_set(g: Graph, size: int) -> Optional[Tuple[int, ...]]:
+    """The lexicographically first set of exactly size vertices whose
+    deletion leaves g planar, or None.
+
+    Sets are tried in combinations order of the sorted vertices.  Euler's
+    bound rules a set S out without a planarity test: with r = n - |S| >= 3
+    remaining vertices, g - S is not planar if it keeps more than 3r - 6
+    edges, counted as m - (degrees in S) + (edges inside S).  For r <= 5
+    the bound is exact, since K5 is the only non-planar graph on at most 5
+    vertices, so no test runs at all.
+    """
+    rest = g.n - size
+    limit = 3 * rest - 6 if rest >= 3 else None
+    for s in combinations(g.vertices, size):
+        if limit is not None:
+            inside = sum(1 for i, a in enumerate(s) for b in s[i + 1:] if g.has_edge(a, b))
+            if g.m - sum(g.degree(v) for v in s) + inside > limit:
+                continue
+        if rest <= 5 or is_planar(delete(g, s)):
+            return s
+    return None
 
 
 def validate_embedding(emb: RotationEmbedding) -> Verdict:

@@ -22,7 +22,7 @@ from .generators import grid, pyramid, wall
 from .graph import Graph, connected_components, delete, induced_subgraph, union
 from .minors import (MINOR_HOST_CAP, MINOR_PATTERN_CAP, MinorModel, find_minor,
                      iter_topological_embeddings, verify_minor_model)
-from .planarity import is_planar
+from .planarity import planarizing_set
 from .rural import RuralDivision, internal_flaps, trivial_division, validate_rural
 from .wall import SubdividedWall, compass, disjoint_subwalls, is_flat, verify_wall
 
@@ -81,9 +81,9 @@ def apex_number(g: Graph, cap: int = APEX_CAP) -> Tuple[int, Tuple[int, ...]]:
     if g.n > cap:
         raise SizeCapExceeded("apex search capped at %d vertices, got %d" % (cap, g.n))
     for size in range(g.n + 1):
-        for s in combinations(g.vertices, size):
-            if is_planar(delete(g, s)):
-                return size, s
+        s = planarizing_set(g, size)
+        if s is not None:
+            return size, s
     raise AssertionError("unreachable: the empty graph is planar")
 
 

@@ -70,3 +70,9 @@ def apexed_wall_host(k: int, attachments):
     for aj, targets in zip(apexes, attachments):
         edges.extend((aj, t) for t in targets)
     return g.add_edges(edges), apexes, identity_wall(k)
+
+
+def apex_over(g: Graph) -> Graph:
+    """g plus one new vertex joined to every vertex of g."""
+    a = max(g.vertices) + 1
+    return Graph(list(g.vertices) + [a], list(g.edges) + [(v, a) for v in g.vertices])

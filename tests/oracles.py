@@ -11,11 +11,12 @@ import time
 from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
-from flatwall.graph import Graph, adjacency_masks, bfs, path_to
+from flatwall.graph import Graph, adjacency_masks, bfs, delete, path_to
 from flatwall.common import SizeCapExceeded
 from flatwall.decomposition import TREEWIDTH_CAP, TreeDecomposition, _elim_neighborhood
 from flatwall.minors import MinorModel, _connected_subsets, _mask_neighborhood
 from flatwall.paths import DisjointPathsResult, _OutOfTime
+from flatwall.planarity import is_planar
 
 
 def treewidth_by_elimination(g: Graph) -> int:
@@ -95,6 +96,16 @@ def min_vertex_cut(g: Graph, sources, sinks) -> int:
             if not linked(set(cut)):
                 return size
     raise AssertionError("unreachable: the smaller terminal side is a cut")
+
+
+def apex_number_by_loop(g: Graph) -> Tuple[int, Tuple[int, ...]]:
+    """Apex number with the lexicographically least witness: one planarity
+    test per vertex set, smallest sets first, no Euler shortcut."""
+    for size in range(g.n + 1):
+        for s in itertools.combinations(g.vertices, size):
+            if is_planar(delete(g, s)):
+                return size, s
+    raise AssertionError("unreachable: the empty graph is planar")
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -11,6 +11,7 @@ from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitn
                              verify_smooth_contraction)
 from flatwall.planarity import embed_planar, faces_of, _canon_cycle
 
+from fixtures import apex_over
 from oracles import find_minor_unpruned, has_minor_by_partition, random_graph
 
 K33 = Graph(range(6), [(a, b) for a in range(3) for b in range(3, 6)])
@@ -51,9 +52,22 @@ def test_find_minor_same_first_model_as_unpruned_search():
         assert (got and got.branch_sets) == (want and want.branch_sets)
         found += got is not None
     assert 50 < found < 150  # the corpus holds both answers
+    # planar and apex-over-planar hosts, where the apex rule answers None
+    planar = [grid(3, 3)[0], grid(2, 5)[0], wall(1).graph]
+    hosts = planar + [apex_over(g) for g in (grid(2, 3)[0], grid(2, 4)[0], grid(3, 3)[0],
+                                            wall(1).graph)]
+    found = 0
+    for host in hosts:
+        for pat in (complete_graph(5), K33, complete_graph(6)):
+            got, want = find_minor(host, pat), find_minor_unpruned(host, pat)
+            assert (got and got.branch_sets) == (want and want.branch_sets)
+            found += got is not None
+    assert found == 2  # K5 and K3,3 over the 3 x 3 grid
 
 
 def test_find_minor_heavy_negatives():
+    assert find_minor(grid(4, 4)[0], complete_graph(5)) is None
+    assert find_minor(grid(3, 4)[0], complete_graph(5)) is None
     assert find_minor(grid(3, 4)[0], K33) is None
     assert find_minor(wall(2).graph, complete_graph(5)) is None
     assert find_minor(pyramid(3, 1), complete_graph(6)) is None

@@ -1,11 +1,14 @@
 import random
+from itertools import combinations
+
+import pytest
 
 from flatwall.generators import grid, wall
-from flatwall.graph import Graph, complete_graph, cycle_graph, path_graph
+from flatwall.graph import Graph, complete_graph, cycle_graph, delete, path_graph
 from flatwall.planarity import (biconnected_blocks, embed_planar, embeds_in_disk_with_boundary,
                                 faces_of, is_planar, trace_faces, validate_embedding)
 
-from oracles import random_graph
+from oracles import find_minor_unpruned, random_graph
 
 
 def k33():
@@ -45,13 +48,43 @@ def test_embed_planar_refuses_nonplanar():
 
 
 def test_random_graphs_agree_with_kuratowski_minors():
-    from flatwall.minors import find_minor
+    # the unpruned search: find_minor itself calls is_planar
     rng = random.Random(6)
     for _ in range(30):
         g = random_graph(rng, rng.randint(4, 7), 0.5)
-        has_k5 = find_minor(g, complete_graph(5)) is not None
-        has_k33 = find_minor(g, k33()) is not None
+        has_k5 = find_minor_unpruned(g, complete_graph(5)) is not None
+        has_k33 = find_minor_unpruned(g, k33()) is not None
         assert is_planar(g) == (not has_k5 and not has_k33)
+
+
+def test_is_planar_matches_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def nx_planar(g):
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from(g.edges)
+        return nx.check_planarity(h)[0]
+
+    rng = random.Random(23)
+    nonplanar = []
+    for i in range(300):
+        g = random_graph(rng, rng.randint(1, 14), rng.choice([0.15, 0.3, 0.45, 0.6]))
+        if i % 3 == 0 and g.n <= 10:  # a second component on fresh ids
+            extra = random_graph(rng, rng.randint(1, 14 - g.n), 0.5)
+            g = Graph(list(g.vertices) + [v + g.n for v in extra.vertices],
+                      list(g.edges) + [(a + g.n, b + g.n) for a, b in extra.edges])
+        planar = is_planar(g)
+        assert planar == nx_planar(g), g
+        if not planar:
+            nonplanar.append(g)
+    assert 50 < len(nonplanar) < 250  # both answers occur
+    # every g - v and g - {u, v}: the graphs find_minor's apex rule tests
+    for g in nonplanar[:30]:
+        for size in (1, 2):
+            for s in combinations(g.vertices, size):
+                h = delete(g, s)
+                assert is_planar(h) == nx_planar(h), (g, s)
 
 
 def test_trace_faces_covers_each_edge_twice():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 
@@ -18,7 +19,8 @@ from flatwall.structure import (HMinorFound, StructureConstants,
                                 trichotomy_check, verify_certificate)
 from flatwall.wall import SubdividedWall, compass, identity_wall, perimeter, subwall
 
-from fixtures import apexed_wall_host
+from fixtures import apex_over, apexed_wall_host
+from oracles import apex_number_by_loop, random_graph
 
 K4 = complete_graph(4)
 K5 = complete_graph(5)
@@ -58,6 +60,19 @@ def test_apex_number_known_graphs():
     assert apex_number(lower_bound_graph(3, 6)) == (1, (0,))
     with pytest.raises(SizeCapExceeded):
         apex_number(complete_graph(17))
+
+
+def test_apex_number_matches_plain_loop():
+    rng = random.Random(17)
+    graphs = [pyramid(3, 1), apex_over(grid(3, 4)[0]), K6, lower_bound_graph(3, 6)]
+    graphs += [random_graph(rng, rng.randint(3, 10), rng.choice([0.3, 0.5, 0.7, 0.9]))
+               for _ in range(80)]
+    sizes = set()
+    for g in graphs:
+        got = apex_number(g)
+        assert got == apex_number_by_loop(g)
+        sizes.add(got[0])
+    assert sizes >= {0, 1, 2, 3}
 
 
 def test_pyramid_models_validate():
