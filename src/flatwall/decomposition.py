@@ -3,8 +3,10 @@ decompositions, exact treewidth, and heavy-vertex selection in weighted
 trees.
 
 Exact treewidth raises a threshold from the minor-min-width lower bound and,
-for each one, searches elimination orders depth first, smallest vertex
-first (see exact_treewidth); no 2^n table is built.
+for each one, walks to the lexicographically smallest elimination order
+within it; a depth-first search that eliminates almost simplicial vertices
+without branching decides the thresholds the first walk cannot settle (see
+exact_treewidth).  No 2^n table is built.
 """
 
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -160,31 +162,130 @@ def _minor_min_width(adj: List[int]) -> int:
     return lb
 
 
-def _first_feasible_order(adj: List[int], k: int) -> Tuple[int, List[int]]:
-    # Depth-first over elimination prefixes, smallest vertex first, entering v
-    # only if it has at most k elimination neighbours; k rises when the root
-    # fails.  Stack frames are [prefix, untried, vertex]; failed[s] = k+1
-    # means no order from prefix s fits within k (nor any lower threshold).
+def _eliminate(h: List[int], v: int) -> List[int]:
+    # The elimination graph after v: its neighbours become a clique, v leaves.
+    h = list(h)
+    nb = h[v]
+    m = nb
+    while m:
+        low = m & -m
+        u = low.bit_length() - 1
+        h[u] = (h[u] | nb) & ~(low | 1 << v)
+        m ^= low
+    return h
+
+
+def _almost_simplicial(h: List[int], nb: int) -> bool:
+    # Whether one vertex w of nb meets every non-adjacent pair inside nb
+    # (true as well when nb is a clique).  The first vertex u with a
+    # non-neighbour x in nb leaves w = u or w = x to try.
+    m = nb
+    while m:
+        low = m & -m
+        miss = nb & ~h[low.bit_length() - 1] & ~low
+        if miss:
+            break
+        m ^= low
+    else:
+        return True
+    for w in (low, miss & -miss):
+        m = nb & ~w
+        while m:
+            bit = m & -m
+            if nb & ~h[bit.bit_length() - 1] & ~bit & ~w:
+                break
+            m ^= bit
+        else:
+            return True
+    return False
+
+
+def _moves(h: List[int], alive: int, k: int) -> List[int]:
+    # Vertices worth eliminating next, last to be tried first: one of degree
+    # <= k that is simplicial or almost simplicial, if any, else all of
+    # degree <= k.
+    moves = []
+    m = alive
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        nb = h[v]
+        if nb.bit_count() <= k:
+            if _almost_simplicial(h, nb):
+                return [v]
+            moves.append(v)
+    moves.reverse()
+    return moves
+
+
+def _fits(h: List[int], alive: int, k: int, memo: Dict[int, bool]) -> bool:
+    # Whether the elimination graph h on the vertex set alive has treewidth
+    # <= k, by a depth-first search over elimination orders; memo maps
+    # vertex sets already decided at this k to their answer.
+    #
+    # An almost simplicial vertex v of degree <= k (all non-adjacent pairs
+    # of its neighbours share one neighbour w) is eliminated without
+    # branching: eliminating v yields the contraction of the edge vw, a
+    # minor, so its treewidth is no larger, and v's own step costs <= k.
+    if alive.bit_count() <= k + 1:
+        return True
+    known = memo.get(alive)
+    if known is not None:
+        return known
+    stack = [(alive, h, _moves(h, alive, k))]
+    while stack:
+        alive, h, todo = stack[-1]
+        if not todo:
+            memo[alive] = False
+            stack.pop()
+            continue
+        v = todo.pop()
+        rest = alive & ~(1 << v)
+        ok = rest.bit_count() <= k + 1 or memo.get(rest)
+        if ok:
+            for frame in stack:
+                memo[frame[0]] = True
+            return True
+        if ok is None:
+            g = _eliminate(h, v)
+            stack.append((rest, g, _moves(g, rest, k)))
+    return False
+
+
+def _first_feasible_order(adj: List[int], k: int) -> Optional[List[int]]:
+    # The lexicographically smallest elimination order of width <= k, or
+    # None: after each prefix the smallest vertex of degree <= k whose
+    # elimination keeps the rest within k; once k+1 vertices are left, the
+    # rest ascending.  The first walk takes the smallest vertex of degree
+    # <= k unchecked, which is right whenever the walk gets through; at a
+    # dead end, _fits decides k and a second walk checks every step.
     n = len(adj)
     full = (1 << n) - 1
-    failed: Dict[int, int] = {}
-    stack = [[0, full, None]]
+    memo: Optional[Dict[int, bool]] = None
     while True:
-        s, todo, _ = stack[-1]
-        if n - len(stack) <= k:  # at most k+1 vertices left: any order fits
-            return k, [f[2] for f in stack[1:]] + [v for v in range(n) if not s >> v & 1]
-        if not todo:
-            failed[s] = k + 1
-            stack.pop()
-            if not stack:
-                k += 1
-                stack = [[0, full, None]]
-            continue
-        low = todo & -todo
-        v = low.bit_length() - 1
-        stack[-1][1] = todo ^ low
-        if failed.get(s | low, 0) <= k and _elim_neighborhood(adj, s, v).bit_count() <= k:
-            stack.append([s | low, full & ~(s | low), v])
+        h, alive, order = list(adj), full, []
+        while alive.bit_count() > k + 1:
+            m = alive
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                if h[v].bit_count() <= k:
+                    g = _eliminate(h, v)
+                    if memo is None or _fits(g, alive & ~low, k, memo):
+                        break
+            else:
+                break
+            order.append(v)
+            h, alive = g, alive & ~low
+        else:
+            return order + [v for v in range(n) if alive >> v & 1]
+        if memo is not None:
+            return None
+        memo = {}
+        if not _fits(adj, full, k, memo):
+            return None
 
 
 def exact_treewidth(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDecomposition]:
@@ -193,7 +294,10 @@ def exact_treewidth(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDecomp
     Tries k upward from the minor-min-width lower bound; the first k with an
     elimination order of width <= k is the treewidth.  Taking the smallest
     feasible vertex after every prefix yields the lexicographically smallest
-    optimal order, so the bags and the tree are reproducible.
+    optimal order, so the bags and the tree are reproducible.  Each k
+    first gets a walk that takes the smallest vertex of degree <= k
+    unchecked; only where that walk meets a dead end does _fits decide k,
+    and then check every step of a second walk.
     """
     n = g.n
     if n > cap:
@@ -202,7 +306,11 @@ def exact_treewidth(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDecomp
         return -1, TreeDecomposition(g, Graph([0]), {0: ()})
 
     order, adj = adjacency_masks(g)
-    tw, elim = _first_feasible_order(adj, _minor_min_width(adj))
+    tw = _minor_min_width(adj)
+    elim = _first_feasible_order(adj, tw)
+    while elim is None:
+        tw += 1
+        elim = _first_feasible_order(adj, tw)
 
     # Bag of the i-th eliminated vertex: itself plus its elimination
     # neighborhood; its parent is the first-eliminated member of that

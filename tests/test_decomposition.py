@@ -48,6 +48,12 @@ def test_treewidth_matches_elimination_oracle():
         assert tw(g) == treewidth_by_elimination(g)
 
 
+def test_treewidth_past_the_default_cap():
+    for g, k in ((grid(5, 5)[0], 5), (wall(3).graph, 4)):
+        tw, td = exact_treewidth(g, cap=g.n)
+        assert tw == k and validate(td) and width(td) == k
+
+
 def test_treewidth_cap():
     with pytest.raises(SizeCapExceeded):
         exact_treewidth(grid(5, 5)[0], cap=20)

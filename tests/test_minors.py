@@ -4,8 +4,10 @@ import pytest
 
 from flatwall.common import SizeCapExceeded
 from flatwall.generators import grid, pyramid, wall
-from flatwall.graph import Graph, complete_graph, cycle_graph, delete, path_graph
+from flatwall.graph import (Graph, adjacency_masks, complete_graph, cycle_graph, delete,
+                            induced_subgraph, path_graph)
 from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitness,
+                             _k4_minor_free,
                              delta_y, dissolve, find_minor, find_topological_minor,
                              subdivide, verify_contraction, verify_minor_model,
                              verify_smooth_contraction)
@@ -63,6 +65,25 @@ def test_find_minor_same_first_model_as_unpruned_search():
             assert (got and got.branch_sets) == (want and want.branch_sets)
             found += got is not None
     assert found == 2  # K5 and K3,3 over the 3 x 3 grid
+    # relabelled pyramid(3, 1), where the K4 rule cuts most of the K5 search
+    for _ in range(6):
+        perm = list(range(10))
+        rng.shuffle(perm)
+        host = Graph(range(10), [(perm[a], perm[b]) for a, b in pyramid(3, 1).edges])
+        for pat in (complete_graph(5), K33):
+            got, want = find_minor(host, pat), find_minor_unpruned(host, pat)
+            assert got.branch_sets == want.branch_sets
+
+
+def test_k4_minor_free_matches_search():
+    rng = random.Random(13)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.45, 0.6]))
+        keep = [v for v in g.vertices if rng.random() < 0.8]
+        order, adj = adjacency_masks(g)
+        mask = sum(1 << order.index(v) for v in keep)
+        want = find_minor_unpruned(induced_subgraph(g, keep), complete_graph(4)) is None
+        assert _k4_minor_free(adj, mask) == want
 
 
 def test_find_minor_heavy_negatives():
