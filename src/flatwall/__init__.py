@@ -16,9 +16,8 @@ from .wall import Compass, FlatnessResult, SubdividedWall, bricks, compass, \
 from .generators import gamma, gamma_star, grid, lower_bound_graph, pyramid, wall
 from .rural import RuralDivision, boundary, division_from_edge_lists, internal_flaps, \
     trivial_division, validate_rural
-from .structure import HMinorFound, StructureConstants, WeakStructureCertificate, \
-    apex_number, apex_reduce, merge_flaps, pyramid_minor_model, trichotomy_check, \
-    verify_certificate
+from .structure import HMinorFound, WeakStructureCertificate, apex_number, apex_reduce, \
+    merge_flaps, pyramid_minor_model, trichotomy_check, verify_certificate
 
 __all__ = [
     "SizeCapExceeded", "Verdict",
@@ -35,7 +34,6 @@ __all__ = [
     "is_flat", "layers", "perimeter", "refind_after_transform", "subwall", "verify_wall",
     "RuralDivision", "boundary", "division_from_edge_lists", "internal_flaps",
     "trivial_division", "validate_rural",
-    "HMinorFound", "StructureConstants", "WeakStructureCertificate", "apex_number",
-    "apex_reduce", "merge_flaps", "pyramid_minor_model", "trichotomy_check",
-    "verify_certificate",
+    "HMinorFound", "WeakStructureCertificate", "apex_number", "apex_reduce", "merge_flaps",
+    "pyramid_minor_model", "trichotomy_check", "verify_certificate",
 ]

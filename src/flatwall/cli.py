@@ -16,6 +16,7 @@ library is deterministic (no core operation draws randomness).
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Dict
 
 from .common import SizeCapExceeded
@@ -24,8 +25,7 @@ from .graph import Graph, delete
 from .generators import gamma, gamma_star, grid, lower_bound_graph, pyramid, wall
 from .minors import verify_minor_model
 from .rural import validate_rural
-from .structure import HMinorFound, StructureConstants, apex_reduce, trichotomy_check, \
-    verify_certificate
+from .structure import HMinorFound, apex_reduce, trichotomy_check, verify_certificate
 from .wall import compass, identity_wall, is_flat, verify_wall
 from . import serialize as ser
 
@@ -230,11 +230,8 @@ def cmd_reduce_apex(args) -> int:
     h_graph = ser.graph_from_json(_read_json(args.excluded))
     apexes = _parse_ids(args.apexes)
     w = ser.wall_from_json(delete(g, apexes), _read_json(args.wall))
-    consts = StructureConstants(h=args.h, an_h=args.an, a_size=args.a_size,
-                                f1_value=args.f1, f2_value=args.f2)
     try:
-        reduced, w2 = apex_reduce(g, h_graph, apexes, w, args.height, consts,
-                                  window_count=args.windows)
+        reduced, w2 = apex_reduce(g, h_graph, apexes, w, args.height, window_count=args.windows)
     except HMinorFound as e:
         print("reduce-apex: %s" % e, file=sys.stderr)
         _emit({"verdict": "h-minor-found", "minor": ser.minor_to_json(e.model)})
@@ -269,7 +266,9 @@ def cmd_verify_cert(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser depends on nothing in argv, so one per process serves every call."""
     top = argparse.ArgumentParser(
         prog="flatwall",
         description="walls, flat walls, rural divisions, minors and treewidth")
@@ -317,11 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--windows", type=int, default=None,
                    help="number of disjoint subwall windows (default: derived)")
-    p.add_argument("--an", type=int, default=1, help="apex parameter of the excluded graph")
-    p.add_argument("--a-size", type=int, default=1)
-    p.add_argument("--f1", type=int, default=1)
-    p.add_argument("--f2", type=int, default=1)
-    p.add_argument("--h", type=int, default=6)
     p.set_defaults(func=cmd_reduce_apex)
 
     p = sub.add_parser("trichotomy", help="minor / small width / flat wall trichotomy")

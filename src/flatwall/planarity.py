@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .common import Verdict
-from .graph import Graph, Hypergraph, bfs, connected_components, delete, incidence_graph, path_to
+from .graph import Graph, bfs, connected_components, delete, path_to
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +236,8 @@ def _canon_cycle(walk: Sequence[int]) -> Tuple[int, ...]:
     return min(rots)
 
 
-def embed_planar(g) -> Optional[RotationEmbedding]:
+def embed_planar(g: Graph) -> Optional[RotationEmbedding]:
     """Planar embedding with rotation system, or None if not planar."""
-    if isinstance(g, Hypergraph):
-        g = incidence_graph(g)
     if g.n >= 3 and g.m > 3 * g.n - 6:
         return None
     rotation: Dict[int, List[int]] = {v: [] for v in g.vertices}
@@ -266,7 +264,7 @@ def embed_planar(g) -> Optional[RotationEmbedding]:
     return RotationEmbedding(g, merged, tuple(outer))
 
 
-def is_planar(g) -> bool:
+def is_planar(g: Graph) -> bool:
     return embed_planar(g) is not None
 
 

@@ -6,10 +6,6 @@ mutually acceptable outcomes -- an excluded-graph minor, a small tree
 decomposition, or an apex set plus a flat wall with a rural division --
 or reports "undetermined" when none is certifiable at desk scale.  Every
 certificate is re-checkable from scratch by verify_certificate.
-
-The quantity bookkeeping (f3, f4, f5) keeps two published black-box
-quantities as injected parameters; only the formula plumbing is computed
-here.
 """
 
 from itertools import combinations
@@ -33,46 +29,6 @@ TRICHOTOMY_PATTERN_CAP = 6
 
 def _ceil_sqrt(x: int) -> int:
     return 0 if x == 0 else isqrt(x - 1) + 1
-
-
-class StructureConstants:
-    """Derived quantities f5, f4, f3 over injected base parameters.
-
-    f1_value and f2_value stand in for quantities with no effective
-    construction; they are supplied, never computed.
-    """
-
-    __slots__ = ("h", "an_h", "a_size", "f1_value", "f2_value")
-
-    def __init__(self, h: int, an_h: int, a_size: int, f1_value: int, f2_value: int):
-        for name, v in (("h", h), ("an_h", an_h), ("a_size", a_size),
-                        ("f1_value", f1_value), ("f2_value", f2_value)):
-            if not isinstance(v, int) or v < 0:
-                raise ValueError("%s must be a natural number, got %r" % (name, v))
-        self.h = h
-        self.an_h = an_h
-        self.a_size = a_size
-        self.f1_value = f1_value
-        self.f2_value = f2_value
-
-    def f5(self) -> int:
-        return 14 * (self.h - self.an_h) + _ceil_sqrt(self.an_h) - 24
-
-    def f4(self) -> int:
-        exp = self.a_size - self.an_h + 1
-        if exp < 0:
-            raise ValueError("apex budget %d is below the apex parameter %d"
-                             % (self.a_size, self.an_h))
-        base = self.f5()
-        if base < 1:
-            raise ValueError("f5 = %d < 1: h too small relative to its apex parameter" % base)
-        return base ** exp
-
-    def f3(self, k: int) -> int:
-        return self.f2_value * (4 * k * self.f4() + 12) + self.f1_value
-
-    def __repr__(self) -> str:
-        return "StructureConstants(h=%d, an_h=%d, a_size=%d)" % (self.h, self.an_h, self.a_size)
 
 
 def apex_number(g: Graph, cap: int = APEX_CAP) -> Tuple[int, Tuple[int, ...]]:
@@ -140,26 +96,35 @@ def _bipartite_pattern(left: int, right: int) -> Graph:
     return Graph(range(left + right), edges)
 
 
+def _f5(h_graph: Graph, an_h: int) -> int:
+    """Side of the default window grid: 14(h - a_H) + ceil(sqrt(a_H)) - 24."""
+    return 14 * (h_graph.n - an_h) + _ceil_sqrt(an_h) - 24
+
+
 def apex_reduce(g: Graph, h_graph: Graph, a: Iterable[int], w: SubdividedWall,
-                k: int, consts: StructureConstants,
-                window_count: Optional[int] = None) -> Tuple[Tuple[int, ...], SubdividedWall]:
+                k: int, window_count: Optional[int] = None
+                ) -> Tuple[Tuple[int, ...], SubdividedWall]:
     """Drop one apex that misses some window compass.
 
-    Windows `window_count` (default g(h)^2) disjoint height-k subwalls out
-    of w, computes each compass in g minus the apex set, and flags which
-    apices have an edge into which compass.  An apex with a zero flag is
-    removed and that window's subwall returned; its compass then avoids
-    the entire original apex set.  If every apex sees every compass the
-    complete-bipartite evidence is raised as HMinorFound.
+    Windows `window_count` (default f5^2, from the order and apex number
+    of h_graph) disjoint height-k subwalls out of w, computes each compass
+    in g minus the apex set, and flags which apices have an edge into
+    which compass.  An apex with a zero flag is removed and that window's
+    subwall returned; its compass then avoids the entire original apex
+    set.  If every apex sees every compass the complete-bipartite evidence
+    is raised as HMinorFound.
     """
     apexes = tuple(sorted(set(a)))
-    if len(apexes) < consts.an_h:
+    if not apexes:
+        raise ValueError("no apex to drop")
+    an_h, _ = apex_number(h_graph)
+    if len(apexes) < an_h:
         raise ValueError("apex set of %d is below the apex parameter %d"
-                         % (len(apexes), consts.an_h))
+                         % (len(apexes), an_h))
     if h_graph.n <= MINOR_PATTERN_CAP and g.n <= MINOR_HOST_CAP:
         if find_minor(g, h_graph) is not None:
             raise ValueError("the excluded graph is already a minor of the host")
-    count = consts.f5() ** 2 if window_count is None else window_count
+    count = _f5(h_graph, an_h) ** 2 if window_count is None else window_count
     if count < 1:
         raise ValueError("window count %d is not positive" % count)
 

@@ -16,8 +16,7 @@ from flatwall.generators import lower_bound_graph, wall
 from flatwall.graph import Graph, complete_graph, cycle_graph, delete, path_graph
 from flatwall.minors import MinorModel, find_minor, verify_minor_model
 from flatwall.rural import division_from_edge_lists, trivial_division, validate_rural
-from flatwall.structure import (HMinorFound, StructureConstants,
-                                WeakStructureCertificate, apex_number,
+from flatwall.structure import (HMinorFound, WeakStructureCertificate, apex_number,
                                 apex_reduce, pyramid_minor_model,
                                 trichotomy_check, verify_certificate)
 from flatwall.wall import SubdividedWall, compass, identity_wall, is_flat, verify_wall
@@ -161,7 +160,7 @@ def test_criterion_07_pyramid_models():
     verdict(7, 120, started, "pyramid models valid at 4 sizes, 2 cross-checked by search")
 
 
-K7 = complete_graph(7)
+K6 = complete_graph(6)
 WINDOW_SETS = ({0, 1, 2, 8, 9, 10}, {4, 5, 6, 12, 13, 14})
 
 
@@ -180,8 +179,7 @@ def test_criterion_08_apex_reduction():
             else:
                 attachments.append(everything)
         g, apexes, w = apexed_wall_host(3, attachments)
-        consts = StructureConstants(7, 2, count, 1, 1)
-        reduced, sub = apex_reduce(g, K7, apexes, w, 1, consts, window_count=2)
+        reduced, sub = apex_reduce(g, K6, apexes, w, 1, window_count=2)
         expected = tuple(a for s, a in enumerate(apexes) if s != blind_slot)
         assert reduced == expected
         assert sub.height == 1
@@ -189,7 +187,7 @@ def test_criterion_08_apex_reduction():
         assert not set(c.graph.vertices) & set(apexes)
     g, apexes, w = apexed_wall_host(3, [everything, everything])
     with pytest.raises(HMinorFound) as exc:
-        apex_reduce(g, K7, apexes, w, 1, StructureConstants(7, 2, 2, 1, 1), window_count=2)
+        apex_reduce(g, K6, apexes, w, 1, window_count=2)
     assert verify_minor_model(exc.value.model)
     verdict(8, 30, started, "20 fixtures drop exactly the blind apex; all-ones yields a model")
 

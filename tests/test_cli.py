@@ -201,10 +201,9 @@ def apexed_wall_files(capsys, tmp_path, second_apex_edges):
 def test_reduce_apex_drops_blind_apex(capsys, tmp_path):
     graph, wall, (a1, a2) = apexed_wall_files(capsys, tmp_path, [])
     rc, rep, _ = run_json(capsys, "reduce-apex", "--graph", graph,
-                          "--excluded", complete_doc(tmp_path, 7),
+                          "--excluded", complete_doc(tmp_path, 6),
                           "--wall", wall, "--apexes", "%d,%d" % (a1, a2),
-                          "--height", "1", "--windows", "2",
-                          "--an", "2", "--a-size", "2", "--h", "7")
+                          "--height", "1", "--windows", "2")
     assert rc == 0
     assert rep["verdict"] == "reduced"
     assert rep["apex_set"] == [a1]
@@ -214,10 +213,9 @@ def test_reduce_apex_drops_blind_apex(capsys, tmp_path):
 def test_reduce_apex_reports_found_minor(capsys, tmp_path):
     graph, wall, (a1, a2) = apexed_wall_files(capsys, tmp_path, list(range(30)))
     rc, rep, err = run_json(capsys, "reduce-apex", "--graph", graph,
-                            "--excluded", complete_doc(tmp_path, 7),
+                            "--excluded", complete_doc(tmp_path, 6),
                             "--wall", wall, "--apexes", "%d,%d" % (a1, a2),
-                            "--height", "1", "--windows", "2",
-                            "--an", "2", "--a-size", "2", "--h", "7")
+                            "--height", "1", "--windows", "2")
     assert rc == 1
     assert rep["verdict"] == "h-minor-found"
     assert "every apex sees every window" in err
@@ -225,6 +223,33 @@ def test_reduce_apex_reports_found_minor(capsys, tmp_path):
     from flatwall.serialize import graph_from_json
     model = minor_from_json(graph_from_json(host), rep["minor"])
     assert verify_minor_model(model)
+
+
+def test_reduce_apex_derives_its_constants(capsys, tmp_path):
+    graph, wall, (a1, a2) = apexed_wall_files(capsys, tmp_path, [0])
+    common = ["reduce-apex", "--graph", graph, "--wall", wall, "--height", "1"]
+    k6 = complete_doc(tmp_path, 6)
+    # an empty apex set has nothing to drop, even against a planar excluded graph
+    for excluded in (k6, complete_doc(tmp_path, 4)):
+        rc, out, err = run(capsys, *common, "--excluded", excluded, "--apexes", "",
+                           "--windows", "2")
+        assert (rc, out) == (2, "")
+        assert "no apex to drop" in err
+    # no --windows: f5^2 windows with f5 = 14 (6 - 2) + ceil(sqrt(2)) - 24 = 34 for K6
+    rc, out, err = run(capsys, *common, "--excluded", k6, "--apexes", "%d,%d" % (a1, a2))
+    assert (rc, out) == (2, "")
+    assert "cannot pack 1156 subwalls" in err
+    # the apex number of H is computed, so an H over its 16-vertex cap is undetermined
+    p17 = write_doc(tmp_path, "p17.json", graph_to_json(path_graph(17)))
+    rc, out, err = run(capsys, *common, "--excluded", p17, "--apexes", "%d,%d" % (a1, a2))
+    assert (rc, out) == (3, "")
+    assert "apex search capped at 16" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce-apex", "--help"])
+    assert exc.value.code == 0
+    flags = {w.strip("[],") for w in capsys.readouterr().out.split() if w.startswith(("--", "[--"))}
+    assert flags == {"--graph", "--excluded", "--wall", "--apexes", "--height", "--windows",
+                     "--help"}
 
 
 def lower_bound_files(capsys, tmp_path):

@@ -184,3 +184,43 @@ def test_menger_on_wall_compass_scale():
         hit = [v for v in e if g.has_vertex(v)]
         count, _ = max_vertex_disjoint_paths(g, hit, corners)
         assert count == min_vertex_cut(g, hit, corners)
+
+
+def test_max_disjoint_paths_matches_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def nx_count(g, srcs, snks):
+        # a super-source and a super-sink turn the set problem into an s-t one;
+        # a terminal in both sets becomes the path source-v-sink
+        ng = nx.Graph(list(g.edges))
+        ng.add_nodes_from(g.vertices)
+        ng.add_edges_from(("source", v) for v in srcs)
+        ng.add_edges_from((v, "sink") for v in snks)
+        try:
+            return sum(1 for _ in nx.node_disjoint_paths(ng, "source", "sink"))
+        except nx.NetworkXNoPath:
+            return 0
+
+    def check(g, srcs, snks):
+        count, paths = max_vertex_disjoint_paths(g, srcs, snks)
+        assert count == len(paths) == nx_count(g, srcs, snks)
+
+    rng = random.Random(12)
+    shared = 0
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(2, 12), rng.choice((0.1, 0.2, 0.35, 0.5)))
+        vs = list(g.vertices)
+        srcs = rng.sample(vs, rng.randint(1, min(4, len(vs))))
+        snks = rng.sample(vs, rng.randint(1, min(4, len(vs))))
+        shared += bool(set(srcs) & set(snks))
+        check(g, srcs, snks)
+    assert shared >= 20
+    w = wall(2)
+    for e in [(7, 8), (0, 1)]:
+        check(w.graph, [v for v in e if w.graph.has_vertex(v)], list(w.corners))
+    for k in (3, 4):
+        for times in (0, 10, 20):
+            c = subdivided_compass(k, times)
+            c1, c2, c3, c4 = c.corners
+            check(c.graph, [c1, c2], [c3, c4])
+            check(c.graph, [c1, c2, c3], [c3, c4, c1])

@@ -7,15 +7,17 @@ import pytest
 from flatwall.decomposition import exact_treewidth
 from flatwall.generators import grid, lower_bound_graph, wall
 from flatwall.graph import Graph, complete_graph, graph_hash, path_graph
-from flatwall.minors import find_minor
-from flatwall.rural import trivial_division
+from flatwall.minors import MinorModel, find_minor
+from flatwall.rural import division_from_edge_lists, trivial_division
 from flatwall.serialize import (certificate_from_json, certificate_to_json,
                                 graph_from_json, graph_to_json, minor_from_json,
                                 minor_to_json, rural_from_json, rural_to_json,
                                 td_from_json, td_to_json, wall_from_json,
                                 wall_to_json)
-from flatwall.structure import trichotomy_check, verify_certificate
-from flatwall.wall import compass, identity_wall
+from flatwall.structure import WeakStructureCertificate, trichotomy_check, verify_certificate
+from flatwall.wall import SubdividedWall, compass, identity_wall
+
+from oracles import random_elimination_td
 
 K4 = complete_graph(4)
 K6 = complete_graph(6)
@@ -194,3 +196,123 @@ def test_semantic_corruption_is_left_to_the_verifier():
     fat["apex_set"] = [0, 1, 2]
     v = verify_certificate(g, K6, 1, certificate_from_json(g, fat))
     assert v.condition == "apex-set-too-large"
+
+
+def _state(x):
+    """What a document carries, recursively: slot fields, Graphs by value.
+
+    The certificate reader anchors a division on a placeholder compass that
+    verify_certificate recomputes, so a division's compass is left out.
+    """
+    if isinstance(x, dict):
+        return {k: _state(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return tuple(_state(v) for v in x)
+    slots = getattr(type(x), "__slots__", ())
+    if isinstance(x, Graph) or not slots:
+        return x
+    return (type(x).__name__,) + tuple(_state(getattr(x, s)) for s in slots
+                                       if not s.startswith("_") and s != "compass")
+
+
+def test_round_trips_are_exact():
+    """*_to_json, then json.dumps/loads, then *_from_json gives an equal object."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def graphs(lo, hi):
+        def build(n, bits):
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            return Graph(range(n), [e for e, keep in zip(pairs, bits) if keep])
+        return st.integers(lo, hi).flatmap(
+            lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                               max_size=n * (n - 1) // 2).map(lambda bits: build(n, bits)))
+
+    def through_json(doc):
+        return json.loads(json.dumps(doc))
+
+    def same(a, b):
+        assert _state(a) == _state(b)
+
+    def relabelled_wall(data, apexes):
+        """identity_wall(k) under a vertex permutation, with isolated apex vertices."""
+        w = identity_wall(data.draw(st.integers(1, 3)))
+        n = w.host.n
+        perm = dict(zip(w.host.vertices, data.draw(st.permutations(range(n)))))
+        host = Graph(range(n + apexes), [(perm[a], perm[b]) for a, b in w.host.edges])
+        return SubdividedWall(host, w.height, {p: perm[v] for p, v in w.original.items()},
+                              {e: [perm[v] for v in p] for e, p in w.paths.items()})
+
+    def division(data, c):
+        edges = list(c.graph.edges)
+        owner = data.draw(st.lists(st.integers(0, len(edges) - 1),
+                                   min_size=len(edges), max_size=len(edges)))
+        groups = [[e for e, o in zip(edges, owner) if o == i] for i in sorted(set(owner))]
+        return division_from_edge_lists(c, groups)
+
+    def minor(data, host):
+        pattern = data.draw(graphs(0, 5))
+        owner = data.draw(st.lists(st.integers(-1, pattern.n - 1),
+                                   min_size=host.n, max_size=host.n))
+        return MinorModel(host, pattern, {p: [v for v, o in zip(host.vertices, owner) if o == p]
+                                          for p in pattern.vertices})
+
+    settings = hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                                   database=None)
+
+    @settings
+    @hypothesis.given(graphs(0, 9))
+    def graph_case(g):
+        assert graph_from_json(through_json(graph_to_json(g))) == g
+
+    @settings
+    @hypothesis.given(graphs(1, 9), st.randoms(use_true_random=False))
+    def td_case(g, rng):
+        td = random_elimination_td(rng, g)
+        same(td_from_json(g, through_json(td_to_json(td))), td)
+
+    @settings
+    @hypothesis.given(graphs(0, 8), st.data())
+    def minor_case(host, data):
+        m = minor(data, host)
+        same(minor_from_json(host, through_json(minor_to_json(m))), m)
+
+    @settings
+    @hypothesis.given(st.data())
+    def wall_case(data):
+        w = relabelled_wall(data, 0)
+        same(wall_from_json(w.host, through_json(wall_to_json(w))), w)
+
+    @settings
+    @hypothesis.given(st.data())
+    def rural_case(data):
+        w = relabelled_wall(data, 0)
+        c = compass(w.host, w)
+        rd = division(data, c)
+        back = rural_from_json(c, through_json(rural_to_json(rd)))
+        assert back.compass is c
+        same(back, rd)
+
+    @settings
+    @hypothesis.given(st.sampled_from([1, 2, 3, "undetermined"]), st.data())
+    def certificate_case(clause, data):
+        apexes = data.draw(st.integers(0, 2))
+        w = relabelled_wall(data, apexes)
+        g = w.host
+        if clause == 1:
+            cert = WeakStructureCertificate(1, minor=minor(data, g))
+        elif clause == 2:
+            td = random_elimination_td(data.draw(st.randoms(use_true_random=False)), g)
+            cert = WeakStructureCertificate(2, decomposition=td,
+                                            width_bound=data.draw(st.integers(0, 30)))
+        elif clause == 3:
+            cert = WeakStructureCertificate(
+                3, apex_set=tuple(range(g.n - apexes, g.n)), wall=w,
+                division=division(data, compass(g, w)),
+                flap_width_bound=data.draw(st.integers(0, 5)))
+        else:
+            cert = WeakStructureCertificate("undetermined")
+        same(certificate_from_json(g, through_json(certificate_to_json(cert))), cert)
+
+    for case in (graph_case, td_case, minor_case, wall_case, rural_case, certificate_case):
+        case()

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from flatwall.cli import main as cli_main
 from flatwall.common import SizeCapExceeded
 from flatwall.decomposition import TreeDecomposition, exact_treewidth
 from flatwall.generators import grid, lower_bound_graph, pyramid, wall
@@ -13,8 +14,7 @@ from flatwall.graph import Graph, complete_graph, cycle_graph, delete, path_grap
 from flatwall.minors import MinorModel, find_minor, verify_minor_model
 from flatwall.rural import RuralDivision, internal_flaps, trivial_division
 from flatwall.serialize import certificate_to_json
-from flatwall.structure import (HMinorFound, StructureConstants,
-                                WeakStructureCertificate, apex_number,
+from flatwall.structure import (HMinorFound, WeakStructureCertificate, _f5, apex_number,
                                 apex_reduce, merge_flaps, pyramid_minor_model,
                                 trichotomy_check, verify_certificate)
 from flatwall.wall import SubdividedWall, compass, identity_wall, perimeter, subwall
@@ -26,30 +26,33 @@ K4 = complete_graph(4)
 K5 = complete_graph(5)
 K6 = complete_graph(6)
 K7 = complete_graph(7)
+K8 = complete_graph(8)
 
 
 def test_constants_arithmetic():
-    c = StructureConstants(6, 1, 1, 1, 1)
-    assert c.f5() == 14 * 5 + 1 - 24 == 47
-    assert c.f4() == 47  # exponent a_size - an_h + 1 = 1
-    assert c.f3(2) == 1 * (4 * 2 * 47 + 12) + 1
-    # ceil sqrt enters through the apex parameter
-    assert StructureConstants(6, 2, 2, 1, 1).f5() == 14 * 4 + 2 - 24
-    assert StructureConstants(6, 4, 4, 1, 1).f5() == 14 * 2 + 2 - 24
-    assert StructureConstants(6, 1, 3, 1, 1).f4() == 47 ** 3
+    # f5 = 14 (h - a_H) + ceil(sqrt(a_H)) - 24, with a_H = apex_number(H)
+    for h_graph, an_h, f5 in [(K5, 1, 33), (K6, 2, 34), (K8, 4, 34), (cycle_graph(4), 0, 32)]:
+        assert apex_number(h_graph)[0] == an_h
+        assert _f5(h_graph, an_h) == f5
+    # the default window count is f5^2: K6 asks for 34^2 windows of a height-3 wall
+    g, apexes, w = apexed_wall_host(3, [[0], [1]])
+    with pytest.raises(ValueError, match="cannot pack 1156 subwalls"):
+        apex_reduce(g, K6, apexes, w, 1)
+    # four apices for K8 (a_H = 4, ceil(sqrt(4)) = 2)
+    g, apexes, w = apexed_wall_host(3, [[0], [1], [2], [3]])
+    with pytest.raises(ValueError, match="cannot pack 1156 subwalls"):
+        apex_reduce(g, K8, apexes, w, 1)
 
 
-def test_constants_reject_bad_values():
-    with pytest.raises(ValueError):
-        StructureConstants(-1, 1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        StructureConstants(6, 1, 1, 1.5, 1)
-    # exponent below zero
-    with pytest.raises(ValueError):
-        StructureConstants(6, 2, 0, 1, 1).f4()
-    # f5 negative at small h
-    with pytest.raises(ValueError):
-        StructureConstants(1, 1, 1, 1, 1).f4()
+def test_constants_reject_bad_values(capsys):
+    # the constants come from the excluded graph; the flags that restated them are gone
+    base = ["reduce-apex", "--graph", "g.json", "--excluded", "h.json", "--wall", "w.json",
+            "--apexes", "0", "--height", "1"]
+    for flag in ("--an", "--a-size", "--f1", "--f2", "--h"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(base + [flag, "2"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_apex_number_known_graphs():
@@ -118,12 +121,9 @@ def test_merge_flaps_merges_equal_traces():
     assert merge_flaps([Graph([1], [])], {1}, K4) == []
 
 
-CONSTS = StructureConstants(7, 2, 2, 1, 1)
-
-
 def test_apex_reduce_drops_unseen_apex():
     g, (a1, a2), w = apexed_wall_host(3, [list(wall(3).graph.vertices), []])
-    reduced, sub = apex_reduce(g, K7, (a1, a2), w, 1, CONSTS, window_count=2)
+    reduced, sub = apex_reduce(g, K6, (a1, a2), w, 1, window_count=2)
     assert reduced == (a1,)
     assert sub.height == 1
     c = compass(delete(g, reduced), sub)
@@ -134,7 +134,7 @@ def test_apex_reduce_returns_missed_window():
     host_vertices = list(wall(3).graph.vertices)
     # second apex sees window 0 only, so window 1 comes back
     g, (a1, a2), w = apexed_wall_host(3, [host_vertices, [0]])
-    reduced, sub = apex_reduce(g, K7, (a1, a2), w, 1, CONSTS, window_count=2)
+    reduced, sub = apex_reduce(g, K6, (a1, a2), w, 1, window_count=2)
     assert reduced == (a1,)
     assert sorted(sub.vertices()) == [4, 5, 6, 12, 13, 14]
 
@@ -143,7 +143,7 @@ def test_apex_reduce_all_ones_raises_evidence():
     everything = list(wall(3).graph.vertices)
     g, apexes, w = apexed_wall_host(3, [everything, everything])
     with pytest.raises(HMinorFound) as exc:
-        apex_reduce(g, K7, apexes, w, 1, CONSTS, window_count=2)
+        apex_reduce(g, K6, apexes, w, 1, window_count=2)
     model = exc.value.model
     assert verify_minor_model(model)
     # complete bipartite pattern: 2 apices x 2 windows
@@ -155,17 +155,20 @@ def test_apex_reduce_all_ones_raises_evidence():
 def test_apex_reduce_guardrails():
     g, apexes, w = apexed_wall_host(3, [[0]])
     with pytest.raises(ValueError, match="below the apex parameter"):
-        apex_reduce(g, K7, apexes, w, 1, CONSTS)
+        apex_reduce(g, K6, apexes, w, 1)
     g2, (a1, a2), w2 = apexed_wall_host(3, [[0], [1]])
     with pytest.raises(ValueError, match="not positive"):
-        apex_reduce(g2, K7, (a1, a2), w2, 1, CONSTS, window_count=0)
+        apex_reduce(g2, K6, (a1, a2), w2, 1, window_count=0)
     with pytest.raises(ValueError, match="not valid in the host minus the apex set"):
-        apex_reduce(g2, K7, (0, a1), w2, 1, CONSTS, window_count=2)
+        apex_reduce(g2, K6, (0, a1), w2, 1, window_count=2)
+    # an empty set has no apex to drop, even for a planar excluded graph (a_H = 0)
+    for h_graph in (K4, cycle_graph(4), K6):
+        with pytest.raises(ValueError, match="no apex to drop"):
+            apex_reduce(g2, h_graph, (), w2, 1, window_count=2)
     # wheel over wall(1) already carries the excluded graph
     g3, apexes3, w3 = apexed_wall_host(1, [list(wall(1).graph.vertices)])
     with pytest.raises(ValueError, match="already a minor"):
-        apex_reduce(g3, K4, apexes3, w3, 1,
-                    StructureConstants(4, 1, 1, 1, 1), window_count=1)
+        apex_reduce(g3, K4, apexes3, w3, 1, window_count=1)
 
 
 STAR6 = Graph(range(6), [(0, i) for i in range(1, 6)])
