@@ -7,6 +7,7 @@ north.  Vertex ids are row-major over the underlying full grid, so the
 coordinate map stays stable when construction prunes vertices.
 """
 
+from functools import lru_cache
 from typing import List, Tuple
 
 from .graph import Graph, delete
@@ -181,7 +182,9 @@ class WallGraph:
         return out
 
 
+@lru_cache(maxsize=None)
 def wall(k: int) -> WallGraph:
+    """The wall of height k; one shared pattern object per height."""
     return WallGraph(k)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .common import SizeCapExceeded, Verdict
-from .graph import Graph, adjacency_masks, delete, induced_subgraph, is_connected
+from .graph import Graph, adjacency_masks, bfs, delete, induced_subgraph, is_connected
 from .planarity import (RotationEmbedding, _canon_cycle, faces_of, planarizing_set,
                         validate_embedding)
 
@@ -412,40 +412,18 @@ def iter_topological_embeddings(host: Graph, pattern: Graph,
         yield SubdivisionEmbedding(host, pattern, {}, {})
         return
 
-    # Process pattern edges so each has a mapped endpoint when reached;
-    # any leftover isolated pattern vertices are mapped at the end.  The walk
-    # keeps its own queue: the order it meets edges in fixes plan.
-    comps = []
-    seen = set()
-    for v in pattern.vertices:
-        if v in seen:
-            continue
-        comp_edges = []
-        queue = [v]
-        seen.add(v)
-        while queue:
-            x = queue.pop(0)
-            for w in pattern.neighbors(x):
-                e = (min(x, w), max(x, w))
-                if e not in comp_edges:
-                    comp_edges.append(e)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append((v, comp_edges))
-
+    # Per component: map its smallest vertex, then its edges in breadth-first
+    # reach order, so every edge has a mapped endpoint when reached.
     plan = []  # (kind, payload): ("root", v) or ("edge", (a, b))
-    for root, comp_edges in comps:
-        plan.append(("root", root))
-        placed = {root}
-        pending = list(comp_edges)
-        while pending:
-            for idx, (a, b) in enumerate(pending):
-                if a in placed or b in placed:
-                    break
-            a, b = pending.pop(idx)
-            plan.append(("edge", (a, b)))
-            placed.update((a, b))
+    unreached = set(pattern.vertices)
+    for v in pattern.vertices:
+        if v not in unreached:
+            continue
+        reach = bfs(pattern, v, unreached)[0]
+        unreached.difference_update(reach)
+        plan.append(("root", v))
+        edges = dict.fromkeys((min(x, w), max(x, w)) for x in reach for w in pattern.neighbors(x))
+        plan.extend(("edge", e) for e in edges)
 
     vm: Dict[int, int] = {}
     paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}

@@ -318,29 +318,20 @@ def faces_of(emb: RotationEmbedding) -> List[Tuple[int, ...]]:
 def embeds_in_disk_with_boundary(g: Graph, cycle: Sequence[int]) -> bool:
     """True iff g embeds in a closed disk whose boundary is exactly this cycle.
 
-    Every cycle edge is subdivided and a hub is attached to all cycle and
-    subdivision vertices: a planar embedding of the gadget exists iff some face
-    of g is bounded by the full cycle, i.e. everything else can be drawn inside.
+    The test adds one hub joined to every cycle vertex and asks whether
+    that graph is planar.  Hub and rim form a wheel, which is 3-connected,
+    so its embedding is unique.  A piece of g drawn inside a triangle
+    hub-a-b can attach to the rest only at a and b (the rim edge ab is in
+    g), so it can be flipped across ab; once every triangle is empty,
+    deleting the hub leaves the rim bounding a face.  Conversely a hub
+    fits into any face the rim bounds.
     """
     cyc = list(cycle)
     if len(cyc) < 3 or len(set(cyc)) != len(cyc):
         raise ValueError("boundary must be a simple cycle")
-    pairs = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-    for a, b in pairs:
+    for i, a in enumerate(cyc):
+        b = cyc[(i + 1) % len(cyc)]
         if not g.has_edge(a, b):
             raise ValueError(f"boundary pair ({a},{b}) is not an edge")
-    nid = g.fresh_id()
-    verts = list(g.vertices)
-    edges = [e for e in g.edges if tuple(sorted(e)) not in {tuple(sorted(p)) for p in pairs}]
-    hub_targets = list(cyc)
-    for a, b in pairs:
-        s = nid
-        nid += 1
-        verts.append(s)
-        edges.append((a, s))
-        edges.append((s, b))
-        hub_targets.append(s)
-    hub = nid
-    verts.append(hub)
-    edges.extend((hub, t) for t in hub_targets)
-    return is_planar(Graph(verts, edges))
+    hub = g.fresh_id()
+    return is_planar(Graph(g.vertices + (hub,), g.edges + tuple((v, hub) for v in cyc)))

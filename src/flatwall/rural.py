@@ -21,7 +21,7 @@ from typing import FrozenSet, Iterable, List, Sequence, Tuple
 from .common import Verdict
 from .graph import Graph, Hypergraph, bfs, incidence_graph
 from .paths import max_vertex_disjoint_paths
-from .planarity import is_planar
+from .planarity import embeds_in_disk_with_boundary
 from .wall import Compass, perimeter
 
 
@@ -82,19 +82,15 @@ def trivial_division(c: Compass) -> RuralDivision:
 
 
 def check_disk_embeddable(h: Hypergraph, corners: Sequence[int]) -> bool:
-    """True iff the incidence graph of h, the 4-cycle over the corners and a
-    hub adjacent to all four corners is planar.  The hub wheel pins the
-    corner cycle onto one face in the given order."""
+    """True iff the incidence graph of h plus the 4-cycle over the corners
+    embeds in a closed disk bounded by that cycle, corners in the given
+    order on the rim."""
     for c in corners:
         if c not in h.vertices:
             raise ValueError("corner %r is not a hypergraph vertex" % (c,))
-    inc = incidence_graph(h)
-    hub = max(inc.vertices) + 1 if inc.vertices else 0
     c1, c2, c3, c4 = corners
-    extra = [(c1, c2), (c2, c3), (c3, c4), (c4, c1),
-             (hub, c1), (hub, c2), (hub, c3), (hub, c4)]
-    gadget = Graph(list(inc.vertices) + [hub], list(inc.edges) + extra)
-    return is_planar(gadget)
+    rim = incidence_graph(h).add_edges([(c1, c2), (c2, c3), (c3, c4), (c4, c1)])
+    return embeds_in_disk_with_boundary(rim, corners)
 
 
 def check_linkage(k: Compass, e: Iterable[int]) -> bool:

@@ -243,31 +243,27 @@ def _find_flat_wall_certificate(g: Graph, apexes: Tuple[int, ...], k: int):
     target = wall(k)
     if target.graph.n > ga.n:
         return None
-    try:
-        embeddings = iter_topological_embeddings(ga, target.graph,
-                                                 pattern_cap=max(target.graph.n, MINOR_PATTERN_CAP),
-                                                 host_cap=max(ga.n, MINOR_HOST_CAP))
-        for emb in embeddings:
-            cand = SubdividedWall(ga, k, emb.vertex_map, emb.paths)
-            if not verify_wall(cand):
-                continue
-            try:
-                c = compass(ga, cand)
-            except ValueError:
-                continue
-            # kept ahead of the division, unlike in verify_certificate: on the
-            # height 1-2 walls searched here it is a cheap pre-filter, and
-            # without it every crossed candidate pays validate_rural's
-            # planarity and linkage checks
-            if is_flat(c).flat is not True:
-                continue
-            rd = trivial_division(c)
-            if not validate_rural(rd):
-                continue
-            widths = [exact_treewidth(d)[0] for d in internal_flaps(rd)]
-            return cand, rd, max(widths, default=0)
-    except SizeCapExceeded:
-        return None
+    # the caps are at least the input sizes, so the search never hits them
+    embeddings = iter_topological_embeddings(ga, target.graph,
+                                             pattern_cap=max(target.graph.n, MINOR_PATTERN_CAP),
+                                             host_cap=max(ga.n, MINOR_HOST_CAP))
+    for emb in embeddings:
+        cand = SubdividedWall(ga, k, emb.vertex_map, emb.paths)
+        try:
+            c = compass(ga, cand)  # re-validates the wall
+        except ValueError:
+            continue
+        # kept ahead of the division, unlike in verify_certificate: on the
+        # height 1-2 walls searched here it is a cheap pre-filter, and
+        # without it every crossed candidate pays validate_rural's
+        # planarity and linkage checks
+        if is_flat(c).flat is not True:
+            continue
+        rd = trivial_division(c)
+        if not validate_rural(rd):
+            continue
+        widths = [exact_treewidth(d)[0] for d in internal_flaps(rd)]
+        return cand, rd, max(widths, default=0)
     return None
 
 
@@ -318,12 +314,12 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
     disjoint c1-c3 and c2-c4 paths exist.  Such paths would split at flap
     changes into paths of the boundary incidence graph (a vertex shared by
     two flaps lies on both boundaries); no flap carries both, as its
-    boundary would need 4 vertices; so with the corner 4-cycle and hub of
-    check_disk_embeddable they would form a K5 minor, and the gadget would
-    not be planar.  The exhaustive is_flat search therefore runs only when
-    the division rejects, and a crossed wall still reports not-flat ahead
-    of division-invalid: every verdict is what checking flatness first
-    gives.
+    boundary would need 4 vertices; so with the corner 4-cycle and the hub
+    that the disk test of check_disk_embeddable adds they would form a K5
+    minor, and the gadget would not be planar.  The exhaustive is_flat
+    search therefore runs only when the division rejects, and a crossed
+    wall still reports not-flat ahead of division-invalid: every verdict
+    is what checking flatness first gives.
     """
     if not isinstance(cert, WeakStructureCertificate):
         raise ValueError("not a certificate: %r" % (cert,))

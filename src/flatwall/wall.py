@@ -30,7 +30,7 @@ class SubdividedWall:
     path between the corresponding originals.
     """
 
-    __slots__ = ("host", "height", "original", "paths", "_pattern")
+    __slots__ = ("host", "height", "original", "paths")
 
     def __init__(self, host: Graph, height: int,
                  original: Dict[int, int],
@@ -38,7 +38,6 @@ class SubdividedWall:
         self.host = host
         self.height = height
         self.original = dict(original)
-        self._pattern = None
         norm = {}
         for e, p in paths.items():
             a, b = min(e), max(e)
@@ -50,9 +49,7 @@ class SubdividedWall:
 
     @property
     def pattern(self) -> WallGraph:
-        if self._pattern is None:
-            self._pattern = wall(self.height)
-        return self._pattern
+        return wall(self.height)
 
     @property
     def corners(self) -> Tuple[int, int, int, int]:

@@ -108,6 +108,22 @@ def apex_number_by_loop(g: Graph) -> Tuple[int, Tuple[int, ...]]:
     raise AssertionError("unreachable: the empty graph is planar")
 
 
+def embeds_in_disk_by_subdivided_rim(g: Graph, cycle) -> bool:
+    """Disk test by a second gadget: subdivide every edge of the rim cycle
+    and join a hub to every rim and subdivision vertex.  The gadget is
+    planar iff some face of g is bounded by the whole cycle."""
+    cyc = list(cycle)
+    pairs = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
+    rim = {tuple(sorted(p)) for p in pairs}
+    first = g.fresh_id()
+    hub = first + len(pairs)
+    verts = list(g.vertices) + list(range(first, hub + 1))
+    edges = [e for e in g.edges if e not in rim] + [(hub, v) for v in cyc]
+    for s, (a, b) in enumerate(pairs, first):
+        edges += [(a, s), (s, b), (hub, s)]
+    return is_planar(Graph(verts, edges))
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
     return Graph(range(n), edges)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from flatwall.graph import (Graph, adjacency_masks, complete_graph, cycle_graph,
 from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitness,
                              _k4_minor_free,
                              delta_y, dissolve, find_minor, find_topological_minor,
+                             iter_topological_embeddings,
                              subdivide, verify_contraction, verify_minor_model,
                              verify_smooth_contraction)
 from flatwall.planarity import embed_planar, faces_of, _canon_cycle
@@ -214,3 +217,31 @@ def test_smooth_contraction_rejects_wrong_disk():
     bad = SmoothContractionWitness(w.model, w.embedding, w.v, faces[:2] + faces[3:])
     v = verify_smooth_contraction(bad)
     assert not v and v.condition == "disk-not-a-disk"
+
+
+# (count, sha256 over the JSON of each embedding's sorted vertex map and
+# paths, in yield order), recorded before the subdivision plan was built
+# from graph.bfs
+EMBEDDING_ORDER = {
+    "connected": (380, "e3edfb00942bbd1ab42cc5a8dd20de9c73ab43a31f8f40a6443ea2f69e600fa0"),
+    "scattered": (2580, "3a509352f474137ef54deef656032fae9c0f11cfc6959b932eb2a4ee9a257751"),
+}
+
+
+def test_topological_embeddings_keep_their_order():
+    host = grid(3, 3)[0].add_edges([(0, 4), (4, 8), (2, 4)])
+    patterns = {
+        "connected": Graph([0, 1, 2, 3], [(0, 1), (1, 2), (0, 2), (2, 3)]),
+        # isolated 1 and 6 around the component {4, 9, 10}
+        "scattered": Graph([1, 4, 6, 9, 10], [(4, 10), (9, 10)]),
+    }
+    got = {}
+    for name, pattern in patterns.items():
+        h = hashlib.sha256()
+        count = 0
+        for emb in iter_topological_embeddings(host, pattern):
+            h.update(json.dumps([sorted(emb.vertex_map.items()),
+                                 sorted(emb.paths.items())]).encode())
+            count += 1
+        got[name] = (count, h.hexdigest())
+    assert got == EMBEDDING_ORDER

@@ -8,7 +8,7 @@ from flatwall.graph import Graph, complete_graph, cycle_graph, delete, path_grap
 from flatwall.planarity import (biconnected_blocks, embed_planar, embeds_in_disk_with_boundary,
                                 faces_of, is_planar, trace_faces, validate_embedding)
 
-from oracles import find_minor_unpruned, random_graph
+from oracles import embeds_in_disk_by_subdivided_rim, find_minor_unpruned, random_graph
 
 
 def k33():
@@ -115,3 +115,31 @@ def test_disk_embedding_wheel_center():
     g = Graph(range(5), [(4, 0), (4, 1), (4, 2), (4, 3),
                          (0, 1), (1, 2), (2, 3), (3, 0)])
     assert embeds_in_disk_with_boundary(g, (0, 1, 2, 3))
+
+
+def test_disk_embedding_rejects_bad_boundaries():
+    c = cycle_graph(5)
+    for bad in [(0, 1), (0, 1, 2, 1), (0, 1, 3, 4)]:
+        with pytest.raises(ValueError):
+            embeds_in_disk_with_boundary(c, bad)
+
+
+def random_rimmed_graph(rng: random.Random):
+    """A random graph on up to 9 vertices around a random rim cycle."""
+    n = rng.randint(3, 9)
+    rim = rng.sample(range(n), rng.randint(3, n))
+    edges = {(min(a, b), max(a, b)) for a, b in zip(rim, rim[1:] + rim[:1])}
+    p = rng.choice((0.15, 0.3, 0.45))
+    edges |= {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p}
+    return Graph(range(n), edges), rim
+
+
+def test_disk_embedding_matches_subdivided_rim_gadget():
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(2000):
+        g, rim = random_rimmed_graph(rng)
+        want = embeds_in_disk_by_subdivided_rim(g, rim)
+        assert embeds_in_disk_with_boundary(g, rim) == want, (g.edges, rim)
+        outcomes.add(want)
+    assert outcomes == {True, False}

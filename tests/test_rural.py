@@ -4,7 +4,7 @@ import random
 import pytest
 
 from flatwall.generators import wall
-from flatwall.graph import Graph, Hypergraph
+from flatwall.graph import Graph, Hypergraph, incidence_graph
 from flatwall.minors import subdivide
 from flatwall.rural import (RuralDivision, boundary, check_disk_embeddable, check_linkage,
                             division_from_edge_lists, internal_flaps, trivial_division,
@@ -12,7 +12,7 @@ from flatwall.rural import (RuralDivision, boundary, check_disk_embeddable, chec
 from flatwall.wall import (Compass, SubdividedWall, compass, identity_wall, is_flat,
                            perimeter, refind_after_transform)
 
-from oracles import min_vertex_cut
+from oracles import embeds_in_disk_by_subdivided_rim, min_vertex_cut
 
 
 def bare_compass(k: int) -> Compass:
@@ -136,6 +136,21 @@ def test_check_disk_embeddable_corner_cases():
     assert check_disk_embeddable(h, (0, 1, 2, 3))
     with pytest.raises(ValueError):
         check_disk_embeddable(h, (0, 1, 2, 9))
+
+
+def test_check_disk_embeddable_matches_subdivided_rim_gadget():
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(2000):
+        n = rng.randint(4, 9)
+        hes = [rng.sample(range(n), rng.randint(1, 3)) for _ in range(rng.randint(1, 9))]
+        h = Hypergraph(range(n), hes)
+        c1, c2, c3, c4 = corners = rng.sample(range(n), 4)
+        ring = incidence_graph(h).add_edges([(c1, c2), (c2, c3), (c3, c4), (c4, c1)])
+        want = embeds_in_disk_by_subdivided_rim(ring, corners)
+        assert check_disk_embeddable(h, corners) == want, (h.hyperedges, corners)
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_check_linkage_matches_menger_oracle():
