@@ -320,9 +320,6 @@ class SubdivisionEmbedding:
         self.vertex_map = dict(vertex_map)
         self.paths = {(min(e), max(e)): tuple(p) for e, p in paths.items()}
 
-    def branch_vertices(self) -> frozenset:
-        return frozenset(self.vertex_map.values())
-
     def all_vertices(self) -> frozenset:
         """Every host vertex used by the embedding."""
         used = set(self.vertex_map.values())

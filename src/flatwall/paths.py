@@ -2,14 +2,15 @@
 
 Two search problems live here: the exhaustive two-disjoint-paths decision
 (exact, exponential, fine at the scales we run) and the maximum number of
-vertex-disjoint paths between two terminal sets (Menger via unit-capacity
-max-flow, polynomial).  The two-paths search re-runs its second-pair
+vertex-disjoint paths between two terminal sets (Menger by augmenting
+paths, polynomial).  The two-paths search re-runs its second-pair
 breadth-first search only when the first path steps onto the last route
 found, or reaches its end.
 """
 
 import hashlib
 import time
+from bisect import bisect
 from collections import deque
 from typing import Iterable, List, Optional, Tuple
 
@@ -133,68 +134,68 @@ def max_vertex_disjoint_paths(g: Graph, sources: Iterable[int],
 
     Unit vertex capacities, so disjointness includes endpoints; a vertex in
     both sets contributes a zero-length path.  Returns (count, paths).
+
+    The flow is kept as the paths themselves: prv[v] and nxt[v] are v's
+    neighbours on its path, None past its ends.  Each augmenting path is a
+    breadth-first search over the states "arrived at v" and "left v", whose
+    moves are the residual arcs of a split-vertex flow network taken in
+    that network's node order, so the paths found are the network's.
     """
     src = sorted(set(sources))
-    snk = sorted(set(sinks))
-    for v in src + snk:
+    snk = set(sinks)
+    for v in src + sorted(snk):
         if not g.has_vertex(v):
             raise ValueError("terminal %r is not in the graph" % (v,))
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    n = g.n
-    # node 2i = v_in, 2i+1 = v_out, 2n = source, 2n+1 = sink
-    S, T = 2 * n, 2 * n + 1
-    cap = [dict() for _ in range(2 * n + 2)]
-
-    def arc(u, w):
-        cap[u][w] = 1
-        cap[w].setdefault(u, 0)
-
-    for v in g.vertices:
-        arc(2 * idx[v], 2 * idx[v] + 1)
-    for a, b in g.edges:
-        arc(2 * idx[a] + 1, 2 * idx[b])
-        arc(2 * idx[b] + 1, 2 * idx[a])
-    for v in src:
-        arc(S, 2 * idx[v])
-    for v in snk:
-        arc(2 * idx[v] + 1, T)
-
-    # augmenting paths by BFS over the residual capacities (not a Graph)
-    flow = 0
+    prv, nxt = {}, {}
     while True:
-        parent = {S: None}
-        queue = deque([S])
-        while queue and T not in parent:
-            u = queue.popleft()
-            for w in sorted(cap[u]):
-                if w not in parent and cap[u][w] > 0:
-                    parent[w] = u
-                    queue.append(w)
-        if T not in parent:
-            break
-        w = T
-        while parent[w] is not None:
-            u = parent[w]
-            cap[u][w] -= 1
-            cap[w][u] += 1
-            w = u
-        flow += 1
+        # arrived[w] = v: the search left v for w (w itself for a step back,
+        # None at a source); left[u] = w: it left u from arriving at w
+        arrived, left = {}, {}
+        queue = deque()
 
-    # walk the unit flow out of S; vertex capacities keep the walks simple
-    back = list(g.vertices)
+        def arrive(w, v):
+            # an arrival has one move: leave w if it is free, else step back
+            # to leaving its predecessor (none if w starts its path)
+            arrived[w] = v
+            u = prv[w] if w in prv else w
+            if u is not None and u not in left:
+                left[u] = w
+                queue.append(u)
+
+        for s in src:
+            if s not in prv or prv[s] is not None:
+                arrive(s, None)
+        while queue:
+            v = queue.popleft()
+            if v in snk and (v not in nxt or nxt[v] is not None):
+                break
+            # every neighbour but nxt[v], and back into v if it is used
+            moves = g.neighbors(v)
+            if v in prv:
+                i = bisect(moves, v)
+                moves = moves[:i] + (v,) + moves[i:]
+            for w in moves:
+                if w not in arrived and w != nxt.get(v):
+                    arrive(w, v)
+        else:
+            break
+        # reroute the paths along the search path, back from its end at v
+        nxt[v] = None
+        while v is not None:
+            u = left[v]
+            v = arrived[u]
+            if v == u:  # stepped back through u: it is free again
+                del prv[u], nxt[u]
+            else:
+                prv[u] = v
+                if v is not None:
+                    nxt[v] = u
+
     paths = []
-    for v in src:
-        if cap[S][2 * idx[v]] != 0:
-            continue
-        walk = [v]
-        node = 2 * idx[v] + 1
-        while T not in cap[node] or cap[node][T] != 0:
-            nxt = next(w for w in sorted(cap[node])
-                       if w % 2 == 0 and w < 2 * n and cap[node][w] == 0)
-            cap[node][nxt] = 1  # consume the arc so parallel walks stay apart
-            walk.append(back[nxt // 2])
-            node = nxt + 1
-        cap[node][T] = 1
-        paths.append(walk)
-    assert len(paths) == flow
-    return flow, paths
+    for s in src:
+        if s in prv and prv[s] is None:
+            path = [s]
+            while nxt[path[-1]] is not None:
+                path.append(nxt[path[-1]])
+            paths.append(path)
+    return len(paths), paths

@@ -112,7 +112,9 @@ def apex_reduce(g: Graph, h_graph: Graph, a: Iterable[int], w: SubdividedWall,
     which compass.  An apex with a zero flag is removed and that window's
     subwall returned; its compass then avoids the entire original apex
     set.  If every apex sees every compass the complete-bipartite evidence
-    is raised as HMinorFound.
+    is raised as HMinorFound.  The precondition that h_graph is not already
+    a minor of g is checked only within find_minor's caps (MINOR_PATTERN_CAP
+    and MINOR_HOST_CAP vertices); past them it is assumed without a warning.
     """
     apexes = tuple(sorted(set(a)))
     if not apexes:

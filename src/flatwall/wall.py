@@ -12,7 +12,7 @@ edge subdivisions and triangle-to-star rewrites.
 from math import isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .common import SizeCapExceeded, Verdict
+from .common import Verdict
 from .graph import Graph, bfs, connected_components, delete, induced_subgraph, path_to
 from .generators import WallGraph, gamma, wall
 from .minors import (SmoothContractionWitness, SubdivisionEmbedding, delta_y,
@@ -173,7 +173,7 @@ def compass(g: Graph, w: SubdividedWall) -> Compass:
     """
     anchored = SubdividedWall(g, w.height, w.original, w.paths)
     _require_valid(anchored)
-    ring = set(perimeter(anchored))
+    ring = set(_expand_cycle(anchored, anchored.pattern.perimeter()))
     interior = anchored.vertices() - ring
     if interior:
         rest = delete(g, vertices=ring)
@@ -390,9 +390,6 @@ def extract_wall_from_gamma_contraction(g: Graph, witness: SmoothContractionWitn
     for u in tg.external:
         drop.update(witness.model.model_of(u))
     core = delete(g, vertices=drop)
-    if target.graph.n > pattern_cap or core.n > host_cap:
-        raise SizeCapExceeded("fallback search needs %d pattern / %d core vertices, caps are %d / %d"
-                              % (target.graph.n, core.n, pattern_cap, host_cap))
     for emb in iter_topological_embeddings(core, target.graph,
                                            pattern_cap=pattern_cap, host_cap=host_cap):
         cand = SubdividedWall(g, k, emb.vertex_map, emb.paths)

@@ -8,8 +8,8 @@ import hashlib
 import itertools
 import random
 import time
-from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from collections import Counter, deque
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from flatwall.graph import Graph, adjacency_masks, bfs, delete, path_to
 from flatwall.common import SizeCapExceeded
@@ -96,6 +96,83 @@ def min_vertex_cut(g: Graph, sources, sinks) -> int:
             if not linked(set(cut)):
                 return size
     raise AssertionError("unreachable: the smaller terminal side is a cut")
+
+
+def max_vertex_disjoint_paths_by_network(g: Graph, sources: Iterable[int],
+                                         sinks: Iterable[int]) -> Tuple[int, List[List[int]]]:
+    """Maximum set of pairwise vertex-disjoint paths from sources to sinks.
+
+    Unit vertex capacities, so disjointness includes endpoints; a vertex in
+    both sets contributes a zero-length path.  Returns (count, paths).
+
+    Reference for flatwall.paths.max_vertex_disjoint_paths: augmenting paths
+    by breadth-first search over a split-vertex unit-capacity network, with
+    the flow walked back out of the capacities at the end.
+    """
+    src = sorted(set(sources))
+    snk = sorted(set(sinks))
+    for v in src + snk:
+        if not g.has_vertex(v):
+            raise ValueError("terminal %r is not in the graph" % (v,))
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    n = g.n
+    # node 2i = v_in, 2i+1 = v_out, 2n = source, 2n+1 = sink
+    S, T = 2 * n, 2 * n + 1
+    cap = [dict() for _ in range(2 * n + 2)]
+
+    def arc(u, w):
+        cap[u][w] = 1
+        cap[w].setdefault(u, 0)
+
+    for v in g.vertices:
+        arc(2 * idx[v], 2 * idx[v] + 1)
+    for a, b in g.edges:
+        arc(2 * idx[a] + 1, 2 * idx[b])
+        arc(2 * idx[b] + 1, 2 * idx[a])
+    for v in src:
+        arc(S, 2 * idx[v])
+    for v in snk:
+        arc(2 * idx[v] + 1, T)
+
+    # augmenting paths by BFS over the residual capacities (not a Graph)
+    flow = 0
+    while True:
+        parent = {S: None}
+        queue = deque([S])
+        while queue and T not in parent:
+            u = queue.popleft()
+            for w in sorted(cap[u]):
+                if w not in parent and cap[u][w] > 0:
+                    parent[w] = u
+                    queue.append(w)
+        if T not in parent:
+            break
+        w = T
+        while parent[w] is not None:
+            u = parent[w]
+            cap[u][w] -= 1
+            cap[w][u] += 1
+            w = u
+        flow += 1
+
+    # walk the unit flow out of S; vertex capacities keep the walks simple
+    back = list(g.vertices)
+    paths = []
+    for v in src:
+        if cap[S][2 * idx[v]] != 0:
+            continue
+        walk = [v]
+        node = 2 * idx[v] + 1
+        while T not in cap[node] or cap[node][T] != 0:
+            nxt = next(w for w in sorted(cap[node])
+                       if w % 2 == 0 and w < 2 * n and cap[node][w] == 0)
+            cap[node][nxt] = 1  # consume the arc so parallel walks stay apart
+            walk.append(back[nxt // 2])
+            node = nxt + 1
+        cap[node][T] = 1
+        paths.append(walk)
+    assert len(paths) == flow
+    return flow, paths
 
 
 def apex_number_by_loop(g: Graph) -> Tuple[int, Tuple[int, ...]]:

@@ -6,9 +6,11 @@ from flatwall.generators import grid, wall
 from flatwall.graph import Graph, complete_graph, cycle_graph, path_graph
 from flatwall.minors import subdivide
 from flatwall.paths import max_vertex_disjoint_paths, two_disjoint_paths
+from flatwall.rural import trivial_division
 from flatwall.wall import compass, identity_wall, refind_after_transform
 
-from oracles import min_vertex_cut, random_graph, two_disjoint_paths_bfs_each_node
+from oracles import (max_vertex_disjoint_paths_by_network, min_vertex_cut, random_graph,
+                     two_disjoint_paths_bfs_each_node)
 
 
 def test_two_disjoint_paths_on_cycle():
@@ -224,3 +226,42 @@ def test_max_disjoint_paths_matches_networkx():
             c1, c2, c3, c4 = c.corners
             check(c.graph, [c1, c2], [c3, c4])
             check(c.graph, [c1, c2, c3], [c3, c4, c1])
+
+
+def test_max_disjoint_paths_same_paths_as_network_on_random_graphs():
+    # same count and the same paths, not only the same count: the pointer
+    # search takes the network search's moves in the network's node order
+    rng = random.Random(13)
+    outcomes = set()
+    sizes = set()
+    shared = isolated = 0
+    for _ in range(2000):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.choice((0.1, 0.25, 0.4, 0.55, 0.7)))
+        vs = list(g.vertices)
+        srcs = rng.sample(vs, rng.randint(1, min(5, n)))
+        snks = rng.sample(vs, rng.randint(1, min(5, n)))
+        want = max_vertex_disjoint_paths_by_network(g, srcs, snks)
+        assert max_vertex_disjoint_paths(g, srcs, snks) == want
+        outcomes.add(want[0] == len(srcs))
+        sizes.add(n)
+        shared += bool(set(srcs) & set(snks))
+        isolated += any(g.degree(v) == 0 for v in vs)
+    assert outcomes == {True, False}
+    assert 1 in sizes and shared >= 100 and isolated >= 100
+
+
+def test_max_disjoint_paths_same_paths_as_network_on_compasses():
+    # every flap boundary of the trivial division, plus random terminal sets:
+    # on these a few searches tie between equal-length augmenting paths, and
+    # only the network's node order (a step back into v at v's own id) breaks
+    # the tie the same way
+    for k in (3, 4):
+        for times in (0, 10, 20):
+            c = subdivided_compass(k, times)
+            rng = random.Random("terminals %d %d" % (k, times))
+            terminals = list(trivial_division(c).boundaries())
+            terminals += [rng.sample(c.graph.vertices, rng.randint(2, 4)) for _ in range(200)]
+            for b in terminals:
+                want = max_vertex_disjoint_paths_by_network(c.graph, b, c.corners)
+                assert max_vertex_disjoint_paths(c.graph, b, c.corners) == want

@@ -86,6 +86,15 @@ def test_compass_keeps_interior_component_only():
     assert z_out not in c.graph.vertices
 
 
+def test_compass_rejects_a_wall_with_a_broken_path():
+    w = identity_wall(2)
+    paths = dict(w.paths)
+    key = sorted(paths)[0]
+    paths[key] = paths[key][:1]  # no longer joins its endpoints
+    with pytest.raises(ValueError, match="invalid wall certificate"):
+        compass(w.host, SubdividedWall(w.host, 2, w.original, paths))
+
+
 def test_plane_walls_are_flat():
     for k in (1, 2, 3):
         w = identity_wall(k)
