@@ -2,11 +2,13 @@
 decompositions, exact treewidth, and heavy-vertex selection in weighted
 trees.
 
-Exact treewidth raises a threshold from the minor-min-width lower bound and,
-for each one, walks to the lexicographically smallest elimination order
-within it; a depth-first search that eliminates almost simplicial vertices
-without branching decides the thresholds the first walk cannot settle (see
-exact_treewidth).  No 2^n table is built.
+Exact treewidth raises a threshold from the minimum degree and, for each
+one, walks to the lexicographically smallest elimination order within it.
+One depth-first search over elimination graphs, which eliminates almost
+simplicial vertices without branching, decides "treewidth <= k": it settles
+the thresholds the first walk cannot (see exact_treewidth) and, as
+treewidth_at_most, answers the question for other callers.  No 2^n table
+is built.
 """
 
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -123,45 +125,6 @@ def make_small(td: TreeDecomposition) -> TreeDecomposition:
     return TreeDecomposition(td.host, tree, bags)
 
 
-def _elim_neighborhood(adj: List[int], done: int, v: int) -> int:
-    # Vertices outside done reachable from v via paths internal to done:
-    # the neighborhood of v once done has been eliminated.
-    vbit = 1 << v
-    comp = vbit
-    reach = adj[v]
-    frontier = reach & done & ~comp
-    while frontier:
-        comp |= frontier
-        acc = 0
-        m = frontier
-        while m:
-            low = m & -m
-            acc |= adj[low.bit_length() - 1]
-            m ^= low
-        reach |= acc
-        frontier = reach & done & ~comp
-    return reach & ~done & ~vbit
-
-
-def _minor_min_width(adj: List[int]) -> int:
-    # Contract a min-degree vertex into its min-degree neighbour (an isolated
-    # one into itself) until none is left; no minor's min degree exceeds tw.
-    adj = list(adj)
-    alive = list(range(len(adj)))
-    lb = 0
-    while len(alive) > lb + 1:
-        v = min(alive, key=lambda x: (adj[x].bit_count(), x))
-        nb = adj[v]
-        lb = max(lb, nb.bit_count())
-        alive.remove(v)
-        u = min((x for x in alive if nb >> x & 1), key=lambda x: (adj[x].bit_count(), x), default=v)
-        for w in alive:
-            if nb >> w & 1:
-                adj[w] = adj[w] & ~(1 << v) | 1 << u
-        adj[u] = (adj[u] | nb) & ~(1 << v | 1 << u)
-    return lb
-
-
 def _eliminate(h: List[int], v: int) -> List[int]:
     # The elimination graph after v: its neighbours become a clique, v leaves.
     h = list(h)
@@ -253,6 +216,12 @@ def _fits(h: List[int], alive: int, k: int, memo: Dict[int, bool]) -> bool:
     return False
 
 
+def treewidth_at_most(adj: List[int], mask: int, k: int) -> bool:
+    """Whether the subgraph that mask induces in the adjacency masks adj
+    has treewidth at most k (decided by _fits)."""
+    return _fits([a & mask for a in adj], mask, k, {})
+
+
 def _first_feasible_order(adj: List[int], k: int) -> Optional[List[int]]:
     # The lexicographically smallest elimination order of width <= k, or
     # None: after each prefix the smallest vertex of degree <= k whose
@@ -291,7 +260,8 @@ def _first_feasible_order(adj: List[int], k: int) -> Optional[List[int]]:
 def exact_treewidth(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDecomposition]:
     """Exact treewidth with a witnessing decomposition of that width.
 
-    Tries k upward from the minor-min-width lower bound; the first k with an
+    Tries k upward from the minimum degree, a lower bound since a vertex
+    of a leaf bag has all its neighbours in that bag; the first k with an
     elimination order of width <= k is the treewidth.  Taking the smallest
     feasible vertex after every prefix yields the lexicographically smallest
     optimal order, so the bags and the tree are reproducible.  Each k
@@ -306,25 +276,26 @@ def exact_treewidth(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDecomp
         return -1, TreeDecomposition(g, Graph([0]), {0: ()})
 
     order, adj = adjacency_masks(g)
-    tw = _minor_min_width(adj)
+    tw = min(a.bit_count() for a in adj)
     elim = _first_feasible_order(adj, tw)
     while elim is None:
         tw += 1
         elim = _first_feasible_order(adj, tw)
 
-    # Bag of the i-th eliminated vertex: itself plus its elimination
-    # neighborhood; its parent is the first-eliminated member of that
-    # neighborhood.  Parent-less bags (one per component) are chained.
+    # Bag of the i-th eliminated vertex: itself plus its neighbours in the
+    # elimination graph just before it goes (those joined to it in g by a
+    # path through vertices eliminated earlier); its parent is the
+    # first-eliminated of them.  Parent-less bags (one per component) are
+    # chained.
     pos = {v: i for i, v in enumerate(elim)}
     bags = {}
     parent: Dict[int, Optional[int]] = {}
-    done = 0
+    h = adj
     for i, v in enumerate(elim):
-        nb = _elim_neighborhood(adj, done, v)
-        members = [u for u in range(n) if nb >> u & 1]
+        members = [u for u in range(n) if h[v] >> u & 1]
         bags[i] = [order[v]] + [order[u] for u in members]
         parent[i] = min(pos[u] for u in members) if members else None
-        done |= 1 << v
+        h = _eliminate(h, v)
     tree_edges = [(i, p) for i, p in parent.items() if p is not None]
     roots = sorted(i for i, p in parent.items() if p is None)
     tree_edges.extend(zip(roots, roots[1:]))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .common import SizeCapExceeded, Verdict
+from .decomposition import treewidth_at_most
 from .graph import Graph, adjacency_masks, bfs, delete, induced_subgraph, is_connected
 from .planarity import (RotationEmbedding, _canon_cycle, faces_of, planarizing_set,
                         validate_embedding)
@@ -180,36 +181,6 @@ def _connected_subsets(adj: List[int], allowed: int, anchors: int,
         banned |= low
 
 
-def _k4_minor_free(adj: List[int], mask: int) -> bool:
-    """Whether the subgraph induced by mask has no K4 minor (treewidth at
-    most 2): series-parallel reduction deletes vertices of degree <= 1 and
-    replaces a vertex of degree 2 by an edge between its neighbours, a
-    parallel edge merging into the one already there; exactly the K4-minor-
-    free graphs reduce to nothing."""
-    left = {}
-    m = mask
-    while m:
-        low = m & -m
-        left[low.bit_length() - 1] = adj[low.bit_length() - 1] & mask
-        m ^= low
-    todo = [v for v, nb in left.items() if nb.bit_count() <= 2]
-    while todo:
-        v = todo.pop()
-        nb = left.get(v)
-        if nb is None or nb.bit_count() > 2:
-            continue
-        del left[v]
-        a = nb & -nb
-        b = nb ^ a
-        for x, y in ((a, b), (b, a)):
-            if x:
-                u = x.bit_length() - 1
-                left[u] = left[u] & ~(1 << v) | y
-                if left[u].bit_count() <= 2:
-                    todo.append(u)
-    return not left
-
-
 def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP,
                host_cap: int = MINOR_HOST_CAP) -> Optional[MinorModel]:
     """Exhaustive branch-set search: a valid model, or None if none exists.
@@ -228,10 +199,14 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
     unchanged and the first model found is the same as without the rule.
 
     K4 rule: the pattern vertices still unplaced must form a minor of the
-    free host vertices.  K4-minor-free graphs form a minor-closed class, so
-    when the unplaced vertices hold a K4 minor and the free vertices do not
-    (see _k4_minor_free), the placement has no completion and is cut, again
-    without changing which model is found first.
+    free host vertices.  K4-minor-free graphs (treewidth at most 2) form a
+    minor-closed class, so when the unplaced vertices hold a K4 minor and
+    the free vertices do not, the placement has no completion and is cut,
+    again without changing which model is found first.  Both sides are
+    decided by treewidth_at_most(..., 2).  At k = 2 every vertex of degree
+    at most 2 is almost simplicial, so that search never branches: it is
+    the series-parallel reduction (delete a vertex of degree <= 1, replace
+    one of degree 2 by an edge between its neighbours), and it is exact.
 
     Apex rule, checked before the search: the graphs G with a set A of at
     most a vertices such that G - A is planar form a minor-closed class.
@@ -272,7 +247,8 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
     # k4[i]: whether the pattern vertices after porder[i] hold a K4 minor
     pos = {q: j for j, q in enumerate(porder)}
     padj = [sum(1 << pos[r] for r in pattern.neighbors(q)) for q in porder]
-    k4 = [not _k4_minor_free(padj, (1 << len(porder)) - (2 << i)) for i in range(len(porder))]
+    k4 = [not treewidth_at_most(padj, (1 << len(porder)) - (2 << i), 2)
+          for i in range(len(porder))]
     nbs: Dict[int, int] = {}  # placed pattern vertex -> N(branch set)
 
     def rec(i: int, used: int, sets: Dict[int, int]) -> Optional[Dict[int, int]]:
@@ -292,7 +268,7 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
             left = free & ~s
             if any((nbs[q] & left).bit_count() < c for q, c in needs[i]):
                 continue
-            if k4[i] and _k4_minor_free(adj, left):
+            if k4[i] and treewidth_at_most(adj, left, 2):
                 continue
             sets[p] = s
             out = rec(i + 1, used | s, sets)

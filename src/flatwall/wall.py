@@ -77,8 +77,13 @@ class SubdividedWall:
 
 
 def verify_wall(w: SubdividedWall) -> Verdict:
-    """Check that w really is the wall pattern subdivided into its host."""
-    if w.height < 1:
+    """Check that w really is the wall pattern subdivided into its host.
+
+    wall(h) has 2h(h+2) vertices, each with its own host vertex, so a
+    height the host is too small for is rejected before the pattern is
+    built.
+    """
+    if w.height < 1 or 2 * w.height * (w.height + 2) > w.host.n:
         return Verdict.reject("bad-height", witness=w.height)
     emb = SubdivisionEmbedding(w.host, w.pattern.graph, w.original, w.paths)
     return verify_topological_embedding(emb)

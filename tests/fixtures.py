@@ -1,4 +1,7 @@
-"""Shared handmade fixtures: contraction witnesses and wired hosts."""
+"""Shared handmade fixtures: contraction witnesses, wired hosts and
+mutated documents."""
+
+import json
 
 from flatwall.generators import wall
 from flatwall.graph import Graph, delete
@@ -76,3 +79,34 @@ def apex_over(g: Graph) -> Graph:
     """g plus one new vertex joined to every vertex of g."""
     a = max(g.vertices) + 1
     return Graph(list(g.vertices) + [a], list(g.edges) + [(v, a) for v in g.vertices])
+
+
+MUTATION_VALUES = (None, -1, 0, "x", [], {}, True)
+DELETED = object()
+
+
+def document_mutations(doc):
+    """Every copy of a JSON document with one field replaced or deleted.
+
+    Each dict value and list item, at any depth, is replaced by each of
+    MUTATION_VALUES and deleted (the list shrinks); a "height" is also set
+    to 10**6.  Yields (path, new value or DELETED, mutated document).
+    """
+    def fields(x, path):
+        items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+        for key, value in items:
+            yield path + (key,)
+            yield from fields(value, path + (key,))
+
+    for path in list(fields(doc, ())):
+        extra = (10 ** 6,) if path[-1] == "height" else ()
+        for value in MUTATION_VALUES + extra + (DELETED,):
+            out = json.loads(json.dumps(doc))
+            parent = out
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DELETED:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield path, value, out

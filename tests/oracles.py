@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from flatwall.graph import Graph, adjacency_masks, bfs, delete, path_to
 from flatwall.common import SizeCapExceeded
-from flatwall.decomposition import TREEWIDTH_CAP, TreeDecomposition, _elim_neighborhood
+from flatwall.decomposition import TREEWIDTH_CAP, TreeDecomposition
 from flatwall.minors import MinorModel, _connected_subsets, _mask_neighborhood
 from flatwall.paths import DisjointPathsResult, _OutOfTime
 from flatwall.planarity import is_planar
@@ -226,6 +226,26 @@ def random_elimination_td(rng: random.Random, g: Graph) -> TreeDecomposition:
     tree_edges += list(zip(roots, roots[1:]))  # chain components into one tree
     tree = Graph(range(g.n), tree_edges)
     return TreeDecomposition(g, tree, bags)
+
+
+def _elim_neighborhood(adj: List[int], done: int, v: int) -> int:
+    # Vertices outside done reachable from v via paths internal to done:
+    # the neighborhood of v once done has been eliminated.
+    vbit = 1 << v
+    comp = vbit
+    reach = adj[v]
+    frontier = reach & done & ~comp
+    while frontier:
+        comp |= frontier
+        acc = 0
+        m = frontier
+        while m:
+            low = m & -m
+            acc |= adj[low.bit_length() - 1]
+            m ^= low
+        reach |= acc
+        frontier = reach & done & ~comp
+    return reach & ~done & ~vbit
 
 
 def exact_treewidth_dp(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDecomposition]:

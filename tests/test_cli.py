@@ -9,7 +9,11 @@ import pytest
 from flatwall.cli import main
 from flatwall.graph import complete_graph, path_graph
 from flatwall.minors import verify_minor_model
-from flatwall.serialize import graph_to_json, minor_from_json
+from flatwall.serialize import (certificate_from_json, graph_from_json, graph_to_json,
+                                minor_from_json)
+from flatwall.structure import verify_certificate
+
+from fixtures import document_mutations
 
 
 def run(capsys, *argv):
@@ -173,6 +177,14 @@ def test_check_flat_budget_runs_out(capsys, tmp_path):
     assert "budget" in err
 
 
+def test_check_flat_rejects_a_height_the_host_cannot_hold(capsys, tmp_path):
+    doc, graph, _ = generate_wall(capsys, tmp_path, 2)
+    wall = write_doc(tmp_path, "tall.json", dict(doc["meta"]["wall"], height=10 ** 6))
+    rc, rep, _ = run_json(capsys, "check-flat", "--graph", graph, "--wall", wall)
+    assert rc == 1
+    assert rep["condition"] == "bad-height" and rep["witness"] == 10 ** 6
+
+
 def test_check_rural_accept_and_reject(capsys, tmp_path):
     doc, graph, wall = generate_wall(capsys, tmp_path, 1)
     flaps = [[e] for e in doc["graph"]["edges"]]
@@ -287,6 +299,34 @@ def test_trichotomy_to_verify_cert_pipeline(capsys, tmp_path):
                           "--height", "1", "--certificate", torn_path)
     assert rc == 1
     assert rep["condition"] == "division-invalid"
+
+
+def test_verify_cert_exit_codes_on_mutated_certificates(capsys, tmp_path):
+    # every 10th one-field mutation of certificates of clauses 3, 2 and 1:
+    # exit 1 where the verifier rejects, 2 where the reader or the verifier
+    # raises ValueError, 0 where the mutation leaves a valid certificate
+    graph = lower_bound_files(capsys, tmp_path)
+    g = graph_from_json(json.loads(open(graph).read()))
+    codes = set()
+    for h, threshold in ((6, 3), (6, 4), (5, 3)):
+        excluded = complete_doc(tmp_path, h)
+        rc, cert, _ = run_json(capsys, "trichotomy", "--graph", graph, "--excluded", excluded,
+                               "--height", "1", "--width-threshold", str(threshold))
+        assert rc == 0
+        for i, (path, value, bad) in enumerate(document_mutations(cert)):
+            if i % 10:
+                continue
+            try:
+                want = 0 if verify_certificate(g, complete_graph(h), 1,
+                                               certificate_from_json(g, bad)) else 1
+            except ValueError:
+                want = 2
+            cert_path = write_doc(tmp_path, "mutated.json", bad)
+            rc, _, _ = run(capsys, "verify-cert", "--graph", graph, "--excluded", excluded,
+                           "--height", "1", "--certificate", cert_path)
+            assert rc == want, (path, value)
+            codes.add(rc)
+    assert {1, 2} <= codes
 
 
 def test_trichotomy_undetermined(capsys, tmp_path):

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from flatwall.common import SizeCapExceeded
-from flatwall.decomposition import (TreeDecomposition, WeightedTree, _minor_min_width,
-                                    closure_bag, exact_treewidth, make_small,
-                                    select_tree_vertex, validate, width)
+from flatwall.decomposition import (TreeDecomposition, WeightedTree, closure_bag,
+                                    exact_treewidth, make_small, select_tree_vertex,
+                                    treewidth_at_most, validate, width)
 from flatwall.generators import grid, pyramid, wall
 from flatwall.graph import (Graph, adjacency_masks, complete_graph, cycle_graph, delete,
-                            path_graph, union)
+                            induced_subgraph, path_graph, union)
 from flatwall.serialize import td_to_json
 
 from oracles import (exact_treewidth_dp, random_elimination_td, random_graph,
@@ -80,6 +80,23 @@ def test_treewidth_matches_subset_dp():
         assert _result(exact_treewidth(g)) == _result(exact_treewidth_dp(g))
 
 
+def test_treewidth_at_most_matches_subset_dp():
+    # The decision on the subgraph a mask induces, against the DP's width.
+    rng = random.Random(8)
+    answers = {k: set() for k in range(5)}
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 11), rng.choice([0.2, 0.35, 0.5, 0.7]))
+        order, adj = adjacency_masks(g)
+        keep = [v for v in order if rng.random() < 0.8]
+        mask = sum(1 << order.index(v) for v in keep)
+        tw = exact_treewidth_dp(induced_subgraph(g, keep))[0]
+        for k in range(5):
+            got = treewidth_at_most(adj, mask, k)
+            assert got == (tw <= k)
+            answers[k].add(got)
+    assert all(a == {True, False} for a in answers.values())
+
+
 # sha256 of the sorted-key JSON of {"treewidth", "decomposition"} from the
 # subset DP (oracles.exact_treewidth_dp) at the 18-vertex cap, where the DP
 # takes 4-6 s per graph.
@@ -114,7 +131,7 @@ def test_treewidth_between_lower_and_upper_bounds():
         ng.add_nodes_from(g.vertices)
         ng.add_edges_from(g.edges)
         k = tw(g)
-        assert _minor_min_width(adjacency_masks(g)[1]) <= k
+        assert min(g.degree(v) for v in g.vertices) <= k
         assert k <= treewidth_min_fill_in(ng)[0]
         assert k <= treewidth_min_degree(ng)[0]
 

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from flatwall.common import SizeCapExceeded
+from flatwall.decomposition import treewidth_at_most
 from flatwall.generators import grid, pyramid, wall
 from flatwall.graph import (Graph, adjacency_masks, complete_graph, cycle_graph, delete,
                             induced_subgraph, path_graph)
 from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitness,
-                             _k4_minor_free,
                              delta_y, dissolve, find_minor, find_topological_minor,
                              iter_topological_embeddings,
                              subdivide, verify_contraction, verify_minor_model,
@@ -78,7 +78,7 @@ def test_find_minor_same_first_model_as_unpruned_search():
             assert got.branch_sets == want.branch_sets
 
 
-def test_k4_minor_free_matches_search():
+def test_treewidth_at_most_2_matches_k4_search():
     rng = random.Random(13)
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.45, 0.6]))
@@ -86,7 +86,7 @@ def test_k4_minor_free_matches_search():
         order, adj = adjacency_masks(g)
         mask = sum(1 << order.index(v) for v in keep)
         want = find_minor_unpruned(induced_subgraph(g, keep), complete_graph(4)) is None
-        assert _k4_minor_free(adj, mask) == want
+        assert treewidth_at_most(adj, mask, 2) == want
 
 
 def test_find_minor_heavy_negatives():

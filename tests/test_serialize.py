@@ -1,9 +1,11 @@
 """JSON round trips: strict shape validation in, byte-stable documents out."""
 
 import json
+import time
 
 import pytest
 
+from flatwall.common import Verdict
 from flatwall.decomposition import exact_treewidth
 from flatwall.generators import grid, lower_bound_graph, wall
 from flatwall.graph import Graph, complete_graph, graph_hash, path_graph
@@ -17,6 +19,7 @@ from flatwall.serialize import (certificate_from_json, certificate_to_json,
 from flatwall.structure import WeakStructureCertificate, trichotomy_check, verify_certificate
 from flatwall.wall import SubdividedWall, compass, identity_wall
 
+from fixtures import document_mutations
 from oracles import random_elimination_td
 
 K4 = complete_graph(4)
@@ -196,6 +199,44 @@ def test_semantic_corruption_is_left_to_the_verifier():
     fat["apex_set"] = [0, 1, 2]
     v = verify_certificate(g, K6, 1, certificate_from_json(g, fat))
     assert v.condition == "apex-set-too-large"
+
+
+def mutation_cases():
+    """Valid certificates of clauses 3, 2 and 1 (the README host)."""
+    g = lower_bound_graph(3, 6)
+    yield g, K6, 1, 3
+    yield g, K6, 1, 4
+    yield g, complete_graph(5), 1, 3
+
+
+def test_mutated_certificates_get_a_verdict_or_value_error():
+    clauses, outcomes = set(), set()
+    for g, h, k, threshold in mutation_cases():
+        doc = certificate_to_json(trichotomy_check(g, h, k, threshold))
+        clauses.add(doc["clause"])
+        for path, value, bad in document_mutations(doc):
+            try:
+                v = verify_certificate(g, h, k, certificate_from_json(g, bad))
+            except ValueError:
+                outcomes.add("ValueError")
+                continue
+            except Exception as e:  # any other exception is a fault
+                pytest.fail("%r set to %r: %r" % (path, value, e))
+            assert isinstance(v, Verdict)
+            outcomes.add(v.ok)
+    assert clauses == {1, 2, 3}
+    # some mutations leave a valid certificate (an unread field, a same value)
+    assert outcomes == {"ValueError", False, True}
+
+
+def test_huge_wall_height_is_rejected_before_the_wall_is_built():
+    g = lower_bound_graph(3, 6)
+    doc = certificate_to_json(trichotomy_check(g, K6, 1, 3))
+    doc["wall"]["height"] = 10 ** 6
+    t0 = time.process_time()
+    v = verify_certificate(g, K6, 1, certificate_from_json(g, doc))
+    assert time.process_time() - t0 < 0.5  # wall(10**6) would not fit in memory
+    assert v.condition == "wall-invalid" and v.witness == 10 ** 6
 
 
 def _state(x):

@@ -26,8 +26,13 @@ def test_verify_wall_rejects_wrong_height_claim():
     w = identity_wall(2)
     v = verify_wall(SubdividedWall(w.host, 0, w.original, w.paths))
     assert not v and v.condition == "bad-height"
-    # a wrong positive height surfaces as a vertex map for the wrong pattern
-    v = verify_wall(SubdividedWall(w.host, 3, w.original, w.paths))
+    # a height whose wall (2h(h+2) vertices) does not fit in the host
+    for h in (3, 10 ** 6):
+        v = verify_wall(SubdividedWall(w.host, h, w.original, w.paths))
+        assert not v and v.condition == "bad-height" and v.witness == h
+    # a wrong height that fits surfaces as a vertex map for the wrong pattern
+    w = identity_wall(3)
+    v = verify_wall(SubdividedWall(w.host, 2, w.original, w.paths))
     assert not v and v.condition == "bad-vertex-map"
 
 
