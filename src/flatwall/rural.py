@@ -16,7 +16,7 @@ fixtures reject deterministically:
      the corners by as many vertex-disjoint paths as it has vertices.
 """
 
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .common import Verdict
 from .graph import Graph, Hypergraph, bfs, incidence_graph
@@ -139,14 +139,27 @@ def validate_rural(rd: RuralDivision) -> Verdict:
         return Verdict.reject("property-1", witness=missing[0],
                               detail="edge %r-%r is in no flap" % missing[0])
 
-    # 2: distinct boundaries; shared vertices are exactly shared boundary
+    # 2: distinct boundaries; shared vertices are exactly shared boundary.
+    # A boundary lies inside its flap, so only flaps that share a vertex or
+    # have equal boundaries can fail; those pairs are checked in (i, j)
+    # order, which names the same first failure as checking every pair.
     bounds = rd.boundaries()
-    for i in range(len(rd.flaps)):
-        for j in range(i + 1, len(rd.flaps)):
+    verts = [set(d.vertices) for d in rd.flaps]
+    by_vertex: Dict[int, List[int]] = {}
+    by_bound: Dict[FrozenSet[int], List[int]] = {}
+    for i, vs in enumerate(verts):
+        for v in vs:
+            by_vertex.setdefault(v, []).append(i)
+        by_bound.setdefault(bounds[i], []).append(i)
+    for i, vs in enumerate(verts):
+        near = set(by_bound[bounds[i]])
+        for v in vs:
+            near.update(by_vertex[v])
+        for j in sorted(j for j in near if j > i):
             if bounds[i] == bounds[j]:
                 return Verdict.reject("property-2", witness=(i, j),
                                       detail="flaps %d and %d have the same boundary" % (i, j))
-            shared = set(rd.flaps[i].vertices) & set(rd.flaps[j].vertices)
+            shared = vs & verts[j]
             if shared != set(bounds[i] & bounds[j]):
                 v = sorted(shared ^ (bounds[i] & bounds[j]))[0]
                 return Verdict.reject("property-2", witness=(i, j, v),

@@ -91,7 +91,13 @@ def minor_from_json(host: Graph, obj) -> MinorModel:
     _require(isinstance(obj.get("branch_sets"), dict), "missing branch_sets")
     if obj.get("host_ref") != graph_hash(host):
         raise ValueError("certificate host_ref does not match the supplied graph")
-    pattern = graph_from_json(obj.get("pattern"))
+    pattern = obj.get("pattern")
+    # a minor never has more vertices than its host; checked before the
+    # reader builds a graph of the declared size
+    _require(not (isinstance(pattern, dict) and isinstance(pattern.get("n"), int)
+                  and pattern["n"] > host.n),
+             "pattern has more vertices than the host's %d" % host.n)
+    pattern = graph_from_json(pattern)
     sets = {}
     for key, vs in obj["branch_sets"].items():
         _require(isinstance(vs, list) and all(isinstance(v, int) for v in vs),

@@ -18,9 +18,9 @@ from .generators import grid, pyramid, wall
 from .graph import Graph, connected_components, delete, induced_subgraph, union
 from .minors import (MINOR_HOST_CAP, MINOR_PATTERN_CAP, MinorModel, find_minor,
                      iter_topological_embeddings, verify_minor_model)
-from .planarity import planarizing_set
+from .planarity import embeds_in_disk_with_boundary, planarizing_set
 from .rural import RuralDivision, internal_flaps, trivial_division, validate_rural
-from .wall import SubdividedWall, compass, disjoint_subwalls, is_flat, verify_wall
+from .wall import Compass, SubdividedWall, compass, disjoint_subwalls, is_flat, verify_wall
 
 APEX_CAP = 16
 TRICHOTOMY_HOST_CAP = 16
@@ -305,6 +305,14 @@ def trichotomy_check(g: Graph, h_graph: Graph, k: int,
     return WeakStructureCertificate("undetermined")
 
 
+def _corner_wheel_planar(c: Compass) -> bool:
+    """True iff the compass plus the corner 4-cycle embeds in a disk bounded
+    by that cycle; if so the wall is flat (see verify_certificate)."""
+    c1, c2, c3, c4 = c.corners
+    rim = c.graph.add_edges([(c1, c2), (c2, c3), (c3, c4), (c4, c1)])
+    return embeds_in_disk_with_boundary(rim, c.corners)
+
+
 def verify_certificate(g: Graph, h_graph: Graph, k: int,
                        cert: WeakStructureCertificate) -> Verdict:
     """Re-validate every part of the claimed clause from scratch.
@@ -318,10 +326,20 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
     two flaps lies on both boundaries); no flap carries both, as its
     boundary would need 4 vertices; so with the corner 4-cycle and the hub
     that the disk test of check_disk_embeddable adds they would form a K5
-    minor, and the gadget would not be planar.  The exhaustive is_flat
-    search therefore runs only when the division rejects, and a crossed
-    wall still reports not-flat ahead of division-invalid: every verdict
-    is what checking flatness first gives.
+    minor, and the gadget would not be planar.
+
+    When the division rejects, the wall may still be crossed, and a
+    crossing outranks division-invalid.  The corner-wheel test decides
+    most such walls in polynomial time: the compass plus the corner
+    4-cycle plus a hub on the corners is planar only if the wall is flat,
+    because disjoint c1-c3 and c2-c4 paths, the cycle and the hub would
+    form a K5 minor (branch sets: the hub, c1, c2, the c1-c3 path minus c1
+    and the c2-c4 path minus c2).  A planar wheel returns division-invalid
+    at once.  The exhaustive is_flat search runs only when the division
+    rejects and the wheel is not planar, either to name the crossing
+    (not-flat) or to find that non-planar pieces behind small separations
+    spoiled the wheel (division-invalid).  Every verdict is what checking
+    flatness first gives.
     """
     if not isinstance(cert, WeakStructureCertificate):
         raise ValueError("not a certificate: %r" % (cert,))
@@ -383,9 +401,10 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
             "division-invalid", witness=ok.witness, detail="%s: %s" % (ok.condition, ok.detail))
     if invalid is not None:
         # only now can the wall still be crossed, which outranks the division
-        flat = is_flat(c)
-        if flat.flat is not True:
-            return Verdict.reject("not-flat", witness=flat.witness)
+        if not _corner_wheel_planar(c):
+            flat = is_flat(c)
+            if flat.flat is not True:
+                return Verdict.reject("not-flat", witness=flat.witness)
         return invalid
     for d in internal_flaps(rd):
         tw, _ = exact_treewidth(d)

@@ -11,12 +11,14 @@ import time
 from collections import Counter, deque
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from flatwall.graph import Graph, adjacency_masks, bfs, delete, path_to
-from flatwall.common import SizeCapExceeded
+from flatwall.graph import Graph, Hypergraph, adjacency_masks, bfs, delete, path_to
+from flatwall.common import SizeCapExceeded, Verdict
 from flatwall.decomposition import TREEWIDTH_CAP, TreeDecomposition
 from flatwall.minors import MinorModel, _connected_subsets, _mask_neighborhood
 from flatwall.paths import DisjointPathsResult, _OutOfTime
 from flatwall.planarity import is_planar
+from flatwall.rural import (RuralDivision, _pair_joined, check_disk_embeddable,
+                            check_linkage)
 
 
 def treewidth_by_elimination(g: Graph) -> int:
@@ -539,3 +541,81 @@ def is_isomorphic_to_subdivision(big: Graph, small: Graph) -> bool:
     # pair_ok enforced multiplicities and lengths for every mapped pair, and the
     # total chain counts agree, so a completed extension is a full match
     return extend(0)
+
+
+def validate_rural_pairwise(rd: RuralDivision) -> Verdict:
+    """validate_rural as it was before property 2 used vertex and boundary
+    indexes: property 2 compares every pair of flaps.  Check properties 1-5
+    in order; the verdict names the first failure.
+
+    Raises if a flap is not a subgraph of the compass.
+    """
+    kg = rd.compass.graph
+    for i, d in enumerate(rd.flaps):
+        for v in d.vertices:
+            if not kg.has_vertex(v):
+                raise ValueError("flap %d references vertex %r outside the compass" % (i, v))
+        for a, b in d.edges:
+            if not kg.has_edge(a, b):
+                raise ValueError("flap %d references edge %r-%r outside the compass" % (i, a, b))
+
+    # 1: non-empty edge sets partitioning the compass edges
+    seen = {}
+    for i, d in enumerate(rd.flaps):
+        if d.m == 0:
+            return Verdict.reject("property-1", witness=i,
+                                  detail="flap %d has no edges" % i)
+        for e in d.edges:
+            if e in seen:
+                return Verdict.reject("property-1", witness=e,
+                                      detail="edge %r-%r lies in flaps %d and %d"
+                                      % (e[0], e[1], seen[e], i))
+            seen[e] = i
+    missing = [e for e in kg.edges if e not in seen]
+    if missing:
+        return Verdict.reject("property-1", witness=missing[0],
+                              detail="edge %r-%r is in no flap" % missing[0])
+
+    # 2: distinct boundaries; shared vertices are exactly shared boundary
+    bounds = rd.boundaries()
+    for i in range(len(rd.flaps)):
+        for j in range(i + 1, len(rd.flaps)):
+            if bounds[i] == bounds[j]:
+                return Verdict.reject("property-2", witness=(i, j),
+                                      detail="flaps %d and %d have the same boundary" % (i, j))
+            shared = set(rd.flaps[i].vertices) & set(rd.flaps[j].vertices)
+            if shared != set(bounds[i] & bounds[j]):
+                v = sorted(shared ^ (bounds[i] & bounds[j]))[0]
+                return Verdict.reject("property-2", witness=(i, j, v),
+                                      detail="flaps %d and %d share %r beyond their boundaries"
+                                      % (i, j, v))
+
+    # 3: boundary pairs joined inside the flap, internally off the boundary
+    for i, d in enumerate(rd.flaps):
+        bs = sorted(bounds[i])
+        for a in range(len(bs)):
+            for b in range(a + 1, len(bs)):
+                if not _pair_joined(d, bs[a], bs[b], set(bs)):
+                    return Verdict.reject("property-3", witness=(i, bs[a], bs[b]),
+                                          detail="boundary pair %r,%r not joined inside flap %d"
+                                          % (bs[a], bs[b], i))
+
+    # 4: boundaries have at most 3 vertices
+    for i, bs in enumerate(bounds):
+        if len(bs) > 3:
+            return Verdict.reject("property-4", witness=(i, sorted(bs)),
+                                  detail="flap %d has boundary of size %d" % (i, len(bs)))
+
+    # 5: boundary hypergraph drawable in a disk, every boundary corner-linked
+    verts = set(rd.compass.corners)
+    for bs in bounds:
+        verts.update(bs)
+    h = Hypergraph(sorted(verts), [bs for bs in bounds])
+    if not check_disk_embeddable(h, rd.compass.corners):
+        return Verdict.reject("property-5", witness="disk",
+                              detail="boundary hypergraph does not embed in a disk")
+    for i, bs in enumerate(bounds):
+        if not check_linkage(rd.compass, bs):
+            return Verdict.reject("property-5", witness=("linkage", i),
+                                  detail="boundary of flap %d is not linked to the corners" % i)
+    return Verdict.accept()

@@ -329,6 +329,19 @@ def test_verify_cert_exit_codes_on_mutated_certificates(capsys, tmp_path):
     assert {1, 2} <= codes
 
 
+def test_verify_cert_rejects_a_pattern_larger_than_the_host(capsys, tmp_path):
+    graph = lower_bound_files(capsys, tmp_path)
+    k5 = complete_doc(tmp_path, 5)
+    rc, cert, _ = run_json(capsys, "trichotomy", "--graph", graph, "--excluded", k5,
+                           "--height", "1", "--width-threshold", "3")
+    assert rc == 0 and cert["clause"] == 1
+    cert["minor"]["pattern"]["n"] = 10 ** 6
+    rc, out, err = run(capsys, "verify-cert", "--graph", graph, "--excluded", k5,
+                       "--height", "1", "--certificate", write_doc(tmp_path, "big.json", cert))
+    assert rc == 2
+    assert "more vertices than the host" in err
+
+
 def test_trichotomy_undetermined(capsys, tmp_path):
     rc, cert, _ = run_json(capsys, "trichotomy", "--graph", complete_doc(tmp_path, 5),
                            "--excluded", complete_doc(tmp_path, 6),

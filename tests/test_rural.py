@@ -12,7 +12,7 @@ from flatwall.rural import (RuralDivision, boundary, check_disk_embeddable, chec
 from flatwall.wall import (Compass, SubdividedWall, compass, identity_wall, is_flat,
                            perimeter, refind_after_transform)
 
-from oracles import embeds_in_disk_by_subdivided_rim, min_vertex_cut
+from oracles import embeds_in_disk_by_subdivided_rim, min_vertex_cut, validate_rural_pairwise
 
 
 def bare_compass(k: int) -> Compass:
@@ -234,3 +234,90 @@ def test_crossed_wall_has_no_valid_division():
         for groups in ([[e] for e in c.graph.edges], plain + wires):
             for rd in merged_divisions(rng, c, groups):
                 assert not validate_rural(rd)
+
+
+def merged_and_split(rng: random.Random, c: Compass):
+    """Divisions after each of a few merges of any two flaps and splits of
+    one flap's edges into two random parts, from one flap per edge."""
+    groups = [[e] for e in c.graph.edges]
+    for _ in range(10):
+        big = [i for i, f in enumerate(groups) if len(f) > 1]
+        if big and rng.random() < 0.4:
+            i = rng.choice(big)
+            f = groups[i][:]
+            rng.shuffle(f)
+            cut = rng.randrange(1, len(f))
+            groups[i] = f[:cut]
+            groups.insert(rng.randrange(len(groups) + 1), f[cut:])
+        else:
+            i, j = rng.sample(range(len(groups)), 2)
+            groups[i] = groups[i] + groups[j]
+            del groups[j]
+        yield division_from_edge_lists(c, groups)
+
+
+def equal_boundary_division(rng: random.Random, c: Compass) -> RuralDivision:
+    """Two flaps with one boundary: the edges at each corner go to both
+    halves, so each boundary is the set of shared vertices; then a few
+    edges whose ends stay on both halves without them become flaps of
+    their own, which leaves the two boundaries equal."""
+    side = {}
+    for corner in c.corners:
+        at = [e for e in c.graph.edges if corner in e]
+        rng.shuffle(at)
+        side.update((e, i % 2) for i, e in enumerate(at))
+    for e in c.graph.edges:
+        side.setdefault(e, rng.randrange(2))
+    halves = [[e for e in c.graph.edges if side[e] == s] for s in (0, 1)]
+    alone = []
+    for e in rng.sample(halves[0] + halves[1], rng.randrange(4)):
+        rest = [[f for f in h if f != e and f not in alone] for h in halves]
+        on = [{v for f in h for v in f} for h in rest]
+        if set(e) <= on[0] & on[1]:
+            alone.append(e)
+    groups = [[e for e in h if e not in alone] for h in halves] + [[e] for e in alone]
+    rng.shuffle(groups)
+    return division_from_edge_lists(c, groups)
+
+
+def overlapping_division(rng: random.Random, rd: RuralDivision) -> RuralDivision:
+    """rd with up to three vertices, each off the boundary of its own flap,
+    copied into another flap as isolated vertices."""
+    flaps = list(rd.flaps)
+    inner = [(v, j) for j, (d, b) in enumerate(zip(flaps, rd.boundaries()))
+             for v in d.vertices if v not in b]
+    for v, j in rng.sample(inner, min(len(inner), rng.randint(1, 3))):
+        i = rng.choice([i for i in range(len(flaps)) if i != j])
+        flaps[i] = Graph(flaps[i].vertices + (v,), flaps[i].edges)
+    return RuralDivision(rd.compass, flaps)
+
+
+def test_validate_rural_matches_pairwise_oracle():
+    # property 2 checks only flaps that share a vertex or a boundary; the
+    # pairwise loop it replaced must name the same first failure everywhere
+    rng = random.Random(11)
+    modes = {}
+    for _ in range(40):
+        w = subdivided_wall(rng, rng.choice((2, 3)))
+        c = compass(w.host, w)
+        divisions = list(merged_divisions(rng, c, [[e] for e in c.graph.edges]))
+        divisions += [overlapping_division(rng, rd) for rd in divisions[1:4]]
+        divisions += list(merged_and_split(rng, c))
+        divisions += [equal_boundary_division(rng, c) for _ in range(3)]
+        # two edges off the compass: as flaps they share no vertex, and
+        # their boundaries are equal because both are empty
+        f = c.graph.fresh_id()
+        detached = Compass(w, c.graph.add_vertices(range(f, f + 4)).add_edges(
+            [(f, f + 1), (f + 2, f + 3)]))
+        groups = [[e] for e in detached.graph.edges]
+        rng.shuffle(groups)
+        divisions.append(division_from_edge_lists(detached, groups))
+        for rd in divisions:
+            v, want = validate_rural(rd), validate_rural_pairwise(rd)
+            got = (bool(v), v.condition, v.witness, v.detail)
+            assert got == (bool(want), want.condition, want.witness, want.detail)
+            mode = v.detail.split(" ")[-1] if v.condition == "property-2" else v.condition
+            modes[mode] = modes.get(mode, 0) + 1
+    # both property-2 failures ("same boundary", "beyond their boundaries")
+    assert modes["boundary"] >= 100 and modes["boundaries"] >= 60, modes
+    assert modes[None] >= 100 and modes["property-3"] >= 100, modes

@@ -239,6 +239,23 @@ def test_huge_wall_height_is_rejected_before_the_wall_is_built():
     assert v.condition == "wall-invalid" and v.witness == 10 ** 6
 
 
+def test_huge_minor_pattern_is_rejected_before_it_is_built():
+    g = lower_bound_graph(3, 6)
+    doc = certificate_to_json(trichotomy_check(g, complete_graph(5), 1, 3))
+    assert doc["clause"] == 1
+    doc["minor"]["pattern"]["n"] = 10 ** 6
+    t0 = time.process_time()
+    with pytest.raises(ValueError, match="more vertices than the host"):
+        certificate_from_json(g, doc)
+    assert time.process_time() - t0 < 0.5  # building the pattern took 2.1 s
+    # one vertex more than the host is already too many; as many is read
+    doc["minor"]["pattern"]["n"] = g.n + 1
+    with pytest.raises(ValueError, match="more vertices than the host"):
+        certificate_from_json(g, doc)
+    doc["minor"]["pattern"]["n"] = g.n
+    assert not verify_certificate(g, complete_graph(5), 1, certificate_from_json(g, doc))
+
+
 def _state(x):
     """What a document carries, recursively: slot fields, Graphs by value.
 
@@ -292,7 +309,8 @@ def test_round_trips_are_exact():
         return division_from_edge_lists(c, groups)
 
     def minor(data, host):
-        pattern = data.draw(graphs(0, 5))
+        # the reader rejects a pattern with more vertices than its host
+        pattern = data.draw(graphs(0, min(5, host.n)))
         owner = data.draw(st.lists(st.integers(-1, pattern.n - 1),
                                    min_size=host.n, max_size=host.n))
         return MinorModel(host, pattern, {p: [v for v, o in zip(host.vertices, owner) if o == p]
@@ -317,6 +335,9 @@ def test_round_trips_are_exact():
     def minor_case(host, data):
         m = minor(data, host)
         same(minor_from_json(host, through_json(minor_to_json(m))), m)
+        big = dict(minor_to_json(m), pattern=graph_to_json(Graph(range(host.n + 1))))
+        with pytest.raises(ValueError, match="more vertices than the host"):
+            minor_from_json(host, through_json(big))
 
     @settings
     @hypothesis.given(st.data())
