@@ -36,7 +36,11 @@ EXIT_UNDETERMINED = 3
 
 
 def _read_json(path: str):
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as f:
+            text = f.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -105,7 +109,6 @@ def _mapped_wall_doc(w, m) -> dict:
     doc["original"] = {p: m[v] for p, v in doc["original"].items()}
     doc["paths"] = [{"edge": e["edge"], "path": [m[v] for v in e["path"]]}
                     for e in doc["paths"]]
-    doc["corners"] = [m[c] for c in doc["corners"]]
     return doc
 
 

@@ -10,7 +10,7 @@ coordinate map stays stable when construction prunes vertices.
 from functools import lru_cache
 from typing import List, Tuple
 
-from .graph import Graph, delete
+from .graph import Graph, delete, strip_leaves
 from .planarity import embed_planar
 
 
@@ -22,14 +22,6 @@ class GridCoords:
     def __init__(self, rows: int, cols: int):
         self.rows = rows
         self.cols = cols
-
-    @property
-    def height(self) -> int:
-        return self.rows
-
-    @property
-    def width(self) -> int:
-        return self.cols
 
     def id(self, x: int, y: int) -> int:
         if not self.contains(x, y):
@@ -120,22 +112,11 @@ class WallGraph:
         if k < 1:
             raise ValueError("wall height must be >= 1, got %d" % (k,))
         self.height = k
-        rows, cols = k + 1, 2 * k + 2
-        self.coords = GridCoords(rows, cols)
-        edges = []
-        for y in range(1, rows + 1):
-            for x in range(1, cols + 1):
-                if x < cols:
-                    edges.append((self.coords.id(x, y), self.coords.id(x + 1, y)))
-                if y < rows and (x + y) % 2 == 0:
-                    edges.append((self.coords.id(x, y), self.coords.id(x, y + 1)))
-        g = Graph(range(rows * cols), edges)
-        while True:
-            drop = [v for v in g.vertices if g.degree(v) <= 1]
-            if not drop:
-                break
-            g = delete(g, vertices=drop)
-        self.graph = g
+        g, c = grid(k + 1, 2 * k + 2)
+        odd = [(c.id(x, y), c.id(x, y + 1))
+               for y in range(1, k + 1) for x in range(1, 2 * k + 3) if (x + y) % 2]
+        self.coords = c
+        self.graph = strip_leaves(delete(g, edges=odd))
         even = (k + 1) % 2
         self.corners = (
             self.coords.id(1, 1),

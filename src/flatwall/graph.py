@@ -191,6 +191,15 @@ def adjacency_masks(g: Graph) -> Tuple[List[int], List[int]]:
     return order, adj
 
 
+def strip_leaves(g: Graph) -> Graph:
+    """g minus its vertices of degree at most 1, repeated until none is left."""
+    while True:
+        drop = [v for v in g.vertices if g.degree(v) <= 1]
+        if not drop:
+            return g
+        g = delete(g, vertices=drop)
+
+
 def union(a: Graph, b: Graph) -> Graph:
     return Graph(set(a.vertices) | set(b.vertices), list(a.edges) + list(b.edges))
 
@@ -236,14 +245,10 @@ class Hypergraph:
         return f"Hypergraph(n={len(self.vertices)}, m={len(self.hyperedges)})"
 
 
-def incidence_node_ids(h: Hypergraph) -> Mapping[Tuple[int, ...], int]:
-    """Fresh node id for each hyperedge: consecutive ids after max vertex id."""
-    base = (max(h.vertices) + 1) if h.vertices else 0
-    return {he: base + i for i, he in enumerate(h.hyperedges)}
-
-
 def incidence_graph(h: Hypergraph) -> Graph:
-    """Bipartite incidence graph; original ids kept, one fresh id per hyperedge."""
-    ids = incidence_node_ids(h)
-    edges = [(v, ids[he]) for he in h.hyperedges for v in he]
-    return Graph(list(h.vertices) + sorted(ids.values()), edges)
+    """Bipartite incidence graph; original ids kept, one fresh id per
+    hyperedge, consecutive after the largest vertex id."""
+    base = (max(h.vertices) + 1) if h.vertices else 0
+    nodes = range(base, base + len(h.hyperedges))
+    edges = [(v, x) for x, he in zip(nodes, h.hyperedges) for v in he]
+    return Graph(list(h.vertices) + list(nodes), edges)

@@ -15,8 +15,8 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 from .common import SizeCapExceeded, Verdict
 from .decomposition import treewidth_at_most
 from .graph import Graph, adjacency_masks, bfs, delete, induced_subgraph, is_connected
-from .planarity import (RotationEmbedding, _canon_cycle, faces_of, planarizing_set,
-                        validate_embedding)
+from .planarity import (RotationEmbedding, _canon_cycle, apex_number, faces_of,
+                        planarizing_set, validate_embedding)
 
 MINOR_PATTERN_CAP = 6
 MINOR_HOST_CAP = 30
@@ -181,6 +181,13 @@ def _connected_subsets(adj: List[int], allowed: int, anchors: int,
         banned |= low
 
 
+def _check_caps(host: Graph, pattern: Graph, pattern_cap: int, host_cap: int) -> None:
+    if pattern.n > pattern_cap:
+        raise SizeCapExceeded("pattern capped at %d vertices, got %d" % (pattern_cap, pattern.n))
+    if host.n > host_cap:
+        raise SizeCapExceeded("host capped at %d vertices, got %d" % (host_cap, host.n))
+
+
 def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP,
                host_cap: int = MINOR_HOST_CAP) -> Optional[MinorModel]:
     """Exhaustive branch-set search: a valid model, or None if none exists.
@@ -213,26 +220,22 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
     Deleting a vertex or an edge keeps G - A planar; contracting an edge
     outside A contracts G - A, which stays planar; contracting an edge
     that touches A merges its ends into one vertex of A.  So a host that
-    turns planar after deleting fewer vertices than the pattern needs has
-    no pattern minor, and None is returned without a search.  The rule
+    turns planar after deleting fewer vertices than the pattern's apex
+    number a has no pattern minor, and None is returned without a search.
+    One size suffices: a superset of a planarizing set is planarizing, so
+    a set smaller than a exists iff one of size a - 1 does, and a - 1 <
+    pattern.n <= host.n, so the host has sets of that size.  The rule
     answers only calls whose search would end in None, so every model
     found is the one found without it.
     """
-    if pattern.n > pattern_cap:
-        raise SizeCapExceeded("pattern capped at %d vertices, got %d" % (pattern_cap, pattern.n))
-    if host.n > host_cap:
-        raise SizeCapExceeded("host capped at %d vertices, got %d" % (host_cap, host.n))
+    _check_caps(host, pattern, pattern_cap, host_cap)
     if pattern.n > host.n or pattern.m > host.m:
         return None
     if pattern.n == 0:
         return MinorModel(host, pattern, {})
-    # sizes below the pattern's apex number: a planarizing set that small
-    # in the host proves there is no minor
-    for size in range(pattern.n):
-        if planarizing_set(pattern, size) is not None:
-            break
-        if planarizing_set(host, size) is not None:
-            return None
+    a, _ = apex_number(pattern, cap=pattern.n)
+    if a and planarizing_set(host, a - 1) is not None:
+        return None
 
     order, adj = adjacency_masks(host)
     full = (1 << host.n) - 1
@@ -295,20 +298,6 @@ class SubdivisionEmbedding:
         self.pattern = pattern
         self.vertex_map = dict(vertex_map)
         self.paths = {(min(e), max(e)): tuple(p) for e, p in paths.items()}
-
-    def all_vertices(self) -> frozenset:
-        """Every host vertex used by the embedding."""
-        used = set(self.vertex_map.values())
-        for p in self.paths.values():
-            used.update(p)
-        return frozenset(used)
-
-    def subgraph(self) -> Graph:
-        """The subdivision itself as a host subgraph."""
-        edges = []
-        for p in self.paths.values():
-            edges.extend(zip(p, p[1:]))
-        return Graph(sorted(self.all_vertices()), edges)
 
 
 def verify_topological_embedding(emb: SubdivisionEmbedding) -> Verdict:
@@ -375,10 +364,7 @@ def iter_topological_embeddings(host: Graph, pattern: Graph,
                                 pattern_cap: int = MINOR_PATTERN_CAP,
                                 host_cap: int = MINOR_HOST_CAP) -> Iterator[SubdivisionEmbedding]:
     """All subdivision embeddings of pattern in host, short paths first."""
-    if pattern.n > pattern_cap:
-        raise SizeCapExceeded("pattern capped at %d vertices, got %d" % (pattern_cap, pattern.n))
-    if host.n > host_cap:
-        raise SizeCapExceeded("host capped at %d vertices, got %d" % (host_cap, host.n))
+    _check_caps(host, pattern, pattern_cap, host_cap)
     if pattern.n > host.n or pattern.m > host.m:
         return
     if pattern.n == 0:

@@ -33,9 +33,6 @@ class DisjointPathsResult:
         self.explored = explored
         self.transcript_hash = transcript_hash
 
-    def __bool__(self) -> bool:
-        return self.verdict == "found"
-
     def __repr__(self) -> str:
         return "DisjointPathsResult(%r, explored=%d)" % (self.verdict, self.explored)
 

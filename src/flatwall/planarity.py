@@ -19,8 +19,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .common import Verdict
+from .common import SizeCapExceeded, Verdict
 from .graph import Graph, bfs, connected_components, delete, path_to
+
+APEX_CAP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +293,18 @@ def planarizing_set(g: Graph, size: int) -> Optional[Tuple[int, ...]]:
     return None
 
 
+def apex_number(g: Graph, cap: int = APEX_CAP) -> Tuple[int, Tuple[int, ...]]:
+    """Smallest number of vertices whose removal leaves g planar, with the
+    lexicographically least witness set."""
+    if g.n > cap:
+        raise SizeCapExceeded("apex search capped at %d vertices, got %d" % (cap, g.n))
+    for size in range(g.n + 1):
+        s = planarizing_set(g, size)
+        if s is not None:
+            return size, s
+    raise AssertionError("unreachable: the empty graph is planar")
+
+
 def validate_embedding(emb: RotationEmbedding) -> Verdict:
     g = emb.graph
     if set(emb.rotation) != set(g.vertices):
@@ -316,22 +330,24 @@ def faces_of(emb: RotationEmbedding) -> List[Tuple[int, ...]]:
 
 
 def embeds_in_disk_with_boundary(g: Graph, cycle: Sequence[int]) -> bool:
-    """True iff g embeds in a closed disk whose boundary is exactly this cycle.
+    """True iff g embeds in a closed disk with the cycle's vertices on the
+    boundary in this cyclic order; equivalently, iff g plus the rim edges
+    of the cycle that it lacks embeds in a disk bounded by the cycle.
 
-    The test adds one hub joined to every cycle vertex and asks whether
-    that graph is planar.  Hub and rim form a wheel, which is 3-connected,
-    so its embedding is unique.  A piece of g drawn inside a triangle
-    hub-a-b can attach to the rest only at a and b (the rim edge ab is in
-    g), so it can be flipped across ab; once every triangle is empty,
-    deleting the hub leaves the rim bounding a face.  Conversely a hub
-    fits into any face the rim bounds.
+    The test adds the missing rim edges and one hub joined to every cycle
+    vertex, and asks whether that graph is planar.  Hub and rim form a
+    wheel, which is 3-connected, so its embedding is unique.  A piece of
+    the graph drawn inside a triangle hub-a-b can attach to the rest only
+    at a and b (the rim edge ab is present), so it can be flipped across
+    ab; once every triangle is empty, deleting the hub leaves the rim
+    bounding a face.  Conversely a hub fits into any face the rim bounds.
     """
     cyc = list(cycle)
     if len(cyc) < 3 or len(set(cyc)) != len(cyc):
         raise ValueError("boundary must be a simple cycle")
-    for i, a in enumerate(cyc):
-        b = cyc[(i + 1) % len(cyc)]
-        if not g.has_edge(a, b):
-            raise ValueError(f"boundary pair ({a},{b}) is not an edge")
+    for v in cyc:
+        if not g.has_vertex(v):
+            raise ValueError(f"boundary vertex {v} is not in the graph")
     hub = g.fresh_id()
-    return is_planar(Graph(g.vertices + (hub,), g.edges + tuple((v, hub) for v in cyc)))
+    added = [(a, cyc[i - 1]) for i, a in enumerate(cyc)] + [(v, hub) for v in cyc]
+    return is_planar(Graph(g.vertices + (hub,), g.edges + tuple(added)))

@@ -82,15 +82,13 @@ def trivial_division(c: Compass) -> RuralDivision:
 
 
 def check_disk_embeddable(h: Hypergraph, corners: Sequence[int]) -> bool:
-    """True iff the incidence graph of h plus the 4-cycle over the corners
-    embeds in a closed disk bounded by that cycle, corners in the given
-    order on the rim."""
+    """True iff the incidence graph of h embeds in a closed disk with the
+    corners on the rim in the given order."""
+    # a corner must be a vertex of h, not a hyperedge node of the incidence graph
     for c in corners:
         if c not in h.vertices:
             raise ValueError("corner %r is not a hypergraph vertex" % (c,))
-    c1, c2, c3, c4 = corners
-    rim = incidence_graph(h).add_edges([(c1, c2), (c2, c3), (c3, c4), (c4, c1)])
-    return embeds_in_disk_with_boundary(rim, corners)
+    return embeds_in_disk_with_boundary(incidence_graph(h), corners)
 
 
 def check_linkage(k: Compass, e: Iterable[int]) -> bool:

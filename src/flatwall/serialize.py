@@ -26,6 +26,23 @@ def _require(cond: bool, what: str):
         raise ValueError("malformed document: %s" % what)
 
 
+def _is_int_list(obj) -> bool:
+    return isinstance(obj, list) and all(isinstance(x, int) for x in obj)
+
+
+def _int_keyed(obj: dict, valid, what: str, key_what: str) -> dict:
+    """obj with its keys read as ints, each value checked by valid before
+    its key is read."""
+    out = {}
+    for key, value in obj.items():
+        _require(valid(value), "%s %r" % (what, key))
+        try:
+            out[int(key)] = value
+        except ValueError:
+            raise ValueError("malformed document: %s %r" % (key_what, key))
+    return out
+
+
 def _int_pairs(obj, what: str) -> List[Tuple[int, int]]:
     _require(isinstance(obj, list), "%s is not a list" % what)
     out = []
@@ -65,14 +82,7 @@ def td_to_json(td: TreeDecomposition) -> dict:
 def td_from_json(host: Graph, obj) -> TreeDecomposition:
     _require(isinstance(obj, dict), "decomposition document is not an object")
     _require(isinstance(obj.get("bags"), dict) and obj["bags"], "missing bags")
-    bags = {}
-    for key, bag in obj["bags"].items():
-        _require(isinstance(bag, list) and all(isinstance(v, int) for v in bag),
-                 "bag %r" % key)
-        try:
-            bags[int(key)] = bag
-        except ValueError:
-            raise ValueError("malformed document: bag id %r" % key)
+    bags = _int_keyed(obj["bags"], _is_int_list, "bag", "bag id")
     tree_edges = _int_pairs(obj.get("tree_edges", []), "tree_edges")
     tree = Graph(bags.keys(), tree_edges)
     return TreeDecomposition(host, tree, bags)
@@ -98,14 +108,7 @@ def minor_from_json(host: Graph, obj) -> MinorModel:
                   and pattern["n"] > host.n),
              "pattern has more vertices than the host's %d" % host.n)
     pattern = graph_from_json(pattern)
-    sets = {}
-    for key, vs in obj["branch_sets"].items():
-        _require(isinstance(vs, list) and all(isinstance(v, int) for v in vs),
-                 "branch set %r" % key)
-        try:
-            sets[int(key)] = vs
-        except ValueError:
-            raise ValueError("malformed document: pattern vertex %r" % key)
+    sets = _int_keyed(obj["branch_sets"], _is_int_list, "branch set", "pattern vertex")
     return MinorModel(host, pattern, sets)
 
 
@@ -114,7 +117,6 @@ def wall_to_json(w: SubdividedWall) -> dict:
         "height": w.height,
         "original": {str(p): v for p, v in sorted(w.original.items())},
         "paths": [{"edge": list(e), "path": list(p)} for e, p in sorted(w.paths.items())],
-        "corners": list(w.corners),
     }
 
 
@@ -123,21 +125,15 @@ def wall_from_json(host: Graph, obj) -> SubdividedWall:
     _require(isinstance(obj.get("height"), int), "missing height")
     _require(isinstance(obj.get("original"), dict), "missing original map")
     _require(isinstance(obj.get("paths"), list), "missing paths")
-    original = {}
-    for key, v in obj["original"].items():
-        _require(isinstance(v, int), "original image %r" % v)
-        try:
-            original[int(key)] = v
-        except ValueError:
-            raise ValueError("malformed document: pattern vertex %r" % key)
+    original = _int_keyed(obj["original"], lambda v: isinstance(v, int), "original image of",
+                          "pattern vertex")
     paths = {}
     for entry in obj["paths"]:
         _require(isinstance(entry, dict) and "edge" in entry and "path" in entry,
                  "path entry %r" % entry)
         (a, b), = _int_pairs([entry["edge"]], "path edge")
         p = entry["path"]
-        _require(isinstance(p, list) and all(isinstance(x, int) for x in p),
-                 "host path for edge (%d,%d)" % (a, b))
+        _require(_is_int_list(p), "host path for edge (%d,%d)" % (a, b))
         paths[(a, b)] = tuple(p)
     return SubdividedWall(host, obj["height"], original, paths)
 
@@ -187,8 +183,7 @@ def certificate_from_json(g: Graph, obj) -> WeakStructureCertificate:
         return WeakStructureCertificate(2, decomposition=td, width_bound=obj["width_bound"])
     if clause == 3:
         apexes = obj.get("apex_set")
-        _require(isinstance(apexes, list) and all(isinstance(v, int) for v in apexes),
-                 "missing apex_set")
+        _require(_is_int_list(apexes), "missing apex_set")
         _require(isinstance(obj.get("flap_width_bound"), int), "missing flap_width_bound")
         w = wall_from_json(g, obj.get("wall"))
         c = Compass(w, g)  # placeholder anchor; the verifier recomputes it

@@ -18,29 +18,16 @@ from .generators import grid, pyramid, wall
 from .graph import Graph, connected_components, delete, induced_subgraph, union
 from .minors import (MINOR_HOST_CAP, MINOR_PATTERN_CAP, MinorModel, find_minor,
                      iter_topological_embeddings, verify_minor_model)
-from .planarity import embeds_in_disk_with_boundary, planarizing_set
+from .planarity import apex_number, embeds_in_disk_with_boundary
 from .rural import RuralDivision, internal_flaps, trivial_division, validate_rural
-from .wall import Compass, SubdividedWall, compass, disjoint_subwalls, is_flat, verify_wall
+from .wall import SubdividedWall, compass, disjoint_subwalls, is_flat, verify_wall
 
-APEX_CAP = 16
 TRICHOTOMY_HOST_CAP = 16
 TRICHOTOMY_PATTERN_CAP = 6
 
 
 def _ceil_sqrt(x: int) -> int:
     return 0 if x == 0 else isqrt(x - 1) + 1
-
-
-def apex_number(g: Graph, cap: int = APEX_CAP) -> Tuple[int, Tuple[int, ...]]:
-    """Smallest number of vertices whose removal leaves g planar, with the
-    lexicographically least witness set."""
-    if g.n > cap:
-        raise SizeCapExceeded("apex search capped at %d vertices, got %d" % (cap, g.n))
-    for size in range(g.n + 1):
-        s = planarizing_set(g, size)
-        if s is not None:
-            return size, s
-    raise AssertionError("unreachable: the empty graph is planar")
 
 
 def pyramid_minor_model(k: int, h: int) -> MinorModel:
@@ -245,10 +232,9 @@ def _find_flat_wall_certificate(g: Graph, apexes: Tuple[int, ...], k: int):
     target = wall(k)
     if target.graph.n > ga.n:
         return None
-    # the caps are at least the input sizes, so the search never hits them
-    embeddings = iter_topological_embeddings(ga, target.graph,
-                                             pattern_cap=max(target.graph.n, MINOR_PATTERN_CAP),
-                                             host_cap=max(ga.n, MINOR_HOST_CAP))
+    # the caps are the input sizes, so the search never hits them
+    embeddings = iter_topological_embeddings(ga, target.graph, pattern_cap=target.graph.n,
+                                             host_cap=ga.n)
     for emb in embeddings:
         cand = SubdividedWall(ga, k, emb.vertex_map, emb.paths)
         try:
@@ -305,14 +291,6 @@ def trichotomy_check(g: Graph, h_graph: Graph, k: int,
     return WeakStructureCertificate("undetermined")
 
 
-def _corner_wheel_planar(c: Compass) -> bool:
-    """True iff the compass plus the corner 4-cycle embeds in a disk bounded
-    by that cycle; if so the wall is flat (see verify_certificate)."""
-    c1, c2, c3, c4 = c.corners
-    rim = c.graph.add_edges([(c1, c2), (c2, c3), (c3, c4), (c4, c1)])
-    return embeds_in_disk_with_boundary(rim, c.corners)
-
-
 def verify_certificate(g: Graph, h_graph: Graph, k: int,
                        cert: WeakStructureCertificate) -> Verdict:
     """Re-validate every part of the claimed clause from scratch.
@@ -325,13 +303,14 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
     changes into paths of the boundary incidence graph (a vertex shared by
     two flaps lies on both boundaries); no flap carries both, as its
     boundary would need 4 vertices; so with the corner 4-cycle and the hub
-    that the disk test of check_disk_embeddable adds they would form a K5
-    minor, and the gadget would not be planar.
+    that the disk test adds they would form a K5 minor, and the gadget
+    would not be planar.
 
     When the division rejects, the wall may still be crossed, and a
-    crossing outranks division-invalid.  The corner-wheel test decides
-    most such walls in polynomial time: the compass plus the corner
-    4-cycle plus a hub on the corners is planar only if the wall is flat,
+    crossing outranks division-invalid.  The corner-wheel test (the disk
+    test on the compass with the corners as rim) decides most such walls
+    in polynomial time: the compass plus the corner 4-cycle plus a hub on
+    the corners is planar only if the wall is flat,
     because disjoint c1-c3 and c2-c4 paths, the cycle and the hub would
     form a K5 minor (branch sets: the hub, c1, c2, the c1-c3 path minus c1
     and the c2-c4 path minus c2).  A planar wheel returns division-invalid
@@ -401,7 +380,7 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
             "division-invalid", witness=ok.witness, detail="%s: %s" % (ok.condition, ok.detail))
     if invalid is not None:
         # only now can the wall still be crossed, which outranks the division
-        if not _corner_wheel_planar(c):
+        if not embeds_in_disk_with_boundary(c.graph, c.corners):
             flat = is_flat(c)
             if flat.flat is not True:
                 return Verdict.reject("not-flat", witness=flat.witness)

@@ -13,7 +13,8 @@ from math import isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .common import Verdict
-from .graph import Graph, bfs, connected_components, delete, induced_subgraph, path_to
+from .graph import (Graph, bfs, connected_components, delete, induced_subgraph, path_to,
+                    strip_leaves)
 from .generators import WallGraph, gamma, wall
 from .minors import (SmoothContractionWitness, SubdivisionEmbedding, delta_y,
                      iter_topological_embeddings, subdivide,
@@ -131,12 +132,7 @@ def layers(w: SubdividedWall) -> List[Tuple[int, ...]]:
     cycles = [w.pattern.perimeter()]
     g = w.pattern.graph
     while len(cycles) < count:
-        g = delete(g, vertices=cycles[-1])
-        while True:
-            drop = [v for v in g.vertices if g.degree(v) <= 1]
-            if not drop:
-                break
-            g = delete(g, vertices=drop)
+        g = strip_leaves(delete(g, vertices=cycles[-1]))
         cycles.append(embed_planar(g).outer_face)
     return [_expand_cycle(w, c) for c in cycles]
 

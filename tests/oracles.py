@@ -16,7 +16,7 @@ from flatwall.common import SizeCapExceeded, Verdict
 from flatwall.decomposition import TREEWIDTH_CAP, TreeDecomposition
 from flatwall.minors import MinorModel, _connected_subsets, _mask_neighborhood
 from flatwall.paths import DisjointPathsResult, _OutOfTime
-from flatwall.planarity import is_planar
+from flatwall.planarity import is_planar, planarizing_set
 from flatwall.rural import (RuralDivision, _pair_joined, check_disk_embeddable,
                             check_linkage)
 
@@ -185,6 +185,17 @@ def apex_number_by_loop(g: Graph) -> Tuple[int, Tuple[int, ...]]:
             if is_planar(delete(g, s)):
                 return size, s
     raise AssertionError("unreachable: the empty graph is planar")
+
+
+def apex_rule_by_loop(host: Graph, pattern: Graph) -> bool:
+    """True iff find_minor's apex rule answers None, decided by its former
+    loop: one host size at a time, below the pattern's apex number."""
+    for size in range(pattern.n):
+        if planarizing_set(pattern, size) is not None:
+            break
+        if planarizing_set(host, size) is not None:
+            return True
+    return False
 
 
 def embeds_in_disk_by_subdivided_rim(g: Graph, cycle) -> bool:

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,7 +232,7 @@ def test_reduce_apex_reports_found_minor(capsys, tmp_path):
     assert rc == 1
     assert rep["verdict"] == "h-minor-found"
     assert "every apex sees every window" in err
-    host = json.loads(open(graph).read())
+    host = json.loads(Path(graph).read_text())
     from flatwall.serialize import graph_from_json
     model = minor_from_json(graph_from_json(host), rep["minor"])
     assert verify_minor_model(model)
@@ -284,7 +285,7 @@ def test_trichotomy_to_verify_cert_pipeline(capsys, tmp_path):
     assert rc == 0
     assert rep["verdict"] == "accepted" and rep["clause"] == 3
 
-    fat = json.loads(open(cert_path).read())
+    fat = json.loads(Path(cert_path).read_text())
     fat["apex_set"] = [0, 1, 2]
     fat_path = write_doc(tmp_path, "cert-fat.json", fat)
     rc, rep, _ = run_json(capsys, "verify-cert", "--graph", graph, "--excluded", k6,
@@ -292,7 +293,7 @@ def test_trichotomy_to_verify_cert_pipeline(capsys, tmp_path):
     assert rc == 1
     assert rep["condition"] == "apex-set-too-large"
 
-    torn = json.loads(open(cert_path).read())
+    torn = json.loads(Path(cert_path).read_text())
     torn["division"]["flaps"] = torn["division"]["flaps"][1:]
     torn_path = write_doc(tmp_path, "cert-torn.json", torn)
     rc, rep, _ = run_json(capsys, "verify-cert", "--graph", graph, "--excluded", k6,
@@ -306,7 +307,7 @@ def test_verify_cert_exit_codes_on_mutated_certificates(capsys, tmp_path):
     # exit 1 where the verifier rejects, 2 where the reader or the verifier
     # raises ValueError, 0 where the mutation leaves a valid certificate
     graph = lower_bound_files(capsys, tmp_path)
-    g = graph_from_json(json.loads(open(graph).read()))
+    g = graph_from_json(json.loads(Path(graph).read_text()))
     codes = set()
     for h, threshold in ((6, 3), (6, 4), (5, 3)):
         excluded = complete_doc(tmp_path, h)

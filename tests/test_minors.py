@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import flatwall.minors as minors
 from flatwall.common import SizeCapExceeded
 from flatwall.decomposition import treewidth_at_most
 from flatwall.generators import grid, pyramid, wall
@@ -14,10 +15,10 @@ from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitn
                              iter_topological_embeddings,
                              subdivide, verify_contraction, verify_minor_model,
                              verify_smooth_contraction)
-from flatwall.planarity import embed_planar, faces_of, _canon_cycle
+from flatwall.planarity import embed_planar, faces_of, planarizing_set, _canon_cycle
 
 from fixtures import apex_over
-from oracles import find_minor_unpruned, has_minor_by_partition, random_graph
+from oracles import apex_rule_by_loop, find_minor_unpruned, has_minor_by_partition, random_graph
 
 K33 = Graph(range(6), [(a, b) for a in range(3) for b in range(3, 6)])
 C5_CHORD = Graph(range(5), list(cycle_graph(5).edges) + [(0, 2)])
@@ -76,6 +77,35 @@ def test_find_minor_same_first_model_as_unpruned_search():
         for pat in (complete_graph(5), K33):
             got, want = find_minor(host, pat), find_minor_unpruned(host, pat)
             assert got.branch_sets == want.branch_sets
+
+
+class SearchStarted(Exception):
+    pass
+
+
+def test_apex_rule_matches_the_loop_over_sizes(monkeypatch):
+    # the branch-set search starts with adjacency_masks; stopping it there
+    # leaves exactly the calls that the apex rule answers
+    def stop(_):
+        raise SearchStarted
+    monkeypatch.setattr(minors, "adjacency_masks", stop)
+    rng = random.Random(17)
+    k6 = complete_graph(6)
+    outcomes, smaller = set(), 0
+    for _ in range(300):
+        host = random_graph(rng, rng.randint(5, 12), rng.choice([0.2, 0.35, 0.5, 0.7]))
+        for pat in (complete_graph(5), k6, K33):
+            if pat.n > host.n or pat.m > host.m:
+                continue
+            try:
+                fired = find_minor(host, pat) is None
+            except SearchStarted:
+                fired = False
+            assert fired == apex_rule_by_loop(host, pat), (host.edges, pat.edges)
+            outcomes.add(fired)
+            # K6 needs 2 apices: a planar host has a planarizing set below a - 1 = 1
+            smaller += fired and pat == k6 and planarizing_set(host, 0) is not None
+    assert outcomes == {True, False} and smaller > 0
 
 
 def test_treewidth_at_most_2_matches_k4_search():

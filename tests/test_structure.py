@@ -13,11 +13,12 @@ from flatwall.decomposition import TreeDecomposition, exact_treewidth
 from flatwall.generators import grid, lower_bound_graph, pyramid, wall
 from flatwall.graph import Graph, complete_graph, cycle_graph, delete, path_graph
 from flatwall.minors import MinorModel, find_minor, subdivide, verify_minor_model
+from flatwall.planarity import embeds_in_disk_with_boundary
 from flatwall.rural import RuralDivision, internal_flaps, trivial_division
 from flatwall.serialize import certificate_to_json
-from flatwall.structure import (HMinorFound, WeakStructureCertificate, _corner_wheel_planar,
-                                _f5, apex_number, apex_reduce, merge_flaps,
-                                pyramid_minor_model, trichotomy_check, verify_certificate)
+from flatwall.structure import (HMinorFound, WeakStructureCertificate, _f5, apex_number,
+                                apex_reduce, merge_flaps, pyramid_minor_model, trichotomy_check,
+                                verify_certificate)
 from flatwall.wall import (SubdividedWall, bricks, compass, identity_wall, is_flat, perimeter,
                            refind_after_transform, subwall)
 
@@ -407,7 +408,7 @@ def test_planar_corner_wheel_implies_flat():
             ops.append(("subdivide", e))
         w = refind_after_transform(compass(g, SubdividedWall(g, k, w0.original, w0.paths)), ops)
         c = compass(w.host, w)
-        planar, flat = _corner_wheel_planar(c), is_flat(c).flat
+        planar, flat = embeds_in_disk_with_boundary(c.graph, c.corners), is_flat(c).flat
         if planar:
             assert flat is True
         seen[planar, flat] = seen.get((planar, flat), 0) + 1
@@ -441,7 +442,7 @@ def test_flat_wall_with_a_non_planar_piece_falls_back_to_the_search(monkeypatch)
         [(x, y) for i, x in enumerate(five) for y in five[i + 1:]])
     cp = compass(g, SubdividedWall(g, 3, w.original, w.paths))
     assert cp.graph.has_vertex(d)
-    assert not _corner_wheel_planar(cp)
+    assert not embeds_in_disk_with_boundary(cp.graph, cp.corners)
     assert is_flat(cp).flat is True
     rd = trivial_division(cp)
     dropped = WeakStructureCertificate(3, apex_set=(), wall=w,
