@@ -20,12 +20,13 @@ from functools import lru_cache
 from typing import Dict
 
 from .common import SizeCapExceeded
-from .decomposition import exact_treewidth, validate as validate_td, width
+from .decomposition import TREEWIDTH_CAP, exact_treewidth, validate as validate_td, width
 from .graph import Graph, delete
 from .generators import gamma, gamma_star, grid, lower_bound_graph, pyramid, wall
 from .minors import verify_minor_model
 from .rural import validate_rural
-from .structure import HMinorFound, apex_reduce, trichotomy_check, verify_certificate
+from .structure import (TRICHOTOMY_HOST_CAP, HMinorFound, apex_reduce, trichotomy_check,
+                        verify_certificate)
 from .wall import compass, identity_wall, is_flat, verify_wall
 from . import serialize as ser
 
@@ -67,6 +68,14 @@ def _jsonable(x):
 def _reject_report(verdict) -> dict:
     return {"verdict": "rejected", "condition": verdict.condition,
             "witness": _jsonable(verdict.witness), "detail": verdict.detail}
+
+
+def _read_host(path: str, cap: int, capped: str) -> Graph:
+    """A host graph, refused over the cap by its declared n before it is built."""
+    doc = _read_json(path)
+    if isinstance(doc, dict) and isinstance(doc.get("n"), int) and doc["n"] > cap:
+        raise SizeCapExceeded("%s capped at %d vertices, got %d" % (capped, cap, doc["n"]))
+    return ser.graph_from_json(doc)
 
 
 def _relabel(g: Graph):
@@ -159,13 +168,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_treewidth(args) -> int:
-    g = ser.graph_from_json(_read_json(args.graph))
-    try:
-        tw, td = exact_treewidth(g) if args.cap is None else exact_treewidth(g, cap=args.cap)
-    except SizeCapExceeded as e:
-        print("treewidth: %s" % e, file=sys.stderr)
-        _emit({"verdict": "undetermined", "reason": str(e)})
-        return EXIT_UNDETERMINED
+    tw, td = exact_treewidth(_read_host(args.graph, args.cap, "treewidth DP"), cap=args.cap)
     _emit({"treewidth": tw, "decomposition": ser.td_to_json(td)})
     return EXIT_OK
 
@@ -245,9 +248,9 @@ def cmd_reduce_apex(args) -> int:
 
 
 def cmd_trichotomy(args) -> int:
-    g = ser.graph_from_json(_read_json(args.graph))
-    h_graph = ser.graph_from_json(_read_json(args.excluded))
     try:
+        g = _read_host(args.graph, TRICHOTOMY_HOST_CAP, "host")
+        h_graph = ser.graph_from_json(_read_json(args.excluded))
         cert = trichotomy_check(g, h_graph, args.height, args.width_threshold)
     except SizeCapExceeded as e:
         print("trichotomy: %s" % e, file=sys.stderr)
@@ -286,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("treewidth", help="exact treewidth with a decomposition")
     p.add_argument("--graph", required=True)
-    p.add_argument("--cap", type=int, default=None, help="vertex cap for the exact search")
+    p.add_argument("--cap", type=int, default=TREEWIDTH_CAP, help="vertex cap for the exact search")
     p.set_defaults(func=cmd_treewidth)
 
     p = sub.add_parser("td-validate", help="check a tree decomposition")
@@ -343,6 +346,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SizeCapExceeded as e:
         print("%s: undetermined at this scale: %s" % (args.verb, e), file=sys.stderr)
+        _emit({"verdict": "undetermined", "reason": str(e)})
         return EXIT_UNDETERMINED
     except (ValueError, OSError) as e:
         print("%s: %s" % (args.verb, e), file=sys.stderr)

@@ -18,7 +18,7 @@ from .generators import grid, pyramid, wall
 from .graph import Graph, connected_components, delete, induced_subgraph, union
 from .minors import (MINOR_HOST_CAP, MINOR_PATTERN_CAP, MinorModel, find_minor,
                      iter_topological_embeddings, verify_minor_model)
-from .planarity import apex_number, embeds_in_disk_with_boundary
+from .planarity import apex_number
 from .rural import RuralDivision, internal_flaps, trivial_division, validate_rural
 from .wall import SubdividedWall, compass, disjoint_subwalls, is_flat, verify_wall
 
@@ -241,10 +241,7 @@ def _find_flat_wall_certificate(g: Graph, apexes: Tuple[int, ...], k: int):
             c = compass(ga, cand)  # re-validates the wall
         except ValueError:
             continue
-        # kept ahead of the division, unlike in verify_certificate: on the
-        # height 1-2 walls searched here it is a cheap pre-filter, and
-        # without it every crossed candidate pays validate_rural's
-        # planarity and linkage checks
+        # a cheap pre-filter that spares crossed candidates validate_rural
         if is_flat(c).flat is not True:
             continue
         rd = trivial_division(c)
@@ -306,19 +303,8 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
     that the disk test adds they would form a K5 minor, and the gadget
     would not be planar.
 
-    When the division rejects, the wall may still be crossed, and a
-    crossing outranks division-invalid.  The corner-wheel test (the disk
-    test on the compass with the corners as rim) decides most such walls
-    in polynomial time: the compass plus the corner 4-cycle plus a hub on
-    the corners is planar only if the wall is flat,
-    because disjoint c1-c3 and c2-c4 paths, the cycle and the hub would
-    form a K5 minor (branch sets: the hub, c1, c2, the c1-c3 path minus c1
-    and the c2-c4 path minus c2).  A planar wheel returns division-invalid
-    at once.  The exhaustive is_flat search runs only when the division
-    rejects and the wheel is not planar, either to name the crossing
-    (not-flat) or to find that non-planar pieces behind small separations
-    spoiled the wheel (division-invalid).  Every verdict is what checking
-    flatness first gives.
+    A crossing outranks division-invalid, so is_flat decides once the
+    division rejects; every verdict is what checking flatness first gives.
     """
     if not isinstance(cert, WeakStructureCertificate):
         raise ValueError("not a certificate: %r" % (cert,))
@@ -379,11 +365,9 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
         invalid = None if ok else Verdict.reject(
             "division-invalid", witness=ok.witness, detail="%s: %s" % (ok.condition, ok.detail))
     if invalid is not None:
-        # only now can the wall still be crossed, which outranks the division
-        if not embeds_in_disk_with_boundary(c.graph, c.corners):
-            flat = is_flat(c)
-            if flat.flat is not True:
-                return Verdict.reject("not-flat", witness=flat.witness)
+        flat = is_flat(c)
+        if flat.flat is not True:
+            return Verdict.reject("not-flat", witness=flat.witness)
         return invalid
     for d in internal_flaps(rd):
         tw, _ = exact_treewidth(d)

@@ -53,6 +53,41 @@ def wired_nonflat_host(k: int, wiring) -> Graph:
         [(c1, z1), (z1, c3), (z1, i1), (c2, z2), (z2, c4), (z2, i2)])
 
 
+def random_wired_compass(rng, k: int):
+    """The compass of a wired wall(k) host after random edge loss and
+    subdivision: the wall's own edges stay, each other edge stays with
+    probability 0.6, then up to 12 random edges are subdivided and the
+    wall is re-found.  Flat when the loss cut the wiring, else crossed."""
+    from flatwall.wall import SubdividedWall, compass, identity_wall, refind_after_transform
+    g = wired_nonflat_host(k, rng.sample(interior_vertices(k), 2))
+    g = Graph(g.vertices, [e for e in g.edges
+                           if wall(k).graph.has_edge(*e) or rng.random() < 0.6])
+    w0 = identity_wall(k)
+    h, ops = g, []
+    for _ in range(rng.randint(0, 12)):
+        e = rng.choice(h.edges)
+        h, _ = subdivide(h, e)
+        ops.append(("subdivide", e))
+    w = refind_after_transform(compass(g, SubdividedWall(g, k, w0.original, w0.paths)), ops)
+    return compass(w.host, w)
+
+
+def k5_piece_host(k: int):
+    """wall(k) plus a K5 on three vertices of its first inner brick and two
+    fresh ones.  The wall stays flat (the piece sits behind a 3-separation
+    whose three vertices share a face), but its corner wheel is no longer
+    planar.  Returns the host and the identity wall(k)."""
+    from flatwall.wall import bricks, identity_wall, perimeter
+    wg = wall(k).graph
+    w = identity_wall(k)
+    ring = set(perimeter(w))
+    brick = next(b for b in bricks(w)[0] if not ring & set(b))
+    five = (brick[0], brick[2], brick[4], wg.fresh_id(), wg.fresh_id() + 1)
+    g = wg.add_vertices(five[3:]).add_edges(
+        [(x, y) for i, x in enumerate(five) for y in five[i + 1:]])
+    return g, w
+
+
 def interior_vertices(k: int):
     from flatwall.wall import identity_wall, perimeter
     w = identity_wall(k)

@@ -10,10 +10,9 @@ import time
 
 import pytest
 
-from flatwall.decomposition import (closure_bag, exact_treewidth, make_small,
-                                    validate as validate_td, width)
+from flatwall.decomposition import closure_bag, exact_treewidth, make_small, validate as validate_td
 from flatwall.generators import lower_bound_graph, wall
-from flatwall.graph import Graph, complete_graph, cycle_graph, delete, path_graph
+from flatwall.graph import complete_graph, delete
 from flatwall.minors import MinorModel, find_minor, verify_minor_model
 from flatwall.rural import division_from_edge_lists, trivial_division, validate_rural
 from flatwall.structure import (HMinorFound, WeakStructureCertificate, apex_number,

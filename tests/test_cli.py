@@ -3,16 +3,19 @@
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from flatwall.cli import main
+from flatwall.common import SizeCapExceeded
+from flatwall.decomposition import TREEWIDTH_CAP, exact_treewidth
 from flatwall.graph import complete_graph, path_graph
 from flatwall.minors import verify_minor_model
 from flatwall.serialize import (certificate_from_json, graph_from_json, graph_to_json,
                                 minor_from_json)
-from flatwall.structure import verify_certificate
+from flatwall.structure import TRICHOTOMY_HOST_CAP, verify_certificate
 
 from fixtures import document_mutations
 
@@ -254,8 +257,9 @@ def test_reduce_apex_derives_its_constants(capsys, tmp_path):
     assert "cannot pack 1156 subwalls" in err
     # the apex number of H is computed, so an H over its 16-vertex cap is undetermined
     p17 = write_doc(tmp_path, "p17.json", graph_to_json(path_graph(17)))
-    rc, out, err = run(capsys, *common, "--excluded", p17, "--apexes", "%d,%d" % (a1, a2))
-    assert (rc, out) == (3, "")
+    rc, rep, err = run_json(capsys, *common, "--excluded", p17, "--apexes", "%d,%d" % (a1, a2))
+    assert (rc, rep) == (3, {"verdict": "undetermined", "schema_version": 1,
+                             "reason": "apex search capped at 16 vertices, got 17"})
     assert "apex search capped at 16" in err
     with pytest.raises(SystemExit) as exc:
         main(["reduce-apex", "--help"])
@@ -284,6 +288,13 @@ def test_trichotomy_to_verify_cert_pipeline(capsys, tmp_path):
                           "--height", "1", "--certificate", cert_path)
     assert rc == 0
     assert rep["verdict"] == "accepted" and rep["clause"] == 3
+    # an excluded graph over the apex search's cap: exit 3 with a JSON reason
+    p17 = write_doc(tmp_path, "p17.json", graph_to_json(path_graph(17)))
+    rc, rep, err = run_json(capsys, "verify-cert", "--graph", graph, "--excluded", p17,
+                            "--height", "1", "--certificate", cert_path)
+    assert (rc, rep) == (3, {"verdict": "undetermined", "schema_version": 1,
+                             "reason": "apex search capped at 16 vertices, got 17"})
+    assert "verify-cert" in err
 
     fat = json.loads(Path(cert_path).read_text())
     fat["apex_set"] = [0, 1, 2]
@@ -358,6 +369,32 @@ def test_trichotomy_size_cap(capsys, tmp_path):
     assert rc == 3
     assert cert == {"clause": "undetermined", "schema_version": 1}
     assert "capped" in err
+
+
+def test_host_over_the_cap_is_refused_before_it_is_built(capsys, tmp_path):
+    # the declared n alone decides, and the report is the one a built
+    # over-cap host gets: treewidth names the library's reason, trichotomy
+    # prints its certificate document
+    with pytest.raises(SizeCapExceeded) as exc:
+        exact_treewidth(path_graph(TREEWIDTH_CAP + 1))
+    built = write_doc(tmp_path, "built.json", graph_to_json(path_graph(TREEWIDTH_CAP + 1)))
+    rc, rep, _ = run_json(capsys, "treewidth", "--graph", built)
+    assert (rc, rep) == (3, {"verdict": "undetermined", "reason": str(exc.value),
+                             "schema_version": 1})
+    huge = write_doc(tmp_path, "huge.json", {"n": 10 ** 9, "edges": []})
+    for cap, argv in ((TREEWIDTH_CAP, ()), (5, ("--cap", "5"))):
+        start = time.process_time()
+        rc, rep, _ = run_json(capsys, "treewidth", "--graph", huge, *argv)
+        assert time.process_time() - start < 0.5
+        assert (rc, rep["reason"]) == (3, "treewidth DP capped at %d vertices, got %d"
+                                       % (cap, 10 ** 9))
+    start = time.process_time()
+    rc, cert, err = run_json(capsys, "trichotomy", "--graph", huge,
+                             "--excluded", complete_doc(tmp_path, 4),
+                             "--height", "1", "--width-threshold", "1")
+    assert time.process_time() - start < 0.5
+    assert (rc, cert) == (3, {"clause": "undetermined", "schema_version": 1})
+    assert "host capped at %d vertices, got %d" % (TRICHOTOMY_HOST_CAP, 10 ** 9) in err
 
 
 def test_missing_file_is_usage_error(capsys, tmp_path):

@@ -1,8 +1,6 @@
 import pytest
 
-from flatwall.generators import (GridCoords, gamma, gamma_star, grid, lower_bound_graph,
-                                 pyramid, wall)
-from flatwall.graph import delete
+from flatwall.generators import gamma, gamma_star, grid, lower_bound_graph, pyramid, wall
 from flatwall.minors import find_minor
 from flatwall.planarity import is_planar
 

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from flatwall.generators import grid, wall
-from flatwall.graph import Graph, complete_graph, cycle_graph, delete, path_graph
+from flatwall.graph import Graph, complete_graph, cycle_graph, delete
 from flatwall.planarity import (biconnected_blocks, embed_planar, embeds_in_disk_with_boundary,
                                 faces_of, is_planar, trace_faces, validate_embedding)
 

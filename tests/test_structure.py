@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from importlib import import_module
 
 import pytest
 
@@ -12,18 +13,19 @@ from flatwall.common import SizeCapExceeded
 from flatwall.decomposition import TreeDecomposition, exact_treewidth
 from flatwall.generators import grid, lower_bound_graph, pyramid, wall
 from flatwall.graph import Graph, complete_graph, cycle_graph, delete, path_graph
-from flatwall.minors import MinorModel, find_minor, subdivide, verify_minor_model
+from flatwall.minors import MinorModel, find_minor, verify_minor_model
 from flatwall.planarity import embeds_in_disk_with_boundary
 from flatwall.rural import RuralDivision, internal_flaps, trivial_division
 from flatwall.serialize import certificate_to_json
 from flatwall.structure import (HMinorFound, WeakStructureCertificate, _f5, apex_number,
                                 apex_reduce, merge_flaps, pyramid_minor_model, trichotomy_check,
                                 verify_certificate)
-from flatwall.wall import (SubdividedWall, bricks, compass, identity_wall, is_flat, perimeter,
-                           refind_after_transform, subwall)
+from flatwall.wall import SubdividedWall, compass, identity_wall, is_flat, perimeter, subwall
 
-from fixtures import apex_over, apexed_wall_host, interior_vertices, wired_nonflat_host
+from fixtures import apex_over, apexed_wall_host, k5_piece_host, random_wired_compass
 from oracles import apex_number_by_loop, random_graph
+
+wall_module = import_module("flatwall.wall")  # the package's own "wall" is the generator
 
 K4 = complete_graph(4)
 K5 = complete_graph(5)
@@ -391,23 +393,12 @@ def test_clause3_verdicts_pinned():
 
 
 def test_planar_corner_wheel_implies_flat():
-    # the shortcut in verify_certificate: a planar corner wheel leaves no
-    # room for disjoint c1-c3 and c2-c4 paths
+    # the shortcut in is_flat: a planar corner wheel leaves no room for
+    # disjoint c1-c3 and c2-c4 paths
     rng = random.Random(7)
     seen = {}
     for _ in range(240):
-        k = rng.choice((2, 3))
-        g = wired_nonflat_host(k, rng.sample(interior_vertices(k), 2))
-        g = Graph(g.vertices, [e for e in g.edges
-                               if wall(k).graph.has_edge(*e) or rng.random() < 0.6])
-        w0 = identity_wall(k)
-        h, ops = g, []
-        for _ in range(rng.randint(0, 12)):
-            e = rng.choice(h.edges)
-            h, _ = subdivide(h, e)
-            ops.append(("subdivide", e))
-        w = refind_after_transform(compass(g, SubdividedWall(g, k, w0.original, w0.paths)), ops)
-        c = compass(w.host, w)
+        c = random_wired_compass(rng, rng.choice((2, 3)))
         planar, flat = embeds_in_disk_with_boundary(c.graph, c.corners), is_flat(c).flat
         if planar:
             assert flat is True
@@ -416,30 +407,23 @@ def test_planar_corner_wheel_implies_flat():
 
 
 def test_rejected_division_on_a_flat_wall_skips_the_search(monkeypatch):
-    g = wall(3).graph
-    w = identity_wall(3)
+    # plane wall(4)'s compass is over WHEEL_FIRST_ABOVE vertices, so is_flat's
+    # corner wheel decides and the exhaustive search never runs
+    g = wall(4).graph
+    w = identity_wall(4)
     rd = trivial_division(compass(g, w))
     dropped = WeakStructureCertificate(3, apex_set=(), wall=w,
                                        division=RuralDivision(rd.compass, rd.flaps[1:]),
                                        flap_width_bound=1)
-    monkeypatch.setattr(structure, "is_flat", lambda c: pytest.fail("is_flat ran"))
-    v = verify_certificate(g, K6, 3, dropped)
+    monkeypatch.setattr(wall_module, "two_disjoint_paths",
+                        lambda *args, **kwargs: pytest.fail("the search ran"))
+    v = verify_certificate(g, K6, 4, dropped)
     assert v.condition == "division-invalid" and "property-1" in v.detail
 
 
 def test_flat_wall_with_a_non_planar_piece_falls_back_to_the_search(monkeypatch):
-    # a K5 on three vertices of an inner brick and two fresh ones: the
-    # compass stays flat (the piece sits behind a 3-separation whose three
-    # vertices share a face), but the corner wheel is no longer planar
-    wg = wall(3).graph
-    w = identity_wall(3)
-    ring = set(perimeter(w))
-    brick = next(b for b in bricks(w)[0] if not ring & set(b))
-    a, b, c = brick[0], brick[2], brick[4]
-    d, e = wg.fresh_id(), wg.fresh_id() + 1
-    five = (a, b, c, d, e)
-    g = wg.add_vertices([d, e]).add_edges(
-        [(x, y) for i, x in enumerate(five) for y in five[i + 1:]])
+    g, w = k5_piece_host(3)
+    d = wall(3).graph.fresh_id()
     cp = compass(g, SubdividedWall(g, 3, w.original, w.paths))
     assert cp.graph.has_vertex(d)
     assert not embeds_in_disk_with_boundary(cp.graph, cp.corners)

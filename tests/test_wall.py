@@ -1,17 +1,18 @@
 import random
+import time
 
 import pytest
 
 from flatwall.common import SizeCapExceeded
 from flatwall.generators import gamma, wall
-from flatwall.graph import Graph, delete, induced_subgraph
 from flatwall.minors import subdivide
-from flatwall.wall import (Compass, SubdividedWall, bricks, compass, disjoint_subwalls,
-                           extract_wall_from_gamma_contraction, identity_wall, is_flat,
-                           layers, perimeter, subwall, verify_wall)
+from flatwall.paths import two_disjoint_paths
+from flatwall.wall import (WHEEL_FIRST_ABOVE, SubdividedWall, bricks, compass,
+                           disjoint_subwalls, extract_wall_from_gamma_contraction,
+                           identity_wall, is_flat, layers, perimeter, subwall, verify_wall)
 
-from fixtures import identity_witness, interior_vertices, subdivided_witness, \
-    wired_nonflat_host
+from fixtures import identity_witness, interior_vertices, k5_piece_host, random_wired_compass, \
+    subdivided_witness, wired_nonflat_host
 
 
 def test_identity_wall_is_a_wall():
@@ -127,6 +128,40 @@ def test_flatness_budget_gives_unknown():
     c = compass(g, SubdividedWall(g, 3, w.original, w.paths))
     r = is_flat(c, budget_ms=0)
     assert r.flat is None
+
+
+def test_large_plane_wall_takes_the_corner_wheel():
+    w = identity_wall(8)
+    c = compass(w.host, w)
+    assert c.graph.n > WHEEL_FIRST_ABOVE
+    start = time.process_time()
+    r = is_flat(c, budget_ms=1000)  # the search alone would not end here
+    assert time.process_time() - start < 1.0
+    assert (r.flat, r.explored) == (True, 0)
+
+
+def test_non_planar_corner_wheel_falls_back_to_the_search():
+    g, w = k5_piece_host(4)
+    c = compass(g, SubdividedWall(g, 4, w.original, w.paths))
+    assert c.graph.n > WHEEL_FIRST_ABOVE
+    r = is_flat(c)
+    assert r.flat is True and r.explored > 0
+
+
+def test_is_flat_matches_the_search_on_large_compasses():
+    # over WHEEL_FIRST_ABOVE vertices a planar corner wheel answers; the
+    # exhaustive search must give the same verdict on every compass
+    rng = random.Random(1)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        c = random_wired_compass(rng, rng.choice((3, 4)))
+        if c.graph.n <= WHEEL_FIRST_ABOVE:
+            continue
+        flat = is_flat(c).flat
+        search = two_disjoint_paths(c.graph, c.corners[0::2], c.corners[1::2])
+        assert flat is (search.verdict == "none")
+        seen[flat] += 1
+    assert sum(seen.values()) >= 150 and min(seen.values()) >= 30, seen
 
 
 def test_subwall_windows():
