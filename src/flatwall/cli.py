@@ -73,7 +73,7 @@ def _reject_report(verdict) -> dict:
 def _read_host(path: str, cap: int, capped: str) -> Graph:
     """A host graph, refused over the cap by its declared n before it is built."""
     doc = _read_json(path)
-    if isinstance(doc, dict) and isinstance(doc.get("n"), int) and doc["n"] > cap:
+    if isinstance(doc, dict) and ser._is_int(doc.get("n")) and doc["n"] > cap:
         raise SizeCapExceeded("%s capped at %d vertices, got %d" % (capped, cap, doc["n"]))
     return ser.graph_from_json(doc)
 

@@ -90,33 +90,6 @@ class MinorModel:
                 if not host.has_vertex(u):
                     raise ValueError("branch set of %r contains unknown vertex %r" % (v, u))
 
-    def to_contraction(self) -> ContractionModel:
-        """The equivalent contraction of a host subgraph.
-
-        The subgraph keeps all edges inside branch sets but only one
-        realizing edge per pattern edge, so that stray host edges between
-        non-adjacent branch sets do not break condition 3.
-        """
-        owner = {}
-        for v, s in self.branch_sets.items():
-            for u in s:
-                owner[u] = v
-        keep = []
-        realized = set()
-        for a, b in self.host.edges:
-            if a not in owner or b not in owner:
-                continue
-            va, vb = owner[a], owner[b]
-            if va == vb:
-                keep.append((a, b))
-            elif self.pattern.has_edge(va, vb):
-                key = (va, vb) if va < vb else (vb, va)
-                if key not in realized:
-                    realized.add(key)
-                    keep.append((a, b))
-        sub = Graph(sorted(owner), keep)
-        return ContractionModel(sub, self.pattern, owner)
-
 
 def verify_minor_model(m: MinorModel) -> Verdict:
     """Check disjointness, connectivity, and edge realization of branch sets."""
@@ -360,11 +333,11 @@ def _iter_paths(host: Graph, start: int, goals, blocked: set,
         yield from dfs(length)
 
 
-def iter_topological_embeddings(host: Graph, pattern: Graph,
-                                pattern_cap: int = MINOR_PATTERN_CAP,
-                                host_cap: int = MINOR_HOST_CAP) -> Iterator[SubdivisionEmbedding]:
-    """All subdivision embeddings of pattern in host, short paths first."""
-    _check_caps(host, pattern, pattern_cap, host_cap)
+def iter_topological_embeddings(host: Graph, pattern: Graph) -> Iterator[SubdivisionEmbedding]:
+    """All subdivision embeddings of pattern in host, short paths first.
+
+    Uncapped: the search is exponential, so callers bound the input sizes.
+    """
     if pattern.n > host.n or pattern.m > host.m:
         return
     if pattern.n == 0:
@@ -439,9 +412,8 @@ def iter_topological_embeddings(host: Graph, pattern: Graph,
 def find_topological_minor(host: Graph, pattern: Graph,
                            pattern_cap: int = MINOR_PATTERN_CAP,
                            host_cap: int = MINOR_HOST_CAP) -> Optional[SubdivisionEmbedding]:
-    for emb in iter_topological_embeddings(host, pattern, pattern_cap, host_cap):
-        return emb
-    return None
+    _check_caps(host, pattern, pattern_cap, host_cap)
+    return next(iter_topological_embeddings(host, pattern), None)
 
 
 def delta_y(g: Graph, triangle: Iterable[int]) -> Tuple[Graph, int]:

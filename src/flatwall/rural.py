@@ -109,18 +109,22 @@ def _pair_joined(d: Graph, u: int, v: int, others: set) -> bool:
 def validate_rural(rd: RuralDivision) -> Verdict:
     """Check properties 1-5 in order; the verdict names the first failure.
 
-    Raises if a flap is not a subgraph of the compass.
+    A flap vertex or edge outside the compass fails property 1, which
+    asks the flaps to partition the compass edges.
     """
     kg = rd.compass.graph
+    # 1: flaps inside the compass, with non-empty edge sets partitioning its edges
     for i, d in enumerate(rd.flaps):
         for v in d.vertices:
             if not kg.has_vertex(v):
-                raise ValueError("flap %d references vertex %r outside the compass" % (i, v))
+                return Verdict.reject("property-1", witness=v,
+                                      detail="flap %d references vertex %r outside the compass"
+                                      % (i, v))
         for a, b in d.edges:
             if not kg.has_edge(a, b):
-                raise ValueError("flap %d references edge %r-%r outside the compass" % (i, a, b))
-
-    # 1: non-empty edge sets partitioning the compass edges
+                return Verdict.reject("property-1", witness=(a, b),
+                                      detail="flap %d references edge %r-%r outside the compass"
+                                      % (i, a, b))
     seen = {}
     for i, d in enumerate(rd.flaps):
         if d.m == 0:

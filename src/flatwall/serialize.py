@@ -9,7 +9,7 @@ pinned by a content hash where a certificate would otherwise be portable
 to the wrong graph.
 """
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .decomposition import TreeDecomposition
 from .graph import Graph, graph_hash
@@ -26,8 +26,13 @@ def _require(cond: bool, what: str):
         raise ValueError("malformed document: %s" % what)
 
 
+def _is_int(obj) -> bool:
+    """A JSON integer; true and false load as bool, a subclass of int."""
+    return type(obj) is int
+
+
 def _is_int_list(obj) -> bool:
-    return isinstance(obj, list) and all(isinstance(x, int) for x in obj)
+    return isinstance(obj, list) and all(map(_is_int, obj))
 
 
 def _int_keyed(obj: dict, valid, what: str, key_what: str) -> dict:
@@ -47,24 +52,20 @@ def _int_pairs(obj, what: str) -> List[Tuple[int, int]]:
     _require(isinstance(obj, list), "%s is not a list" % what)
     out = []
     for e in obj:
-        _require(isinstance(e, list) and len(e) == 2
-                 and all(isinstance(x, int) for x in e), "%s entry %r" % (what, e))
+        _require(_is_int_list(e) and len(e) == 2, "%s entry %r" % (what, e))
         out.append((e[0], e[1]))
     return out
 
 
-def graph_to_json(g: Graph, labels: Dict[int, str] = None) -> dict:
+def graph_to_json(g: Graph) -> dict:
     if g.vertices != tuple(range(g.n)):
         raise ValueError("interchange requires vertex ids 0..n-1")
-    doc = {"n": g.n, "edges": [list(e) for e in g.edges]}
-    if labels:
-        doc["labels"] = {str(v): labels[v] for v in sorted(labels)}
-    return doc
+    return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
 def graph_from_json(obj) -> Graph:
     _require(isinstance(obj, dict), "graph document is not an object")
-    _require(isinstance(obj.get("n"), int) and obj["n"] >= 0, "bad vertex count")
+    _require(_is_int(obj.get("n")) and obj["n"] >= 0, "bad vertex count")
     n = obj["n"]
     edges = _int_pairs(obj.get("edges", []), "edges")
     for a, b in edges:
@@ -104,7 +105,7 @@ def minor_from_json(host: Graph, obj) -> MinorModel:
     pattern = obj.get("pattern")
     # a minor never has more vertices than its host; checked before the
     # reader builds a graph of the declared size
-    _require(not (isinstance(pattern, dict) and isinstance(pattern.get("n"), int)
+    _require(not (isinstance(pattern, dict) and _is_int(pattern.get("n"))
                   and pattern["n"] > host.n),
              "pattern has more vertices than the host's %d" % host.n)
     pattern = graph_from_json(pattern)
@@ -122,11 +123,10 @@ def wall_to_json(w: SubdividedWall) -> dict:
 
 def wall_from_json(host: Graph, obj) -> SubdividedWall:
     _require(isinstance(obj, dict), "wall document is not an object")
-    _require(isinstance(obj.get("height"), int), "missing height")
+    _require(_is_int(obj.get("height")), "missing height")
     _require(isinstance(obj.get("original"), dict), "missing original map")
     _require(isinstance(obj.get("paths"), list), "missing paths")
-    original = _int_keyed(obj["original"], lambda v: isinstance(v, int), "original image of",
-                          "pattern vertex")
+    original = _int_keyed(obj["original"], _is_int, "original image of", "pattern vertex")
     paths = {}
     for entry in obj["paths"]:
         _require(isinstance(entry, dict) and "edge" in entry and "path" in entry,
@@ -173,18 +173,19 @@ def certificate_from_json(g: Graph, obj) -> WeakStructureCertificate:
     """
     _require(isinstance(obj, dict), "certificate document is not an object")
     clause = obj.get("clause")
+    _require(clause == "undetermined" or _is_int(clause), "unknown clause %r" % (clause,))
     if clause == "undetermined":
         return WeakStructureCertificate("undetermined")
     if clause == 1:
         return WeakStructureCertificate(1, minor=minor_from_json(g, obj.get("minor")))
     if clause == 2:
-        _require(isinstance(obj.get("width_bound"), int), "missing width_bound")
+        _require(_is_int(obj.get("width_bound")), "missing width_bound")
         td = td_from_json(g, obj.get("decomposition"))
         return WeakStructureCertificate(2, decomposition=td, width_bound=obj["width_bound"])
     if clause == 3:
         apexes = obj.get("apex_set")
         _require(_is_int_list(apexes), "missing apex_set")
-        _require(isinstance(obj.get("flap_width_bound"), int), "missing flap_width_bound")
+        _require(_is_int(obj.get("flap_width_bound")), "missing flap_width_bound")
         w = wall_from_json(g, obj.get("wall"))
         c = Compass(w, g)  # placeholder anchor; the verifier recomputes it
         rd = rural_from_json(c, obj.get("division"))

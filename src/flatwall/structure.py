@@ -118,10 +118,7 @@ def apex_reduce(g: Graph, h_graph: Graph, a: Iterable[int], w: SubdividedWall,
         raise ValueError("window count %d is not positive" % count)
 
     ga = delete(g, apexes)
-    try:
-        wa = SubdividedWall(ga, w.height, w.original, w.paths)
-    except (ValueError, KeyError):
-        raise ValueError("wall does not avoid the apex set")
+    wa = SubdividedWall(ga, w.height, w.original, w.paths)
     ok = verify_wall(wa)
     if not ok:
         raise ValueError("wall is not valid in the host minus the apex set: %s" % ok.condition)
@@ -227,20 +224,17 @@ class WeakStructureCertificate:
 
 def _find_flat_wall_certificate(g: Graph, apexes: Tuple[int, ...], k: int):
     """First flat height-k wall in g minus apexes whose per-edge division
-    validates, with the division and internal-flap width bound; or None."""
+    validates, with the division and internal-flap width bound; or None.
+
+    Candidates are subdivision embeddings of the wall pattern, so each is
+    a valid wall and its compass cannot fail."""
     ga = delete(g, apexes)
     target = wall(k)
     if target.graph.n > ga.n:
         return None
-    # the caps are the input sizes, so the search never hits them
-    embeddings = iter_topological_embeddings(ga, target.graph, pattern_cap=target.graph.n,
-                                             host_cap=ga.n)
-    for emb in embeddings:
+    for emb in iter_topological_embeddings(ga, target.graph):
         cand = SubdividedWall(ga, k, emb.vertex_map, emb.paths)
-        try:
-            c = compass(ga, cand)  # re-validates the wall
-        except ValueError:
-            continue
+        c = compass(ga, cand)
         # a cheap pre-filter that spares crossed candidates validate_rural
         if is_flat(c).flat is not True:
             continue
@@ -260,13 +254,15 @@ def trichotomy_check(g: Graph, h_graph: Graph, k: int,
     Clause order is fixed (minor first) and every search is exhaustive
     and lexicographic, so the outcome is deterministic.
     """
+    if k < 1:
+        raise ValueError("wall height must be positive, got %r" % (k,))
     if g.n > TRICHOTOMY_HOST_CAP:
         raise SizeCapExceeded("host capped at %d vertices, got %d"
                               % (TRICHOTOMY_HOST_CAP, g.n))
     if h_graph.n > TRICHOTOMY_PATTERN_CAP:
         raise SizeCapExceeded("excluded graph capped at %d vertices, got %d"
                               % (TRICHOTOMY_PATTERN_CAP, h_graph.n))
-    if k not in (1, 2):
+    if k > 2:
         raise SizeCapExceeded("wall height must be 1 or 2 at this scale, got %r" % (k,))
 
     model = find_minor(g, h_graph)
@@ -342,33 +338,22 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
         if not g.has_vertex(v):
             return Verdict.reject("apex-outside-host", witness=v)
     ga = delete(g, cert.apex_set)
-    try:
-        w = SubdividedWall(ga, cert.wall.height, cert.wall.original, cert.wall.paths)
-    except (ValueError, KeyError) as e:
-        return Verdict.reject("wall-invalid", detail=str(e))
+    w = SubdividedWall(ga, cert.wall.height, cert.wall.original, cert.wall.paths)
     ok = verify_wall(w)
     if not ok:
         return Verdict.reject("wall-invalid", witness=ok.witness, detail=ok.detail)
     if w.height != k:
         return Verdict.reject("wall-height", witness=w.height,
                               detail="wall height %d, expected %d" % (w.height, k))
-    try:
-        c = compass(ga, w)
-    except ValueError as e:
-        return Verdict.reject("wall-invalid", detail=str(e))
+    c = compass(ga, w)
     rd = RuralDivision(c, cert.division.flaps)
-    try:
-        ok = validate_rural(rd)
-    except ValueError as e:
-        invalid = Verdict.reject("division-invalid", detail=str(e))
-    else:
-        invalid = None if ok else Verdict.reject(
-            "division-invalid", witness=ok.witness, detail="%s: %s" % (ok.condition, ok.detail))
-    if invalid is not None:
+    ok = validate_rural(rd)
+    if not ok:
         flat = is_flat(c)
         if flat.flat is not True:
             return Verdict.reject("not-flat", witness=flat.witness)
-        return invalid
+        return Verdict.reject("division-invalid", witness=ok.witness,
+                              detail="%s: %s" % (ok.condition, ok.detail))
     for d in internal_flaps(rd):
         tw, _ = exact_treewidth(d)
         if tw > cert.flap_width_bound:

@@ -10,14 +10,12 @@ edge subdivisions and triangle-to-star rewrites.
 """
 
 from math import isqrt
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .common import Verdict
-from .graph import (Graph, bfs, connected_components, delete, induced_subgraph, path_to,
-                    strip_leaves)
+from .common import SizeCapExceeded, Verdict
+from .graph import Graph, bfs, delete, induced_subgraph, path_to, strip_leaves
 from .generators import WallGraph, gamma, wall
-from .minors import (SmoothContractionWitness, SubdivisionEmbedding, delta_y,
-                     iter_topological_embeddings, subdivide,
+from .minors import (SmoothContractionWitness, SubdivisionEmbedding, delta_y, subdivide,
                      verify_smooth_contraction, verify_topological_embedding)
 from .paths import two_disjoint_paths
 from .planarity import embed_planar, embeds_in_disk_with_boundary
@@ -28,7 +26,9 @@ class SubdividedWall:
 
     original maps pattern vertices to host vertices; paths maps each
     pattern edge (stored with min endpoint first) to the oriented host
-    path between the corresponding originals.
+    path between the corresponding originals.  The constructor only copies
+    and orients, so re-anchoring a wall in another host never raises;
+    verify_wall decides whether the result is a wall there.
     """
 
     __slots__ = ("host", "height", "original", "paths")
@@ -66,12 +66,6 @@ class SubdividedWall:
         for p in self.paths.values():
             used.update(p)
         return frozenset(used)
-
-    def subgraph(self) -> Graph:
-        edges = []
-        for p in self.paths.values():
-            edges.extend(zip(p, p[1:]))
-        return Graph(sorted(self.vertices()), edges)
 
     def __repr__(self) -> str:
         return "SubdividedWall(height=%d, %d host vertices)" % (self.height, len(self.vertices()))
@@ -169,21 +163,19 @@ class Compass:
 def compass(g: Graph, w: SubdividedWall) -> Compass:
     """Induced subgraph on the perimeter plus the component holding the interior.
 
-    A wall of height one is all perimeter; by convention its compass is the
-    induced subgraph on the perimeter alone.
+    wall(k) has no chord (no pattern edge off the perimeter joins two
+    perimeter vertices) and wall(k) minus its perimeter is connected, so
+    the interior of a valid wall lies in one component of g minus the
+    perimeter, and one search from any interior vertex finds it.  A wall
+    of height one is all perimeter; its compass is the perimeter alone.
     """
     anchored = SubdividedWall(g, w.height, w.original, w.paths)
     _require_valid(anchored)
     ring = set(_expand_cycle(anchored, anchored.pattern.perimeter()))
     interior = anchored.vertices() - ring
+    keep = set(ring)
     if interior:
-        rest = delete(g, vertices=ring)
-        comps = [c for c in connected_components(rest) if set(c) & interior]
-        if len(comps) != 1:
-            raise ValueError("wall interior is split across %d components" % len(comps))
-        keep = set(comps[0]) | ring
-    else:
-        keep = ring
+        keep.update(bfs(g, min(interior), set(g.vertices) - ring)[0])
     return Compass(anchored, induced_subgraph(g, keep))
 
 
@@ -263,18 +255,16 @@ def subwall(w: SubdividedWall, x0: int, y0: int, sub_height: int) -> SubdividedW
     return SubdividedWall(w.host, sub_height, original, paths)
 
 
-def disjoint_subwalls(w: SubdividedWall, count: int, sub_height: int,
-                      avoid: Iterable[int] = ()) -> List[SubdividedWall]:
+def disjoint_subwalls(w: SubdividedWall, count: int, sub_height: int) -> List[SubdividedWall]:
     """Pack count disjoint subwalls of the given height, row-major windows.
 
     Windows never share pattern positions, so the subwalls are disjoint in
-    the host as well; windows touching the avoid set are skipped.
+    the host as well.
     """
     _require_valid(w)
     k = w.height
     if not 1 <= sub_height <= k:
         raise ValueError("sub_height must be between 1 and %d, got %d" % (k, sub_height))
-    off_limits = set(avoid)
     out = []
     for y0 in range(1, k + 2 - sub_height, sub_height + 1):
         for x0 in range(1, 2 * k + 2 - 2 * sub_height, 2 * sub_height + 2):
@@ -283,8 +273,6 @@ def disjoint_subwalls(w: SubdividedWall, count: int, sub_height: int,
             try:
                 sw = subwall(w, x0, y0, sub_height)
             except ValueError:
-                continue
-            if sw.vertices() & off_limits:
                 continue
             out.append(sw)
     if len(out) < count:
@@ -350,22 +338,18 @@ def _lift_wall_through_contraction(g: Graph, model, gw_map: Dict[int, int],
     return SubdividedWall(g, k, original, paths)
 
 
-def extract_wall_from_gamma_contraction(g: Graph, witness: SmoothContractionWitness,
-                                        pattern_cap: int = 30,
-                                        host_cap: int = 64) -> SubdividedWall:
+def extract_wall_from_gamma_contraction(g: Graph, witness: SmoothContractionWitness) -> SubdividedWall:
     """Pull a wall of height k out of a smooth contraction onto a loaded
     triangulated grid of size 2k+8.
 
     The wall is drawn on the internal part of the grid and lifted through
     the contraction's branch sets, sliding the window until the compass in
-    g embeds in a closed disk bounded by the perimeter.  If no window
-    works, a generic subdivision search over the ring-free part runs last;
-    the caps bound that fallback (pattern vertices / ring-free core
-    vertices), and exceeding them raises instead of searching forever.
-    At k >= 2 the grid windows never satisfy the disk condition (the two
-    cell diagonals at each clipped wall corner are compass chords whose
-    endpoints interleave along the perimeter), so heights beyond 1 fall
-    through to the fallback and are effectively out of desk scale.
+    g embeds in a closed disk bounded by the perimeter.  Whether a window
+    works depends on the witness, not on k: on gamma(12) every window of
+    the witness that subdivides each edge once passes, while no window of
+    the identity witness does, because there the compass has chords whose
+    ends interleave along the perimeter.  When no window works the
+    extraction is undetermined and SizeCapExceeded is raised.
     """
     pat = witness.model.pattern
     m = isqrt(pat.n)
@@ -382,13 +366,6 @@ def extract_wall_from_gamma_contraction(g: Graph, witness: SmoothContractionWitn
         raise ValueError("smooth contraction rejected: %s" % ok.condition)
     k = (m - 8) // 2
 
-    def disk_compass(cand: SubdividedWall) -> bool:
-        try:
-            c = compass(g, cand)
-        except ValueError:
-            return False
-        return embeds_in_disk_with_boundary(c.graph, perimeter(cand))
-
     target = wall(k)
     for y0 in range(2, m - k - 1):
         for x0 in range(2, m - 2 * k - 1):
@@ -396,19 +373,10 @@ def extract_wall_from_gamma_contraction(g: Graph, witness: SmoothContractionWitn
                       for p in target.graph.vertices
                       for x, y in [target.coord(p)]}
             cand = _lift_wall_through_contraction(g, witness.model, gw_map, k)
-            if cand is not None and verify_wall(cand) and disk_compass(cand):
+            if (cand is not None and verify_wall(cand)
+                    and embeds_in_disk_with_boundary(compass(g, cand).graph, perimeter(cand))):
                 return cand
-
-    drop = set()
-    for u in tg.external:
-        drop.update(witness.model.model_of(u))
-    core = delete(g, vertices=drop)
-    for emb in iter_topological_embeddings(core, target.graph,
-                                           pattern_cap=pattern_cap, host_cap=host_cap):
-        cand = SubdividedWall(g, k, emb.vertex_map, emb.paths)
-        if disk_compass(cand):
-            return cand
-    raise ValueError("no wall of height %d with a disk compass was found" % k)
+    raise SizeCapExceeded("window search found no height-%d wall with a disk compass" % k)
 
 
 def _locate_edges(w: SubdividedWall) -> Dict[frozenset, Tuple[Tuple[int, int], int]]:

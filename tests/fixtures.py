@@ -88,6 +88,11 @@ def k5_piece_host(k: int):
     return g, w
 
 
+def wall_subgraph(w) -> Graph:
+    """The host subgraph a wall's paths span."""
+    return Graph(sorted(w.vertices()), [e for p in w.paths.values() for e in zip(p, p[1:])])
+
+
 def interior_vertices(k: int):
     from flatwall.wall import identity_wall, perimeter
     w = identity_wall(k)

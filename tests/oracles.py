@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from flatwall.graph import Graph, Hypergraph, adjacency_masks, bfs, delete, path_to
 from flatwall.common import SizeCapExceeded, Verdict
 from flatwall.decomposition import TREEWIDTH_CAP, TreeDecomposition
-from flatwall.minors import MinorModel, _connected_subsets, _mask_neighborhood
+from flatwall.minors import ContractionModel, MinorModel, _connected_subsets, _mask_neighborhood
 from flatwall.paths import DisjointPathsResult, _OutOfTime
 from flatwall.planarity import is_planar, planarizing_set
 from flatwall.rural import (RuralDivision, _pair_joined, check_disk_embeddable,
@@ -323,6 +323,28 @@ def exact_treewidth_dp(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDec
     tree_edges.extend(zip(roots, roots[1:]))
     td = TreeDecomposition(g, Graph(range(n), tree_edges), bags)
     return tw, td
+
+
+def minor_to_contraction(m: MinorModel) -> ContractionModel:
+    """The contraction a minor model certifies, of a host subgraph.
+
+    The subgraph keeps all edges inside branch sets but only one
+    realizing edge per pattern edge, so that stray host edges between
+    non-adjacent branch sets do not break condition 3.
+    """
+    owner = {u: v for v, s in m.branch_sets.items() for u in s}
+    keep = []
+    realized = set()
+    for a, b in m.host.edges:
+        if a not in owner or b not in owner:
+            continue
+        va, vb = owner[a], owner[b]
+        if va == vb:
+            keep.append((a, b))
+        elif m.pattern.has_edge(va, vb) and (min(va, vb), max(va, vb)) not in realized:
+            realized.add((min(va, vb), max(va, vb)))
+            keep.append((a, b))
+    return ContractionModel(Graph(sorted(owner), keep), m.pattern, owner)
 
 
 def find_minor_unpruned(host: Graph, pattern: Graph) -> Optional[MinorModel]:

@@ -205,6 +205,18 @@ def test_check_rural_accept_and_reject(capsys, tmp_path):
     assert rep["condition"] == "property-1"
 
 
+def test_check_rural_reports_a_flap_outside_the_compass(capsys, tmp_path):
+    # a semantic defect: the verifier names it, exit 1, like verify-cert does
+    doc, graph, wall = generate_wall(capsys, tmp_path, 2)
+    flaps = [[e] for e in doc["graph"]["edges"]] + [[[0, 15]]]
+    division = write_doc(tmp_path, "division-alien.json", {"flaps": flaps})
+    rc, rep, _ = run_json(capsys, "check-rural", "--graph", graph, "--wall", wall,
+                          "--division", division)
+    assert (rc, rep) == (1, {"schema_version": 1, "verdict": "rejected",
+                             "condition": "property-1", "witness": [0, 15],
+                             "detail": "flap 19 references edge 0-15 outside the compass"})
+
+
 def apexed_wall_files(capsys, tmp_path, second_apex_edges):
     doc, _, wall = generate_wall(capsys, tmp_path, 3)
     g = doc["graph"]
@@ -369,6 +381,28 @@ def test_trichotomy_size_cap(capsys, tmp_path):
     assert rc == 3
     assert cert == {"clause": "undetermined", "schema_version": 1}
     assert "capped" in err
+
+
+def test_trichotomy_height_below_one_is_a_usage_error(capsys, tmp_path):
+    graph, k4 = complete_doc(tmp_path, 5), complete_doc(tmp_path, 4)
+    for height in ("0", "-1"):
+        rc, out, err = run(capsys, "trichotomy", "--graph", graph, "--excluded", k4,
+                           "--height", height, "--width-threshold", "1")
+        assert (rc, out) == (2, "") and "must be positive" in err
+    rc, cert, err = run_json(capsys, "trichotomy", "--graph", graph, "--excluded", k4,
+                             "--height", "3", "--width-threshold", "1")
+    assert (rc, cert) == (3, {"clause": "undetermined", "schema_version": 1})
+    assert "1 or 2 at this scale" in err
+
+
+def test_json_true_is_not_a_vertex_count_or_id(capsys, tmp_path):
+    k4 = complete_doc(tmp_path, 4)
+    for i, doc in enumerate(({"n": True, "edges": []}, {"n": 3, "edges": [[True, 2]]})):
+        graph = write_doc(tmp_path, "true-%d.json" % i, doc)
+        for argv in (("treewidth",), ("trichotomy", "--excluded", k4, "--height", "1",
+                                      "--width-threshold", "1")):
+            rc, out, err = run(capsys, argv[0], "--graph", graph, *argv[1:])
+            assert (rc, out) == (2, "") and "malformed document" in err, (doc, argv)
 
 
 def test_host_over_the_cap_is_refused_before_it_is_built(capsys, tmp_path):

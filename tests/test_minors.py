@@ -18,7 +18,8 @@ from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitn
 from flatwall.planarity import embed_planar, faces_of, planarizing_set, _canon_cycle
 
 from fixtures import apex_over
-from oracles import apex_rule_by_loop, find_minor_unpruned, has_minor_by_partition, random_graph
+from oracles import (apex_rule_by_loop, find_minor_unpruned, has_minor_by_partition,
+                     minor_to_contraction, random_graph)
 
 K33 = Graph(range(6), [(a, b) for a in range(3) for b in range(3, 6)])
 C5_CHORD = Graph(range(5), list(cycle_graph(5).edges) + [(0, 2)])
@@ -178,10 +179,25 @@ def test_contraction_must_be_total_and_onto_known_vertices():
         ContractionModel(g, cycle_graph(3), {0: 0, 1: 1, 2: 2, 3: 9})
 
 
+def test_verify_contraction_names_each_broken_condition():
+    # path 0-1-2-3-4 contracted onto path 0-1-2 by {0,1}, {2}, {3,4}
+    host, pattern = path_graph(5), path_graph(3)
+    phi = {0: 0, 1: 0, 2: 1, 3: 2, 4: 2}
+    assert verify_contraction(ContractionModel(host, pattern, phi))
+    v = verify_contraction(ContractionModel(host, pattern, {**phi, 0: 2}))
+    assert (v.condition, v.witness) == ("model-disconnected", 2)
+    v = verify_contraction(ContractionModel(host, pattern.add_edges([(0, 2)]), phi))
+    assert (v.condition, v.witness) == ("edge-union-disconnected", (0, 2))
+    v = verify_contraction(ContractionModel(host.add_edges([(0, 4)]), pattern, phi))
+    assert (v.condition, v.witness) == ("host-edge-unmatched", (0, 4))
+    with pytest.raises(ValueError, match="not surjective"):
+        verify_contraction(ContractionModel(host, pattern.add_vertices([3]), phi))
+
+
 def test_minor_to_contraction():
     g, _ = grid(3, 3)
     m = find_minor(g, complete_graph(4))
-    cm = m.to_contraction()
+    cm = minor_to_contraction(m)
     assert verify_contraction(cm)
 
 
@@ -247,6 +263,49 @@ def test_smooth_contraction_rejects_wrong_disk():
     bad = SmoothContractionWitness(w.model, w.embedding, w.v, faces[:2] + faces[3:])
     v = verify_smooth_contraction(bad)
     assert not v and v.condition == "disk-not-a-disk"
+
+
+def test_smooth_contraction_names_each_broken_condition():
+    from flatwall.generators import gamma
+    tg = gamma(4)
+    w = _identity_witness(tg.graph, tg.loaded)
+    faces = sorted(w.disk_faces)
+
+    def check(disk_faces, v=w.v):
+        return verify_smooth_contraction(SmoothContractionWitness(w.model, w.embedding, v,
+                                                                  disk_faces))
+
+    v = check(faces + [faces[0][:-1]])
+    assert (v.condition, v.witness) == ("unknown-disk-face", faces[0][:-1])
+    assert check([]).detail == "no faces chosen"
+    # the triangle 5-6-10 shares each edge with another disk face: a second
+    # copy covers those edges three times, and without it the disk has a hole
+    inner = (5, 6, 10)
+    assert inner in faces
+    v = check(faces + [inner])
+    assert v.detail == "an edge lies on more than two chosen face sides"
+    v = check([f for f in faces if f != inner])
+    assert v.detail == "face union is not simply connected"
+    v = check([(1, 2, 6), (9, 14, 13)])
+    assert v.detail == "chosen faces are not edge-connected"
+    other = next(u for u in tg.graph.vertices if u != w.v)
+    v = check(faces, v=other)
+    assert (v.condition, v.witness) == ("exterior-mismatch", sorted({w.v, other}))
+
+
+def test_smooth_contraction_rejects_a_model_on_every_face():
+    # wheel: hub 4 on rim 0-1-2-3, and 5 hanging off 0 outside the
+    # embedded part; the model {0, 2, 4} meets all four triangles and the rim
+    host = Graph(range(6), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4),
+                            (0, 5)])
+    model = ContractionModel(host, Graph(range(4), [(0, 1), (0, 2), (0, 3)]),
+                             {0: 0, 2: 0, 4: 0, 1: 1, 3: 2, 5: 3})
+    emb = embed_planar(delete(host, [5]))
+    outer = _canon_cycle(emb.outer_face)
+    disk = [f for f in faces_of(emb) if _canon_cycle(f) != outer]
+    assert len(disk) == 4 and set(outer) == {0, 1, 2, 3}
+    v = verify_smooth_contraction(SmoothContractionWitness(model, emb, 3, disk))
+    assert (v.condition, v.witness) == ("model-not-in-open-disk", 0)
 
 
 # (count, sha256 over the JSON of each embedding's sorted vertex map and

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -147,3 +148,18 @@ def test_disk_embedding_matches_subdivided_rim_gadget():
         assert embeds_in_disk_with_boundary(open_rim, rim) == want, (open_rim.edges, rim)
         outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def test_validate_embedding_names_each_broken_condition():
+    emb = embed_planar(complete_graph(4))
+    rot = emb.rotation
+    missing = {v: r for v, r in rot.items() if v != 3}
+    v = validate_embedding(replace(emb, rotation=missing))
+    assert (v.condition, v.witness) == ("rotation-domain", [3])
+    v = validate_embedding(replace(emb, rotation={**rot, 0: rot[0][:-1]}))
+    assert (v.condition, v.witness) == ("rotation-neighbors", 0)
+    v = validate_embedding(replace(emb, outer_face=(0, 1)))
+    assert (v.condition, v.witness) == ("outer-face", (0, 1))
+    # one vertex turned the other way round: the map stops being planar
+    v = validate_embedding(replace(emb, rotation={**rot, 0: rot[0][::-1]}, outer_face=()))
+    assert (v.condition, v.witness) == ("euler", (0, 1, 2, 3))

@@ -114,11 +114,17 @@ def test_property5_unlinkable_boundary():
     assert v.witness == ("linkage", 0)
 
 
-def test_flap_outside_compass_is_an_error():
+def test_flap_outside_compass_fails_property_1():
     c = bare_compass(1)
-    rd = RuralDivision(c, [Graph([98, 99], [(98, 99)])])
-    with pytest.raises(ValueError):
-        validate_rural(rd)
+    v = validate_rural(RuralDivision(c, [Graph([98, 99], [(98, 99)])]))
+    assert (v.condition, v.witness) == ("property-1", 98)
+    assert v.detail == "flap 0 references vertex 98 outside the compass"
+    a, b = next((a, b) for a in c.graph.vertices for b in c.graph.vertices
+                if a < b and not c.graph.has_edge(a, b))
+    groups = [[e] for e in c.graph.edges] + [[(a, b)]]
+    v = validate_rural(division_from_edge_lists(c, groups))
+    assert (v.condition, v.witness) == ("property-1", (a, b))
+    assert "outside the compass" in v.detail
 
 
 def test_internal_flaps_avoid_the_perimeter():

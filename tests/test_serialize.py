@@ -36,9 +36,10 @@ def test_graph_round_trip():
     assert doc["n"] == 9
     assert graph_from_json(doc) == g
     assert stable(graph_to_json(graph_from_json(doc))) == stable(doc)
-    labeled = graph_to_json(K4, labels={0: "hub"})
-    assert labeled["labels"] == {"0": "hub"}
+    # a labels key is ignored on reading and never written
+    labeled = dict(graph_to_json(K4), labels={"0": "hub"})
     assert graph_from_json(labeled) == K4
+    assert "labels" not in graph_to_json(graph_from_json(labeled))
 
 
 def test_graph_requires_contiguous_ids():
@@ -56,6 +57,42 @@ def test_graph_malformed_documents():
                 {"n": 2, "edges": [[0, 5]]}):
         with pytest.raises(ValueError, match="malformed document|out of range"):
             graph_from_json(bad)
+
+
+def with_true(doc, *path):
+    """A copy of doc with JSON true at path."""
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = True
+    return out
+
+
+def test_json_true_is_not_an_integer():
+    # true == 1 in Python, but [[true, 2]] must not read as the graph [[1, 2]]
+    for path in (("n",), ("edges", 0, 0)):
+        with pytest.raises(ValueError, match="malformed document"):
+            graph_from_json(with_true(graph_to_json(path_graph(3)), *path))
+    g, path6 = lower_bound_graph(3, 6), path_graph(6)
+    one = certificate_to_json(trichotomy_check(g, complete_graph(5), 1, 3))
+    two = certificate_to_json(trichotomy_check(path6, K4, 1, 3))
+    three = certificate_to_json(trichotomy_check(g, K6, 1, 3))
+    assert [one["clause"], two["clause"], three["clause"]] == [1, 2, 3]
+    cases = [(g, with_true(one, *path)) for path in (
+        ("clause",), ("minor", "pattern", "n"), ("minor", "pattern", "edges", 0, 0),
+        ("minor", "branch_sets", "0", 0))]
+    cases += [(path6, with_true(two, *path)) for path in (
+        ("width_bound",), ("decomposition", "bags", "0", 0),
+        ("decomposition", "tree_edges", 0, 0))]
+    cases += [(g, with_true(three, *path)) for path in (
+        ("flap_width_bound",), ("wall", "height"), ("wall", "original", "0"),
+        ("wall", "paths", 0, "edge", 0), ("wall", "paths", 0, "path", 0),
+        ("division", "flaps", 0, 0, 0))]
+    cases.append((g, dict(three, apex_set=[True])))
+    for host, bad in cases:
+        with pytest.raises(ValueError, match="malformed document"):
+            certificate_from_json(host, bad)
 
 
 def test_td_round_trip():

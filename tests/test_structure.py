@@ -225,6 +225,64 @@ def test_trichotomy_caps():
         trichotomy_check(complete_graph(17), K4, 1, 1)
     with pytest.raises(SizeCapExceeded):
         trichotomy_check(K4, K7, 1, 1)
+    with pytest.raises(SizeCapExceeded, match="1 or 2 at this scale"):
+        trichotomy_check(K4, K5, 3, 1)
+    # a height below one is an input error, not a question of scale
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="must be positive") as exc:
+            trichotomy_check(K4, K5, k, 1)
+        assert not isinstance(exc.value, SizeCapExceeded)
+
+
+def spy_on_wall_search(monkeypatch):
+    """Record what is_flat and validate_rural answer inside the wall search."""
+    calls = []
+    real_flat, real_rural = structure.is_flat, structure.validate_rural
+
+    def is_flat(c):
+        r = real_flat(c)
+        calls.append(("flat", r.flat))
+        return r
+
+    def validate_rural(rd):
+        r = real_rural(rd)
+        calls.append(("rural", r.condition))
+        return r
+
+    monkeypatch.setattr(structure, "is_flat", is_flat)
+    monkeypatch.setattr(structure, "validate_rural", validate_rural)
+    return calls
+
+
+def test_wall_search_skips_a_crossed_candidate(monkeypatch):
+    # every 6-cycle of the K6 block is crossed; the plain 6-cycle after it is not
+    g = Graph(range(12), list(K6.edges) + [(6 + i, 6 + (i + 1) % 6) for i in range(6)])
+    calls = spy_on_wall_search(monkeypatch)
+    cand, _, _ = structure._find_flat_wall_certificate(g, (), 1)
+    assert cand.vertices() == set(range(6, 12))
+    assert calls[0] == ("flat", False)
+    assert calls[-2:] == [("flat", True), ("rural", None)]
+
+
+def test_wall_search_skips_a_flat_candidate_whose_division_fails(monkeypatch):
+    # a K5 piece on three vertices of a brick keeps the wall flat, but no
+    # compass that holds it has a valid one-flap-per-edge division
+    wg = wall(2).graph
+    f = wg.fresh_id()
+    five = (2, 4, 9, f, f + 1)
+    g = wg.add_vertices(five[3:]).add_edges(
+        [(x, y) for i, x in enumerate(five) for y in five[i + 1:]])
+    calls = spy_on_wall_search(monkeypatch)
+    assert structure._find_flat_wall_certificate(g, (), 2) is None
+    assert calls[:2] == [("flat", True), ("rural", "property-5")]
+
+
+def test_trichotomy_without_a_wall_candidate_is_undetermined(monkeypatch):
+    # K5 plus a pendant vertex: treewidth 4 and no 6-cycle for a height-1 wall
+    g = Graph(range(6), list(K5.edges) + [(4, 5)])
+    calls = spy_on_wall_search(monkeypatch)
+    assert trichotomy_check(g, K6, 1, 3).clause == "undetermined"
+    assert calls == []
 
 
 def test_certificate_payload_validation():
@@ -272,6 +330,7 @@ def test_verify_clause2_rejections():
     v = verify_certificate(g, K4, 1, tight)
     assert v.condition == "width-exceeded"
     assert v.witness == 1
+    assert verify_certificate(path_graph(7), K4, 1, cert).condition == "wrong-host"
 
 
 def test_verify_clause3_rejections():
@@ -378,8 +437,9 @@ CLAUSE3_VERDICTS = {
     "merged": (False, "division-invalid",
                "property-3: boundary pair 0,2 not joined inside flap 0", (0, 0, 2)),
     "height": (False, "wall-height", "wall height 2, expected 3", 2),
-    "alien": (False, "division-invalid", "flap 38 references edge 0-30 outside the compass",
-              None),
+    # a flap outside the compass fails property 1 of the division
+    "alien": (False, "division-invalid",
+              "property-1: flap 38 references edge 0-30 outside the compass", (0, 30)),
     # the division covers the wires, so only the lemma makes it reject: the
     # crossing still outranks division-invalid
     "crossed-covered": (False, "not-flat", "", CROSSING),

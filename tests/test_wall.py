@@ -5,6 +5,7 @@ import pytest
 
 from flatwall.common import SizeCapExceeded
 from flatwall.generators import gamma, wall
+from flatwall.graph import connected_components, delete
 from flatwall.minors import subdivide
 from flatwall.paths import two_disjoint_paths
 from flatwall.wall import (WHEEL_FIRST_ABOVE, SubdividedWall, bricks, compass,
@@ -46,6 +47,24 @@ def test_verify_wall_rejects_broken_path():
     assert not v
 
 
+def test_verify_wall_names_each_broken_path():
+    w = identity_wall(2)
+    key = sorted(w.paths)[0]
+    a, b = key
+    looped = dict(w.paths)
+    looped[key] = (a, b, a, b)
+    v = verify_wall(SubdividedWall(w.host, 2, w.original, looped))
+    assert (v.condition, v.witness) == ("path-self-intersects", key)
+    v = verify_wall(SubdividedWall(delete(w.host, edges=[key]), 2, w.original, w.paths))
+    assert (v.condition, v.witness) == ("path-edge-missing", key)
+    # the long way round a brick runs through other branch vertices
+    brick = bricks(w)[0][0]
+    around = dict(w.paths)
+    around[(min(brick[:2]), max(brick[:2]))] = (brick[0],) + brick[:0:-1]
+    v = verify_wall(SubdividedWall(w.host, 2, w.original, around))
+    assert (v.condition, v.witness) == ("paths-overlap", brick[-1])
+
+
 def test_subdivided_wall_still_verifies():
     w = identity_wall(2)
     key = sorted(w.paths)[0]
@@ -73,6 +92,20 @@ def test_bricks_count():
     assert len(cells) == 2 * 2  # k rows of k bricks
     cells, _ = bricks(identity_wall(3))
     assert len(cells) == 9
+
+
+def test_wall_pattern_has_no_chord_and_a_connected_interior():
+    # why compass needs one search: the interior of any subdivision of
+    # wall(k) lies in one component of the host minus the perimeter
+    for k in range(1, 13):
+        wg = wall(k)
+        ring = wg.perimeter()
+        on_ring = set(ring)
+        rim = {frozenset((ring[i - 1], ring[i])) for i in range(len(ring))}
+        chords = [e for e in wg.graph.edges if on_ring.issuperset(e) and frozenset(e) not in rim]
+        assert chords == [], k
+        inside = delete(wg.graph, vertices=ring)
+        assert inside.n == 0 if k == 1 else len(connected_components(inside)) == 1, k
 
 
 def test_compass_of_bare_wall_is_the_wall():
@@ -183,9 +216,6 @@ def test_disjoint_subwalls_pack_and_avoid():
         assert verify_wall(sw)
         assert not (sw.vertices() & seen)
         seen |= sw.vertices()
-    poisoned = next(iter(subs[0].vertices()))
-    subs2 = disjoint_subwalls(w, 1, 1, avoid=[poisoned])
-    assert all(poisoned not in sw.vertices() for sw in subs2)
     with pytest.raises(ValueError):
         disjoint_subwalls(w, 50, 1)
 
@@ -222,7 +252,17 @@ def test_extract_wall_rejects_wrong_corner():
         extract_wall_from_gamma_contraction(tg.graph, bad)
 
 
-def test_extract_wall_cap_on_fallback_search():
+def test_extract_wall_height_two_from_subdivided_gamma12():
     tg = gamma(12)
-    with pytest.raises(SizeCapExceeded):
+    witness = subdivided_witness(tg.graph, tg.loaded)
+    w = extract_wall_from_gamma_contraction(witness.model.host, witness)
+    assert verify_wall(w)
+    assert w.height == 2
+
+
+def test_extract_wall_undetermined_when_no_window_works():
+    # every window of the identity gamma(12) witness has a compass that
+    # does not embed in the disk its perimeter bounds
+    tg = gamma(12)
+    with pytest.raises(SizeCapExceeded, match="window search"):
         extract_wall_from_gamma_contraction(tg.graph, identity_witness(tg.graph, tg.loaded))
