@@ -6,8 +6,14 @@ bridge of the embedded subgraph, check which current faces contain all of its
 attachment vertices, and embed one attachment-to-attachment path through the
 bridge into such a face, splitting it in two. If some bridge has no admissible
 face the block (hence the graph) is not planar; preferring bridges with exactly
-one admissible face makes the procedure exact. Quadratic-ish and fine at desk
-scale.
+one admissible face makes the procedure exact. Quadratic-ish in the block
+size, and fine at desk scale.
+
+The yes/no test `is_planar` first shrinks the graph to its degree-3 kernel:
+it deletes vertices of degree at most one and smooths vertices of degree two
+into an edge (or deletes them, when that edge is already there), which
+preserves planarity both ways.  Only the kernel, often empty, is embedded,
+and its rotation system is never assembled.
 
 Faces are kept as directed vertex cycles so that every embedded edge occurs
 exactly once in each direction; the rotation system is read off from the face
@@ -20,7 +26,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .common import SizeCapExceeded, Verdict
-from .graph import Graph, bfs, connected_components, delete, path_to
+from .graph import Graph, bfs, connected_components, path_to
 
 APEX_CAP = 16
 
@@ -160,9 +166,10 @@ def _embed_block(g: Graph) -> Optional[List[List[int]]]:
     total_edges = set(g.edges)
     while emb_e != total_edges:
         bridges = _bridges(g, emb_v, emb_e)
+        face_sets = [set(f) for f in faces]
         best = None
         for attach, path in bridges:
-            adm = [fi for fi, f in enumerate(faces) if attach <= set(f)]
+            adm = [fi for fi, f in enumerate(face_sets) if attach <= f]
             if not adm:
                 return None
             key = (len(adm), sorted(attach))
@@ -238,24 +245,35 @@ def _canon_cycle(walk: Sequence[int]) -> Tuple[int, ...]:
     return min(rots)
 
 
-def embed_planar(g: Graph) -> Optional[RotationEmbedding]:
-    """Planar embedding with rotation system, or None if not planar."""
+def _block_faces(g: Graph) -> Optional[list]:
+    """(block, faces) for each biconnected block in sorted order, faces None
+    for a single edge; None as soon as a block is not planar."""
     if g.n >= 3 and g.m > 3 * g.n - 6:
         return None
-    rotation: Dict[int, List[int]] = {v: [] for v in g.vertices}
+    out = []
     for block in sorted(biconnected_blocks(g)):
-        bverts = sorted({v for e in block for v in e})
-        if len(block) == 1:
+        faces = None
+        if len(block) > 1:
+            faces = _embed_block(Graph({v for e in block for v in e}, block))
+            if faces is None:
+                return None
+        out.append((block, faces))
+    return out
+
+
+def embed_planar(g: Graph) -> Optional[RotationEmbedding]:
+    """Planar embedding with rotation system, or None if not planar."""
+    blocks = _block_faces(g)
+    if blocks is None:
+        return None
+    rotation: Dict[int, List[int]] = {v: [] for v in g.vertices}
+    for block, faces in blocks:
+        if faces is None:
             a, b = block[0]
             rotation[a].append((b,))
             rotation[b].append((a,))
             continue
-        sub = Graph(bverts, block)
-        faces = _embed_block(sub)
-        if faces is None:
-            return None
-        rot = _rotation_from_faces(faces)
-        for v, cyc in rot.items():
+        for v, cyc in _rotation_from_faces(faces).items():
             rotation[v].append(cyc)
     merged = {v: tuple(x for cyc in cycles for x in cyc) for v, cycles in rotation.items()}
     faces = trace_faces(g, merged)
@@ -266,8 +284,38 @@ def embed_planar(g: Graph) -> Optional[RotationEmbedding]:
     return RotationEmbedding(g, merged, tuple(outer))
 
 
+def _kernel_planar(adj: Dict[int, set]) -> bool:
+    """Planarity of the graph with adjacency sets adj, which it consumes.
+
+    Deleting a vertex of degree at most one, smoothing a vertex of degree
+    two into an edge between its neighbours, and deleting such a vertex
+    when its neighbours are already adjacent (a path beside an edge can be
+    drawn next to it) all preserve planarity both ways.  What is left when
+    none applies has minimum degree 3, or is empty and so planar.
+    """
+    todo = [v for v, ns in adj.items() if len(ns) <= 2]
+    while todo:
+        v = todo.pop()
+        ns = adj.get(v)
+        if ns is None or len(ns) > 2:
+            continue
+        del adj[v]
+        for u in ns:
+            adj[u].discard(v)
+        if len(ns) == 2:
+            a, b = ns
+            if b not in adj[a]:
+                adj[a].add(b)
+                adj[b].add(a)
+        todo.extend(ns)
+    if not adj:
+        return True
+    kernel = Graph(adj, [(a, b) for a, ns in adj.items() for b in ns if a < b])
+    return _block_faces(kernel) is not None
+
+
 def is_planar(g: Graph) -> bool:
-    return embed_planar(g) is not None
+    return _kernel_planar({v: set(g.neighbors(v)) for v in g.vertices})
 
 
 def planarizing_set(g: Graph, size: int) -> Optional[Tuple[int, ...]]:
@@ -288,7 +336,8 @@ def planarizing_set(g: Graph, size: int) -> Optional[Tuple[int, ...]]:
             inside = sum(1 for i, a in enumerate(s) for b in s[i + 1:] if g.has_edge(a, b))
             if g.m - sum(g.degree(v) for v in s) + inside > limit:
                 continue
-        if rest <= 5 or is_planar(delete(g, s)):
+        if rest <= 5 or _kernel_planar({v: set(g.neighbors(v)).difference(s)
+                                        for v in g.vertices if v not in s}):
             return s
     return None
 

@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 from .common import Verdict
 from .graph import Graph, Hypergraph, bfs, incidence_graph
 from .paths import max_vertex_disjoint_paths
-from .planarity import embeds_in_disk_with_boundary
+from .planarity import biconnected_blocks, embeds_in_disk_with_boundary
 from .wall import Compass, perimeter
 
 
@@ -99,6 +99,57 @@ def check_linkage(k: Compass, e: Iterable[int]) -> bool:
                          % len(terminals))
     flow, _ = max_vertex_disjoint_paths(k.graph, terminals, k.corners)
     return flow >= len(terminals)
+
+
+def _separator_tree(g: Graph, corners: Sequence[int]) -> Dict[int, int]:
+    """up[v] for each vertex v of g that reaches a corner: the next vertex
+    that separates v from the corners, or a sink t joined to every corner
+    (a fresh id, with up[t] = t) if none does.
+
+    The map is read off one block-cut tree of g plus t, rooted at t: up[v]
+    is the cut vertex (or t) at which the block holding v nearest to t
+    hangs, so v, up[v], up[up[v]], ... before t are v and the vertices
+    that separate it from the corners.
+    """
+    t = g.fresh_id()
+    blocks = biconnected_blocks(Graph(g.vertices + (t,), g.edges + tuple((c, t) for c in corners)))
+    block_vertices = [{v for e in block for v in e} for block in blocks]
+    blocks_of: Dict[int, List[int]] = {}
+    for i, vs in enumerate(block_vertices):
+        for v in vs:
+            blocks_of.setdefault(v, []).append(i)
+    up = {t: t}
+    order = [t]
+    opened = set()
+    for v in order:
+        for i in blocks_of[v]:
+            if i not in opened:
+                opened.add(i)
+                for w in block_vertices[i] - up.keys():
+                    up[w] = v
+                    order.append(w)
+    return up
+
+
+def _separators(up: Dict[int, int], v: int) -> set:
+    out = set()
+    while up[v] != v:
+        out.add(v)
+        v = up[v]
+    return out
+
+
+def _linked_by_tree(up: Dict[int, int], e: Iterable[int]) -> bool:
+    """check_linkage for a boundary of at most two vertices, from _separator_tree.
+
+    By Menger's theorem |e| disjoint paths run from e to the corners iff no
+    set of fewer than |e| vertices separates e from them: each vertex of e
+    reaches a corner, and no one vertex separates both of a pair.
+    """
+    vs = sorted(set(e))
+    if any(v not in up for v in vs):
+        return False
+    return len(vs) < 2 or not _separators(up, vs[0]) & _separators(up, vs[1])
 
 
 def _pair_joined(d: Graph, u: int, v: int, others: set) -> bool:
@@ -192,8 +243,10 @@ def validate_rural(rd: RuralDivision) -> Verdict:
     if not check_disk_embeddable(h, rd.compass.corners):
         return Verdict.reject("property-5", witness="disk",
                               detail="boundary hypergraph does not embed in a disk")
+    # at most two vertices: Menger on one block-cut tree; three: the flow
+    up = _separator_tree(kg, rd.compass.corners)
     for i, bs in enumerate(bounds):
-        if not check_linkage(rd.compass, bs):
+        if not (_linked_by_tree(up, bs) if len(bs) <= 2 else check_linkage(rd.compass, bs)):
             return Verdict.reject("property-5", witness=("linkage", i),
                                   detail="boundary of flap %d is not linked to the corners" % i)
     return Verdict.accept()

@@ -180,7 +180,8 @@ def compass(g: Graph, w: SubdividedWall) -> Compass:
 
 
 # is_flat tries the corner-wheel test first above this many vertices: on plane
-# walls the search takes ~0.7 ms at 30 and ~22 ms at 48, the wheel ~1.3 and ~2.8 ms.
+# walls (best of 60) the search takes ~0.5 ms at 30 and ~16 ms at 48, the wheel
+# ~0.7 and ~1.2 ms.
 WHEEL_FIRST_ABOVE = 40
 
 
@@ -374,7 +375,8 @@ def extract_wall_from_gamma_contraction(g: Graph, witness: SmoothContractionWitn
                       for x, y in [target.coord(p)]}
             cand = _lift_wall_through_contraction(g, witness.model, gw_map, k)
             if (cand is not None and verify_wall(cand)
-                    and embeds_in_disk_with_boundary(compass(g, cand).graph, perimeter(cand))):
+                    and embeds_in_disk_with_boundary(compass(g, cand).graph,
+                                                     _expand_cycle(cand, cand.pattern.perimeter()))):
                 return cand
     raise SizeCapExceeded("window search found no height-%d wall with a disk compass" % k)
 

@@ -4,8 +4,10 @@ from itertools import combinations
 
 import pytest
 
+from flatwall import planarity
 from flatwall.generators import grid, wall
 from flatwall.graph import Graph, complete_graph, cycle_graph, delete
+from flatwall.minors import subdivide
 from flatwall.planarity import (biconnected_blocks, embed_planar, embeds_in_disk_with_boundary,
                                 faces_of, is_planar, trace_faces, validate_embedding)
 
@@ -29,7 +31,6 @@ def test_known_planar_and_nonplanar():
 
 
 def test_subdivided_kuratowski_graphs_stay_nonplanar():
-    from flatwall.minors import subdivide
     g = complete_graph(5)
     for e in list(g.edges)[:4]:
         g, _ = subdivide(g, e)
@@ -86,6 +87,73 @@ def test_is_planar_matches_networkx():
             for s in combinations(g.vertices, size):
                 h = delete(g, s)
                 assert is_planar(h) == nx_planar(h), (g, s)
+
+
+def subdivided(rng: random.Random, g: Graph, count: int) -> Graph:
+    for _ in range(count):
+        g, _ = subdivide(g, rng.choice(g.edges))
+    return g
+
+
+def theta_graph(rng: random.Random) -> Graph:
+    """Two poles joined by three to five internally disjoint paths, one of
+    them often a direct edge, so smoothing a path meets an existing edge."""
+    edges, nxt = [], 2
+    for i in range(rng.randint(3, 5)):
+        length = 1 if i == 0 and rng.random() < 0.5 else rng.randint(2, 5)
+        inner = list(range(nxt, nxt + length - 1))
+        nxt += length - 1
+        route = [0] + inner + [1]
+        edges += zip(route, route[1:])
+    return Graph(range(nxt), edges)
+
+
+def random_tree(rng: random.Random, n: int) -> Graph:
+    return Graph(range(n), [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def kernel_families(rng: random.Random):
+    """(family, graph): subdivided K5 and K3,3, theta graphs, trees and
+    cycles (treewidth at most 2, so the kernel is empty), and sparse random
+    graphs; some with a tree hung on or a second component added."""
+    for _ in range(40):
+        yield "kuratowski", subdivided(rng, rng.choice((complete_graph(5), k33())), rng.randint(0, 12))
+        yield "reduces", theta_graph(rng)
+        yield "reduces", random_tree(rng, rng.randint(1, 15))
+        yield "reduces", cycle_graph(rng.randint(3, 12))
+        g = random_graph(rng, rng.randint(5, 16), rng.choice((0.15, 0.2, 0.3)))
+        if rng.random() < 0.5:
+            t = random_tree(rng, rng.randint(2, 6))
+            g = Graph(g.vertices + tuple(v + g.n for v in t.vertices),
+                      g.edges + tuple((a + g.n, b + g.n) for a, b in t.edges)
+                      + ((rng.randrange(g.n), g.n),))
+        yield "sparse", g
+
+
+def test_kernel_is_planar_matches_embed_planar(monkeypatch):
+    graphs = list(kernel_families(random.Random(31)))
+    answers = {}
+    for family, g in graphs:
+        planar = is_planar(g)
+        assert planar == (embed_planar(g) is not None), (family, g.edges)
+        answers.setdefault(family, set()).add(planar)
+    assert answers == {"kuratowski": {False}, "reduces": {True}, "sparse": {True, False}}
+
+    def no_embedding(g):
+        raise AssertionError("the kernel should be empty")
+
+    # treewidth at most 2: deletions and smoothing leave nothing to embed
+    monkeypatch.setattr(planarity, "_block_faces", no_embedding)
+    assert all(is_planar(g) for family, g in graphs if family == "reduces")
+
+
+def test_kernel_is_planar_matches_networkx_on_families():
+    nx = pytest.importorskip("networkx")
+    for family, g in kernel_families(random.Random(37)):
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from(g.edges)
+        assert is_planar(g) == nx.check_planarity(h)[0], (family, g.edges)
 
 
 def test_trace_faces_covers_each_edge_twice():

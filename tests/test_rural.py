@@ -6,13 +6,14 @@ import pytest
 from flatwall.generators import wall
 from flatwall.graph import Graph, Hypergraph, incidence_graph
 from flatwall.minors import subdivide
-from flatwall.rural import (RuralDivision, boundary, check_disk_embeddable, check_linkage,
-                            division_from_edge_lists, internal_flaps, trivial_division,
-                            validate_rural)
+from flatwall.rural import (RuralDivision, _linked_by_tree, _separator_tree, boundary,
+                            check_disk_embeddable, check_linkage, division_from_edge_lists,
+                            internal_flaps, trivial_division, validate_rural)
 from flatwall.wall import (Compass, SubdividedWall, compass, identity_wall, is_flat,
                            perimeter, refind_after_transform)
 
-from oracles import embeds_in_disk_by_subdivided_rim, min_vertex_cut, validate_rural_pairwise
+from oracles import (embeds_in_disk_by_subdivided_rim, min_vertex_cut, random_graph,
+                     validate_rural_pairwise)
 
 
 def bare_compass(k: int) -> Compass:
@@ -170,6 +171,47 @@ def test_check_linkage_matches_menger_oracle():
                 assert check_linkage(c, frozenset(e)) == want
 
 
+def graph_with_pendants(rng: random.Random) -> Graph:
+    """A sparse random graph, then pieces that each hang off one vertex
+    (a cut vertex), and sometimes a component apart from the rest."""
+    g = random_graph(rng, rng.randint(5, 9), rng.choice((0.2, 0.3, 0.45)))
+    for _ in range(rng.randint(1, 3)):
+        piece = random_graph(rng, rng.randint(1, 4), 0.6)
+        f = g.fresh_id()
+        at = (rng.choice(g.vertices), f + rng.choice(piece.vertices))
+        g = Graph(g.vertices + tuple(f + v for v in piece.vertices),
+                  g.edges + tuple((f + a, f + b) for a, b in piece.edges) + (at,))
+    if rng.random() < 0.4:
+        f = g.fresh_id()
+        g = Graph(g.vertices + (f, f + 1, f + 2), g.edges + ((f, f + 1), (f + 1, f + 2)))
+    return g
+
+
+def test_block_cut_linkage_matches_menger_oracle():
+    rng = random.Random(17)
+    seen = {}
+    for _ in range(150):
+        g = graph_with_pendants(rng)
+        corners = rng.sample(g.vertices[:5], 4)
+        up = _separator_tree(g, corners)
+        for _ in range(12):
+            e = rng.sample(g.vertices, rng.choice((1, 2, 2)))
+            if rng.random() < 0.2:
+                e[0] = rng.choice(corners)
+            want = min_vertex_cut(g, set(e), corners) >= len(set(e))
+            assert _linked_by_tree(up, e) == want, (g.edges, corners, e)
+            apart = any(min_vertex_cut(g, [v], corners) == 0 for v in e)
+            cases = [want, "corner" if set(e) & set(corners) else None,
+                     "apart" if apart else None,
+                     "one cut vertex" if len(set(e)) == 2 and not (want or apart) else None]
+            for case in cases:
+                seen[case] = seen.get(case, 0) + 1
+    # both answers, boundaries with a corner, vertices reaching no corner,
+    # and pairs that reach the corners only through one shared vertex
+    assert seen[True] >= 300 and seen[False] >= 300 and seen["corner"] >= 300, seen
+    assert seen["apart"] >= 50 and seen["one cut vertex"] >= 50, seen
+
+
 def test_check_linkage_rejects_oversize_boundary():
     c = bare_compass(2)
     non_corners = [v for v in c.graph.vertices if v not in c.corners][:5]
@@ -298,10 +340,24 @@ def overlapping_division(rng: random.Random, rd: RuralDivision) -> RuralDivision
     return RuralDivision(rd.compass, flaps)
 
 
+def pendant_compass(rng: random.Random, w: SubdividedWall) -> Compass:
+    """w's compass plus a triangle, a path or a K4 on fresh vertices,
+    joined to one vertex off the perimeter."""
+    at = rng.choice(sorted(w.vertices() - set(perimeter(w))))
+    f = w.host.fresh_id()
+    piece = rng.choice(([(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2)],
+                        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
+    vs = sorted({v for e in piece for v in e})
+    g = w.host.add_vertices(f + v for v in vs).add_edges(
+        [(f + a, f + b) for a, b in piece] + [(at, f + rng.choice(vs))])
+    return compass(g, SubdividedWall(g, w.height, w.original, w.paths))
+
+
 def test_validate_rural_matches_pairwise_oracle():
     # property 2 checks only flaps that share a vertex or a boundary; the
     # pairwise loop it replaced must name the same first failure everywhere
     rng = random.Random(11)
+    side = random.Random(13)  # the pendant compasses, which leave rng's draws as they were
     modes = {}
     for _ in range(40):
         w = subdivided_wall(rng, rng.choice((2, 3)))
@@ -318,12 +374,19 @@ def test_validate_rural_matches_pairwise_oracle():
         groups = [[e] for e in detached.graph.edges]
         rng.shuffle(groups)
         divisions.append(division_from_edge_lists(detached, groups))
+        # a planar piece hanging off an inner wall vertex, which is then a
+        # cut vertex of the compass: the piece's boundaries are not linked
+        pc = pendant_compass(side, w)
+        divisions += list(merged_divisions(side, pc, [[e] for e in pc.graph.edges]))
         for rd in divisions:
             v, want = validate_rural(rd), validate_rural_pairwise(rd)
             got = (bool(v), v.condition, v.witness, v.detail)
             assert got == (bool(want), want.condition, want.witness, want.detail)
             mode = v.detail.split(" ")[-1] if v.condition == "property-2" else v.condition
+            if v.condition == "property-5":
+                mode = "disk" if v.witness == "disk" else "linkage"
             modes[mode] = modes.get(mode, 0) + 1
     # both property-2 failures ("same boundary", "beyond their boundaries")
     assert modes["boundary"] >= 100 and modes["boundaries"] >= 60, modes
     assert modes[None] >= 100 and modes["property-3"] >= 100, modes
+    assert modes["linkage"] >= 60, modes
