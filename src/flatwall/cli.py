@@ -27,13 +27,17 @@ from .minors import verify_minor_model
 from .rural import validate_rural
 from .structure import (TRICHOTOMY_HOST_CAP, HMinorFound, apex_reduce, trichotomy_check,
                         verify_certificate)
-from .wall import compass, identity_wall, is_flat, verify_wall
+from .wall import _compass, identity_wall, is_flat, verify_wall
 from . import serialize as ser
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_UNDETERMINED = 3
+
+# Every graph document a verb reads is refused above this many declared
+# vertices, before anything is built; treewidth and trichotomy cap lower.
+HOST_CAP = 10_000
 
 
 def _read_json(path: str):
@@ -70,8 +74,11 @@ def _reject_report(verdict) -> dict:
             "witness": _jsonable(verdict.witness), "detail": verdict.detail}
 
 
-def _read_host(path: str, cap: int, capped: str) -> Graph:
-    """A host graph, refused over the cap by its declared n before it is built."""
+def _read_host(path: str, cap: int = HOST_CAP, capped: str = "host") -> Graph:
+    """A graph document, refused over the cap (at most HOST_CAP) by its
+    declared n before it is built."""
+    if cap > HOST_CAP:
+        cap, capped = HOST_CAP, "host"
     doc = _read_json(path)
     if isinstance(doc, dict) and ser._is_int(doc.get("n")) and doc["n"] > cap:
         raise SizeCapExceeded("%s capped at %d vertices, got %d" % (capped, cap, doc["n"]))
@@ -174,7 +181,7 @@ def cmd_treewidth(args) -> int:
 
 
 def cmd_td_validate(args) -> int:
-    g = ser.graph_from_json(_read_json(args.graph))
+    g = _read_host(args.graph)
     td = ser.td_from_json(g, _read_json(args.decomposition))
     ok = validate_td(td)
     if not ok:
@@ -185,7 +192,7 @@ def cmd_td_validate(args) -> int:
 
 
 def cmd_verify_minor(args) -> int:
-    g = ser.graph_from_json(_read_json(args.graph))
+    g = _read_host(args.graph)
     m = ser.minor_from_json(g, _read_json(args.minor))
     ok = verify_minor_model(m)
     if not ok:
@@ -196,13 +203,13 @@ def cmd_verify_minor(args) -> int:
 
 
 def cmd_check_flat(args) -> int:
-    g = ser.graph_from_json(_read_json(args.graph))
+    g = _read_host(args.graph)
     w = ser.wall_from_json(g, _read_json(args.wall))
     ok = verify_wall(w)
     if not ok:
         _emit(_reject_report(ok))
         return EXIT_REFUTED
-    res = is_flat(compass(g, w), budget_ms=args.budget_ms)
+    res = is_flat(_compass(w), budget_ms=args.budget_ms)
     if res.flat is None:
         print("check-flat: search budget exhausted after %d states" % res.explored,
               file=sys.stderr)
@@ -216,13 +223,13 @@ def cmd_check_flat(args) -> int:
 
 
 def cmd_check_rural(args) -> int:
-    g = ser.graph_from_json(_read_json(args.graph))
+    g = _read_host(args.graph)
     w = ser.wall_from_json(g, _read_json(args.wall))
     ok = verify_wall(w)
     if not ok:
         _emit(_reject_report(ok))
         return EXIT_REFUTED
-    rd = ser.rural_from_json(compass(g, w), _read_json(args.division))
+    rd = ser.rural_from_json(_compass(w), _read_json(args.division))
     ok = validate_rural(rd)
     if not ok:
         _emit(_reject_report(ok))
@@ -232,8 +239,8 @@ def cmd_check_rural(args) -> int:
 
 
 def cmd_reduce_apex(args) -> int:
-    g = ser.graph_from_json(_read_json(args.graph))
-    h_graph = ser.graph_from_json(_read_json(args.excluded))
+    g = _read_host(args.graph)
+    h_graph = _read_host(args.excluded)
     apexes = _parse_ids(args.apexes)
     w = ser.wall_from_json(delete(g, apexes), _read_json(args.wall))
     try:
@@ -249,8 +256,8 @@ def cmd_reduce_apex(args) -> int:
 
 def cmd_trichotomy(args) -> int:
     try:
-        g = _read_host(args.graph, TRICHOTOMY_HOST_CAP, "host")
-        h_graph = ser.graph_from_json(_read_json(args.excluded))
+        g = _read_host(args.graph, TRICHOTOMY_HOST_CAP)
+        h_graph = _read_host(args.excluded)
         cert = trichotomy_check(g, h_graph, args.height, args.width_threshold)
     except SizeCapExceeded as e:
         print("trichotomy: %s" % e, file=sys.stderr)
@@ -261,8 +268,8 @@ def cmd_trichotomy(args) -> int:
 
 
 def cmd_verify_cert(args) -> int:
-    g = ser.graph_from_json(_read_json(args.graph))
-    h_graph = ser.graph_from_json(_read_json(args.excluded))
+    g = _read_host(args.graph)
+    h_graph = _read_host(args.excluded)
     cert = ser.certificate_from_json(g, _read_json(args.certificate))
     ok = verify_certificate(g, h_graph, args.height, cert)
     if not ok:

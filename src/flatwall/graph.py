@@ -31,13 +31,28 @@ class Graph:
         for a, b in es:
             if a not in vset or b not in vset:
                 raise ValueError(f"edge ({a},{b}) has endpoint outside vertex set")
+        self._fill(vs, es)
+
+    @classmethod
+    def _trusted(cls, vertices: Iterable[int], edges: Iterable[Tuple[int, int]]) -> "Graph":
+        """The graph on vertices and edges that are already sorted, distinct
+        and normalised (a < b, both ends among the vertices); nothing is
+        checked, so callers pass only parts of a valid graph or input they
+        normalised themselves."""
+        g = cls.__new__(cls)
+        g._fill(vertices, edges)
+        return g
+
+    def _fill(self, vs: Iterable[int], es: Iterable[Tuple[int, int]]) -> None:
         self.vertices: Tuple[int, ...] = tuple(vs)
         self.edges: Tuple[Tuple[int, int], ...] = tuple(es)
-        adj = {v: [] for v in vs}
-        for a, b in es:
+        adj = {v: [] for v in self.vertices}
+        # edges come sorted, so each list gets v's smaller neighbours (from
+        # edges (a, v)) ascending, then its larger ones: no sort needed
+        for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        self._adj = {v: tuple(ns) for v, ns in adj.items()}
         self._hash = hash((self.vertices, self.edges))
 
     # -- basic queries -------------------------------------------------
@@ -111,7 +126,8 @@ def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
     unknown = ss - set(g.vertices)
     if unknown:
         raise ValueError(f"unknown vertex ids {sorted(unknown)}")
-    return Graph(ss, [e for e in g.edges if e[0] in ss and e[1] in ss])
+    return Graph._trusted([v for v in g.vertices if v in ss],
+                          [e for e in g.edges if e[0] in ss and e[1] in ss])
 
 
 def delete(g: Graph, vertices: Iterable[int] = (), edges: Iterable = ()) -> Graph:
@@ -127,7 +143,7 @@ def delete(g: Graph, vertices: Iterable[int] = (), edges: Iterable = ()) -> Grap
     kept_edges = [
         e for e in g.edges if e not in es and e[0] not in vs and e[1] not in vs
     ]
-    return Graph(keep, kept_edges)
+    return Graph._trusted(keep, kept_edges)
 
 
 def bfs(g: Graph, start: int, allowed: Container[int],

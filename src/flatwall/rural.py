@@ -19,10 +19,10 @@ fixtures reject deterministically:
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .common import Verdict
-from .graph import Graph, Hypergraph, bfs, incidence_graph
+from .graph import Graph, Hypergraph, _norm_edge, bfs, incidence_graph
 from .paths import max_vertex_disjoint_paths
 from .planarity import biconnected_blocks, embeds_in_disk_with_boundary
-from .wall import Compass, perimeter
+from .wall import Compass, _require_valid, _rim
 
 
 def boundary(k: Compass, j: Graph) -> FrozenSet[int]:
@@ -70,9 +70,8 @@ def division_from_edge_lists(c: Compass, groups: Sequence[Sequence[Tuple[int, in
     """Build a division whose flaps are the subgraphs spanned by each edge list."""
     flaps = []
     for edges in groups:
-        es = [(min(a, b), max(a, b)) for a, b in edges]
-        vs = sorted({v for e in es for v in e})
-        flaps.append(Graph(vs, es))
+        es = sorted({_norm_edge((a, b)) for a, b in edges})
+        flaps.append(Graph._trusted(sorted({v for e in es for v in e}), es))
     return RuralDivision(c, flaps)
 
 
@@ -154,7 +153,28 @@ def _linked_by_tree(up: Dict[int, int], e: Iterable[int]) -> bool:
 
 def _pair_joined(d: Graph, u: int, v: int, others: set) -> bool:
     # internal vertices must avoid the rest of the boundary, endpoints may not
-    return bfs(d, u, (set(d.vertices) - others) | {v}, (v,))[1] is not None
+    return d.has_edge(u, v) or bfs(d, u, (set(d.vertices) - others) | {v}, (v,))[1] is not None
+
+
+def _swept_boundaries(rd: RuralDivision, seen: Dict[Tuple[int, int], int]
+                      ) -> Tuple[FrozenSet[int], ...]:
+    """rd.boundaries() from seen, which maps every compass edge to the one
+    flap holding it (property 1 holds).
+
+    Vertex v of flap i is on its boundary iff v is a corner, or some
+    compass edge at v lies outside flap i: v's edges lie in more than one
+    flap, or all in one flap other than i (v is an isolated vertex of i).
+    """
+    owner: Dict[int, int] = {}
+    for (a, b), i in seen.items():
+        # -1 marks a vertex whose edges lie in two or more flaps
+        if owner.setdefault(a, i) != i:
+            owner[a] = -1
+        if owner.setdefault(b, i) != i:
+            owner[b] = -1
+    corners = set(rd.compass.corners)
+    return tuple(frozenset(v for v in d.vertices if owner.get(v, i) != i or v in corners)
+                 for i, d in enumerate(rd.flaps))
 
 
 def validate_rural(rd: RuralDivision) -> Verdict:
@@ -196,7 +216,7 @@ def validate_rural(rd: RuralDivision) -> Verdict:
     # A boundary lies inside its flap, so only flaps that share a vertex or
     # have equal boundaries can fail; those pairs are checked in (i, j)
     # order, which names the same first failure as checking every pair.
-    bounds = rd.boundaries()
+    bounds = _swept_boundaries(rd, seen)
     verts = [set(d.vertices) for d in rd.flaps]
     by_vertex: Dict[int, List[int]] = {}
     by_bound: Dict[FrozenSet[int], List[int]] = {}
@@ -253,6 +273,12 @@ def validate_rural(rd: RuralDivision) -> Verdict:
 
 
 def internal_flaps(rd: RuralDivision) -> List[Graph]:
-    """Flaps that avoid the wall perimeter entirely."""
-    ring = set(perimeter(rd.compass.wall))
-    return [d for d in rd.flaps if not ring & set(d.vertices)]
+    """Flaps that avoid the wall perimeter entirely; raises on an invalid wall."""
+    _require_valid(rd.compass.wall)
+    return _internal_flaps(rd)
+
+
+def _internal_flaps(rd: RuralDivision) -> List[Graph]:
+    # internal_flaps for a wall already verified in its host
+    ring = set(_rim(rd.compass.wall))
+    return [d for d in rd.flaps if ring.isdisjoint(d.vertices)]

@@ -21,9 +21,10 @@ from .wall import Compass, SubdividedWall
 SCHEMA_VERSION = 1
 
 
-def _require(cond: bool, what: str):
+def _require(cond: bool, what: str, *args):
+    """Raise unless cond; the message what % args is formatted only then."""
     if not cond:
-        raise ValueError("malformed document: %s" % what)
+        raise ValueError("malformed document: " + what % args)
 
 
 def _is_int(obj) -> bool:
@@ -35,12 +36,16 @@ def _is_int_list(obj) -> bool:
     return isinstance(obj, list) and all(map(_is_int, obj))
 
 
+def _is_int_pair(obj) -> bool:
+    return isinstance(obj, list) and len(obj) == 2 and _is_int(obj[0]) and _is_int(obj[1])
+
+
 def _int_keyed(obj: dict, valid, what: str, key_what: str) -> dict:
     """obj with its keys read as ints, each value checked by valid before
     its key is read."""
     out = {}
     for key, value in obj.items():
-        _require(valid(value), "%s %r" % (what, key))
+        _require(valid(value), "%s %r", what, key)
         try:
             out[int(key)] = value
         except ValueError:
@@ -49,10 +54,10 @@ def _int_keyed(obj: dict, valid, what: str, key_what: str) -> dict:
 
 
 def _int_pairs(obj, what: str) -> List[Tuple[int, int]]:
-    _require(isinstance(obj, list), "%s is not a list" % what)
+    _require(isinstance(obj, list), "%s is not a list", what)
     out = []
     for e in obj:
-        _require(_is_int_list(e) and len(e) == 2, "%s entry %r" % (what, e))
+        _require(_is_int_pair(e), "%s entry %r", what, e)
         out.append((e[0], e[1]))
     return out
 
@@ -69,7 +74,7 @@ def graph_from_json(obj) -> Graph:
     n = obj["n"]
     edges = _int_pairs(obj.get("edges", []), "edges")
     for a, b in edges:
-        _require(0 <= a < n and 0 <= b < n, "edge (%d,%d) out of range" % (a, b))
+        _require(0 <= a < n and 0 <= b < n, "edge (%d,%d) out of range", a, b)
     return Graph(range(n), edges)
 
 
@@ -107,7 +112,7 @@ def minor_from_json(host: Graph, obj) -> MinorModel:
     # reader builds a graph of the declared size
     _require(not (isinstance(pattern, dict) and _is_int(pattern.get("n"))
                   and pattern["n"] > host.n),
-             "pattern has more vertices than the host's %d" % host.n)
+             "pattern has more vertices than the host's %d", host.n)
     pattern = graph_from_json(pattern)
     sets = _int_keyed(obj["branch_sets"], _is_int_list, "branch set", "pattern vertex")
     return MinorModel(host, pattern, sets)
@@ -130,10 +135,11 @@ def wall_from_json(host: Graph, obj) -> SubdividedWall:
     paths = {}
     for entry in obj["paths"]:
         _require(isinstance(entry, dict) and "edge" in entry and "path" in entry,
-                 "path entry %r" % entry)
-        (a, b), = _int_pairs([entry["edge"]], "path edge")
-        p = entry["path"]
-        _require(_is_int_list(p), "host path for edge (%d,%d)" % (a, b))
+                 "path entry %r", entry)
+        e, p = entry["edge"], entry["path"]
+        _require(_is_int_pair(e), "path edge entry %r", e)
+        a, b = e
+        _require(_is_int_list(p), "host path for edge (%d,%d)", a, b)
         paths[(a, b)] = tuple(p)
     return SubdividedWall(host, obj["height"], original, paths)
 
@@ -173,7 +179,7 @@ def certificate_from_json(g: Graph, obj) -> WeakStructureCertificate:
     """
     _require(isinstance(obj, dict), "certificate document is not an object")
     clause = obj.get("clause")
-    _require(clause == "undetermined" or _is_int(clause), "unknown clause %r" % (clause,))
+    _require(clause == "undetermined" or _is_int(clause), "unknown clause %r", clause)
     if clause == "undetermined":
         return WeakStructureCertificate("undetermined")
     if clause == 1:

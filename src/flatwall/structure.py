@@ -13,14 +13,15 @@ from math import isqrt
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .common import SizeCapExceeded, Verdict
-from .decomposition import TreeDecomposition, exact_treewidth, validate as validate_td, width
+from .decomposition import (TREEWIDTH_CAP, TreeDecomposition, exact_treewidth,
+                            treewidth_at_most, validate as validate_td, width)
 from .generators import grid, pyramid, wall
-from .graph import Graph, connected_components, delete, induced_subgraph, union
+from .graph import Graph, adjacency_masks, connected_components, delete, induced_subgraph, union
 from .minors import (MINOR_HOST_CAP, MINOR_PATTERN_CAP, MinorModel, find_minor,
                      iter_topological_embeddings, verify_minor_model)
 from .planarity import apex_number
-from .rural import RuralDivision, internal_flaps, trivial_division, validate_rural
-from .wall import SubdividedWall, compass, disjoint_subwalls, is_flat, verify_wall
+from .rural import RuralDivision, _internal_flaps, trivial_division, validate_rural
+from .wall import SubdividedWall, _compass, compass, disjoint_subwalls, is_flat, verify_wall
 
 TRICHOTOMY_HOST_CAP = 16
 TRICHOTOMY_PATTERN_CAP = 6
@@ -141,7 +142,7 @@ def apex_reduce(g: Graph, h_graph: Graph, a: Iterable[int], w: SubdividedWall,
                 ok = verify_wall(w2)
                 if not ok:
                     raise AssertionError("windowed subwall broke: %s" % ok.condition)
-                c2 = compass(ga2, w2)
+                c2 = _compass(w2)
                 leak = set(c2.graph.vertices) & set(apexes)
                 if leak:
                     raise AssertionError("compass still meets apex set at %r" % sorted(leak))
@@ -234,14 +235,14 @@ def _find_flat_wall_certificate(g: Graph, apexes: Tuple[int, ...], k: int):
         return None
     for emb in iter_topological_embeddings(ga, target.graph):
         cand = SubdividedWall(ga, k, emb.vertex_map, emb.paths)
-        c = compass(ga, cand)
+        c = _compass(cand)
         # a cheap pre-filter that spares crossed candidates validate_rural
         if is_flat(c).flat is not True:
             continue
         rd = trivial_division(c)
         if not validate_rural(rd):
             continue
-        widths = [exact_treewidth(d)[0] for d in internal_flaps(rd)]
+        widths = [exact_treewidth(d)[0] for d in _internal_flaps(rd)]
         return cand, rd, max(widths, default=0)
     return None
 
@@ -345,7 +346,7 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
     if w.height != k:
         return Verdict.reject("wall-height", witness=w.height,
                               detail="wall height %d, expected %d" % (w.height, k))
-    c = compass(ga, w)
+    c = _compass(w)
     rd = RuralDivision(c, cert.division.flaps)
     ok = validate_rural(rd)
     if not ok:
@@ -354,10 +355,15 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
             return Verdict.reject("not-flat", witness=flat.witness)
         return Verdict.reject("division-invalid", witness=ok.witness,
                               detail="%s: %s" % (ok.condition, ok.detail))
-    for d in internal_flaps(rd):
+    bound = cert.flap_width_bound
+    for d in _internal_flaps(rd):
+        # decided first; the exact width is computed only for a rejection's
+        # detail, or over the cap, where exact_treewidth raises as before
+        if d.n <= TREEWIDTH_CAP and treewidth_at_most(adjacency_masks(d)[1], (1 << d.n) - 1,
+                                                      bound):
+            continue
         tw, _ = exact_treewidth(d)
-        if tw > cert.flap_width_bound:
+        if tw > bound:
             return Verdict.reject("flap-width", witness=d.vertices,
-                                  detail="internal flap width %d exceeds %d"
-                                  % (tw, cert.flap_width_bound))
+                                  detail="internal flap width %d exceeds %d" % (tw, bound))
     return Verdict.accept()

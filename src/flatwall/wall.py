@@ -108,10 +108,15 @@ def _expand_cycle(w: SubdividedWall, pattern_cycle: Sequence[int]) -> Tuple[int,
     return tuple(out)
 
 
+def _rim(w: SubdividedWall) -> Tuple[int, ...]:
+    # perimeter of a wall already verified in its host
+    return _expand_cycle(w, w.pattern.perimeter())
+
+
 def perimeter(w: SubdividedWall) -> Tuple[int, ...]:
     """The host cycle around the wall, starting at the first corner."""
     _require_valid(w)
-    return _expand_cycle(w, w.pattern.perimeter())
+    return _rim(w)
 
 
 def layers(w: SubdividedWall) -> List[Tuple[int, ...]]:
@@ -168,15 +173,22 @@ def compass(g: Graph, w: SubdividedWall) -> Compass:
     the interior of a valid wall lies in one component of g minus the
     perimeter, and one search from any interior vertex finds it.  A wall
     of height one is all perimeter; its compass is the perimeter alone.
+    Raises on a wall that is not valid in g.
     """
     anchored = SubdividedWall(g, w.height, w.original, w.paths)
     _require_valid(anchored)
-    ring = set(_expand_cycle(anchored, anchored.pattern.perimeter()))
-    interior = anchored.vertices() - ring
+    return _compass(anchored)
+
+
+def _compass(w: SubdividedWall) -> Compass:
+    # compass(w.host, w) for a wall already verified in its host
+    g = w.host
+    ring = set(_rim(w))
+    interior = w.vertices() - ring
     keep = set(ring)
     if interior:
         keep.update(bfs(g, min(interior), set(g.vertices) - ring)[0])
-    return Compass(anchored, induced_subgraph(g, keep))
+    return Compass(w, induced_subgraph(g, keep))
 
 
 # is_flat tries the corner-wheel test first above this many vertices: on plane
@@ -375,8 +387,7 @@ def extract_wall_from_gamma_contraction(g: Graph, witness: SmoothContractionWitn
                       for x, y in [target.coord(p)]}
             cand = _lift_wall_through_contraction(g, witness.model, gw_map, k)
             if (cand is not None and verify_wall(cand)
-                    and embeds_in_disk_with_boundary(compass(g, cand).graph,
-                                                     _expand_cycle(cand, cand.pattern.perimeter()))):
+                    and embeds_in_disk_with_boundary(_compass(cand).graph, _rim(cand))):
                 return cand
     raise SizeCapExceeded("window search found no height-%d wall with a disk compass" % k)
 

@@ -4,18 +4,20 @@ import io
 import json
 import sys
 import time
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
-from flatwall.cli import main
+from flatwall import serialize as ser
+from flatwall.cli import HOST_CAP, main
 from flatwall.common import SizeCapExceeded
 from flatwall.decomposition import TREEWIDTH_CAP, exact_treewidth
 from flatwall.graph import complete_graph, path_graph
 from flatwall.minors import verify_minor_model
-from flatwall.serialize import (certificate_from_json, graph_from_json, graph_to_json,
-                                minor_from_json)
-from flatwall.structure import TRICHOTOMY_HOST_CAP, verify_certificate
+from flatwall.serialize import (certificate_from_json, certificate_to_json, graph_from_json,
+                                graph_to_json, minor_from_json)
+from flatwall.structure import TRICHOTOMY_HOST_CAP, trichotomy_check, verify_certificate
 
 from fixtures import document_mutations
 
@@ -325,6 +327,32 @@ def test_trichotomy_to_verify_cert_pipeline(capsys, tmp_path):
     assert rep["condition"] == "division-invalid"
 
 
+def test_each_wall_verb_verifies_the_wall_once(capsys, tmp_path, monkeypatch):
+    # the compass and the internal flaps take the wall as verified
+    calls = []
+    for name in ("flatwall.wall", "flatwall.cli", "flatwall.structure"):
+        module = import_module(name)
+        original = module.verify_wall
+        monkeypatch.setattr(module, "verify_wall",
+                            lambda w, original=original: calls.append(w) or original(w))
+    doc, graph, wall = generate_wall(capsys, tmp_path, 3)
+    division = write_doc(tmp_path, "division.json",
+                         {"flaps": [[e] for e in doc["graph"]["edges"]]})
+    lb, k6 = lower_bound_files(capsys, tmp_path), complete_doc(tmp_path, 6)
+    cert = certificate_to_json(trichotomy_check(graph_from_json(json.loads(Path(lb).read_text())),
+                                                complete_graph(6), 1, 3))
+    assert cert["clause"] == 3
+    cert_path = write_doc(tmp_path, "cert.json", cert)
+    for argv, want in ((("check-flat", "--graph", graph, "--wall", wall), "flat"),
+                       (("check-rural", "--graph", graph, "--wall", wall,
+                         "--division", division), "accepted"),
+                       (("verify-cert", "--graph", lb, "--excluded", k6, "--height", "1",
+                         "--certificate", cert_path), "accepted")):
+        del calls[:]
+        rc, rep, _ = run_json(capsys, *argv)
+        assert (rc, rep["verdict"], len(calls)) == (0, want, 1), argv
+
+
 def test_verify_cert_exit_codes_on_mutated_certificates(capsys, tmp_path):
     # every 10th one-field mutation of certificates of clauses 3, 2 and 1:
     # exit 1 where the verifier rejects, 2 where the reader or the verifier
@@ -429,6 +457,44 @@ def test_host_over_the_cap_is_refused_before_it_is_built(capsys, tmp_path):
     assert time.process_time() - start < 0.5
     assert (rc, cert) == (3, {"clause": "undetermined", "schema_version": 1})
     assert "host capped at %d vertices, got %d" % (TRICHOTOMY_HOST_CAP, 10 ** 9) in err
+
+
+def test_every_verb_refuses_a_graph_over_the_ceiling_unbuilt(capsys, tmp_path, monkeypatch):
+    # each graph document a verb reads, host or excluded graph, meets
+    # HOST_CAP before the reader sees it
+    read = []
+    monkeypatch.setattr(ser, "graph_from_json",
+                        lambda doc, original=ser.graph_from_json: read.append(doc["n"])
+                        or original(doc))
+    big = write_doc(tmp_path, "big.json", {"n": HOST_CAP + 1, "edges": []})
+    small, k6 = complete_doc(tmp_path, 4), complete_doc(tmp_path, 6)
+    other = write_doc(tmp_path, "other.json", {})  # never read
+    reason = "host capped at %d vertices, got %d" % (HOST_CAP, HOST_CAP + 1)
+    verbs = [("td-validate", "--graph", big, "--decomposition", other),
+             ("verify-minor", "--graph", big, "--minor", other),
+             ("check-flat", "--graph", big, "--wall", other),
+             ("check-rural", "--graph", big, "--wall", other, "--division", other),
+             ("treewidth", "--graph", big, "--cap", str(HOST_CAP + 5))]
+    for graph, excluded in ((big, k6), (small, big)):
+        verbs += [("reduce-apex", "--graph", graph, "--excluded", excluded, "--wall", other,
+                   "--apexes", "0", "--height", "1"),
+                  ("verify-cert", "--graph", graph, "--excluded", excluded, "--height", "1",
+                   "--certificate", other)]
+    for argv in verbs:
+        rc, rep, err = run_json(capsys, *argv)
+        assert (rc, rep) == (3, {"verdict": "undetermined", "reason": reason,
+                                 "schema_version": 1}), argv
+        assert reason in err
+    for graph, excluded in ((big, k6), (small, big)):
+        rc, cert, err = run_json(capsys, "trichotomy", "--graph", graph, "--excluded", excluded,
+                                 "--height", "1", "--width-threshold", "1")
+        assert (rc, cert) == (3, {"clause": "undetermined", "schema_version": 1})
+        assert "capped" in err
+    assert HOST_CAP + 1 not in read
+    # at the ceiling the graph is read
+    rc, rep, _ = run_json(capsys, "td-validate", "--decomposition", other, "--graph",
+                          write_doc(tmp_path, "at.json", {"n": HOST_CAP, "edges": []}))
+    assert rc == 2 and read[-1] == HOST_CAP
 
 
 def test_missing_file_is_usage_error(capsys, tmp_path):

@@ -6,9 +6,11 @@ import pytest
 from flatwall.generators import wall
 from flatwall.graph import Graph, Hypergraph, incidence_graph
 from flatwall.minors import subdivide
-from flatwall.rural import (RuralDivision, _linked_by_tree, _separator_tree, boundary,
-                            check_disk_embeddable, check_linkage, division_from_edge_lists,
-                            internal_flaps, trivial_division, validate_rural)
+import flatwall.rural as rural
+from flatwall.rural import (RuralDivision, _linked_by_tree, _separator_tree, _swept_boundaries,
+                            boundary, check_disk_embeddable, check_linkage,
+                            division_from_edge_lists, internal_flaps, trivial_division,
+                            validate_rural)
 from flatwall.wall import (Compass, SubdividedWall, compass, identity_wall, is_flat,
                            perimeter, refind_after_transform)
 
@@ -390,3 +392,54 @@ def test_validate_rural_matches_pairwise_oracle():
     assert modes["boundary"] >= 100 and modes["boundaries"] >= 60, modes
     assert modes[None] >= 100 and modes["property-3"] >= 100, modes
     assert modes["linkage"] >= 60, modes
+
+
+def test_swept_boundaries_match_boundary():
+    # validate_rural reads every boundary off one owner index of the compass
+    # edges; boundary() is the oracle, flap by flap
+    rng = random.Random(21)
+    cases = {"corner only": 0, "isolated, other owner": 0, "isolated, no owner": 0}
+    for _ in range(30):
+        w = subdivided_wall(rng, rng.choice((2, 3)))
+        c = compass(w.host, w)
+        if rng.random() < 0.5:
+            c = pendant_compass(rng, w)
+        # a hand-built compass with one vertex that no compass edge meets
+        x = c.graph.fresh_id()
+        lonely = Compass(c.wall, c.graph.add_vertices([x]))
+        divisions = list(merged_and_split(rng, c))
+        # each corner's edges in one flap of their own, so the corner rule alone
+        # puts the corner on that flap's boundary
+        at_corner = [[e for e in c.graph.edges if v in e] for v in c.corners]
+        divisions.append(division_from_edge_lists(c, at_corner + [
+            [e] for e in c.graph.edges if not set(e) & set(c.corners)]))
+        divisions += [overlapping_division(rng, rd) for rd in divisions]
+        divisions += [RuralDivision(lonely, [Graph(d.vertices + (x,), d.edges) if i == 0 else d
+                                             for i, d in enumerate(rd.flaps)])
+                      for rd in divisions[:2]]
+        for rd in divisions:
+            kg, corners = rd.compass.graph, set(rd.compass.corners)
+            seen = {e: i for i, d in enumerate(rd.flaps) for e in d.edges}
+            swept = _swept_boundaries(rd, seen)
+            assert swept == tuple(boundary(rd.compass, d) for d in rd.flaps)
+            for i, d in enumerate(rd.flaps):
+                for v in d.vertices:
+                    owners = {seen[min(u, v), max(u, v)] for u in kg.neighbors(v)}
+                    if v in corners and owners == {i}:
+                        cases["corner only"] += 1
+                    elif not d.degree(v):
+                        cases["isolated, other owner" if owners else "isolated, no owner"] += 1
+    assert min(cases.values()) >= 20, cases
+
+
+def test_flaps_outside_the_compass_fail_before_any_boundary(monkeypatch):
+    # the sweep needs property 1; a flap off the compass never reaches it
+    c = bare_compass(3)
+    c1, _, c3, _ = c.corners
+    flaps = list(trivial_division(c).flaps)
+    monkeypatch.setattr(rural, "_swept_boundaries",
+                        lambda *args: pytest.fail("boundaries swept"))
+    for alien, witness in ((Graph([c1, c3], [(c1, c3)]), (c1, c3)),
+                           (Graph([998, 999], [(998, 999)]), 998)):
+        v = validate_rural(RuralDivision(c, flaps + [alien]))
+        assert (v.condition, v.witness) == ("property-1", witness)

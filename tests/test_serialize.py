@@ -95,6 +95,60 @@ def test_json_true_is_not_an_integer():
             certificate_from_json(host, bad)
 
 
+def test_malformed_shapes_name_the_entry_exactly():
+    # the readers format their message only once a check fails; the words,
+    # and the repr of the offending entry, stay as they were
+    host = wall(2).graph
+    good = wall_to_json(identity_wall(2))
+
+    def wall_with(field, value):
+        doc = json.loads(json.dumps(good))
+        doc["paths"][0] = value if field is None else dict(doc["paths"][0], **{field: value})
+        return doc
+
+    c = compass(host, identity_wall(2))
+    cases = [
+        (lambda: graph_from_json({"n": 3, "edges": [[True, 2]]}),
+         "malformed document: edges entry [True, 2]"),
+        (lambda: graph_from_json({"n": 3, "edges": [[0, 1, 2]]}),
+         "malformed document: edges entry [0, 1, 2]"),
+        (lambda: graph_from_json({"n": 3, "edges": [[0, 5]]}),
+         "malformed document: edge (0,5) out of range"),
+        (lambda: wall_from_json(host, wall_with(None, 5)),
+         "malformed document: path entry 5"),
+        (lambda: wall_from_json(host, wall_with(None, {"edge": [0, 1]})),
+         "malformed document: path entry {'edge': [0, 1]}"),
+        (lambda: wall_from_json(host, wall_with("edge", [0, 1, 2])),
+         "malformed document: path edge entry [0, 1, 2]"),
+        (lambda: wall_from_json(host, wall_with("path", [0, "x"])),
+         "malformed document: host path for edge (0,1)"),
+        (lambda: wall_from_json(host, dict(good, original={"3": True})),
+         "malformed document: original image of '3'"),
+        (lambda: rural_from_json(c, {"flaps": [[[0, 1]], [[0]]]}),
+         "malformed document: flap 1 entry [0]"),
+        (lambda: rural_from_json(c, {"flaps": [[[0, 1]], 7]}),
+         "malformed document: flap 1 is not a list"),
+        (lambda: rural_from_json(c, {"flaps": [[[0, 1], [3, 3]]]}),
+         "loop edge (3, 3) not allowed"),
+        (lambda: td_from_json(host, {"bags": {"0": [1, True]}}),
+         "malformed document: bag '0'"),
+        (lambda: certificate_from_json(host, {"clause": (3,)}),
+         "malformed document: unknown clause (3,)"),
+    ]
+    for read, message in cases:
+        with pytest.raises(ValueError) as exc:
+            read()
+        assert str(exc.value) == message
+
+
+def test_flap_lists_are_normalised():
+    # reversed and repeated edges read as one edge, ends sorted
+    c = compass(wall(2).graph, identity_wall(2))
+    rd = rural_from_json(c, {"flaps": [[[1, 0], [0, 1], [2, 1]]]})
+    assert rd.flaps == (Graph([0, 1, 2], [(0, 1), (1, 2)]),)
+    assert rd.flaps[0].neighbors(1) == (0, 2)
+
+
 def test_td_round_trip():
     g = grid(3, 3)[0]
     _, td = exact_treewidth(g)

@@ -15,7 +15,8 @@ from flatwall.generators import grid, lower_bound_graph, pyramid, wall
 from flatwall.graph import Graph, complete_graph, cycle_graph, delete, path_graph
 from flatwall.minors import MinorModel, find_minor, verify_minor_model
 from flatwall.planarity import embeds_in_disk_with_boundary
-from flatwall.rural import RuralDivision, internal_flaps, trivial_division
+from flatwall.rural import (RuralDivision, division_from_edge_lists, internal_flaps,
+                            trivial_division)
 from flatwall.serialize import certificate_to_json
 from flatwall.structure import (HMinorFound, WeakStructureCertificate, _f5, apex_number,
                                 apex_reduce, merge_flaps, pyramid_minor_model, trichotomy_check,
@@ -385,6 +386,22 @@ def test_hand_built_flat_wall_certificate():
     v = verify_certificate(g, K6, 2, squeezed)
     assert v.condition == "flap-width"
     assert "width 1 exceeds 0" in v.detail
+    # a K4 hanging off inner vertex 8 is one internal flap of width 3: the
+    # verifier decides "width <= 1" first, yet the detail names the width
+    f = g.fresh_id()
+    piece = [(f + a, f + b) for a in range(4) for b in range(a + 1, 4)] + [(8, f)]
+    gk = g.add_vertices(range(f, f + 4)).add_edges(piece)
+    ck = compass(gk, SubdividedWall(gk, 2, w.original, w.paths))
+    flaps = [[e] for e in ck.graph.edges if e not in piece] + [piece]
+    rdk = division_from_edge_lists(ck, flaps)
+    assert [d.vertices for d in internal_flaps(rdk)] == [(8, 9), (8, f, f + 1, f + 2, f + 3)]
+    for bound in (1, 2):
+        v = verify_certificate(gk, K6, 2, WeakStructureCertificate(
+            3, apex_set=(), wall=w, division=rdk, flap_width_bound=bound))
+        assert (v.condition, v.witness, v.detail) == (
+            "flap-width", (8, f, f + 1, f + 2, f + 3), "internal flap width 3 exceeds %d" % bound)
+    assert verify_certificate(gk, K6, 2, WeakStructureCertificate(
+        3, apex_set=(), wall=w, division=rdk, flap_width_bound=3))
 
 
 def apex_wall3_certificates():

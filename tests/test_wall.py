@@ -8,7 +8,8 @@ from flatwall.generators import gamma, wall
 from flatwall.graph import connected_components, delete
 from flatwall.minors import subdivide
 from flatwall.paths import two_disjoint_paths
-from flatwall.wall import (WHEEL_FIRST_ABOVE, SubdividedWall, bricks, compass,
+from flatwall.rural import RuralDivision, internal_flaps
+from flatwall.wall import (WHEEL_FIRST_ABOVE, Compass, SubdividedWall, bricks, compass,
                            disjoint_subwalls, extract_wall_from_gamma_contraction,
                            identity_wall, is_flat, layers, perimeter, subwall, verify_wall)
 
@@ -130,8 +131,14 @@ def test_compass_rejects_a_wall_with_a_broken_path():
     paths = dict(w.paths)
     key = sorted(paths)[0]
     paths[key] = paths[key][:1]  # no longer joins its endpoints
+    broken = SubdividedWall(w.host, 2, w.original, paths)
     with pytest.raises(ValueError, match="invalid wall certificate"):
-        compass(w.host, SubdividedWall(w.host, 2, w.original, paths))
+        compass(w.host, broken)
+    # so do the other public readers of the rim, verified step or not
+    with pytest.raises(ValueError, match="invalid wall certificate"):
+        perimeter(broken)
+    with pytest.raises(ValueError, match="invalid wall certificate"):
+        internal_flaps(RuralDivision(Compass(broken, w.host), []))
 
 
 def test_plane_walls_are_flat():
