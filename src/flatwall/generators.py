@@ -11,7 +11,6 @@ from functools import lru_cache
 from typing import List, Tuple
 
 from .graph import Graph, delete, strip_leaves
-from .planarity import embed_planar
 
 
 class GridCoords:
@@ -136,15 +135,21 @@ class WallGraph:
         return self.coords.coord(v)
 
     def perimeter(self) -> Tuple[int, ...]:
-        """Boundary cycle, starting at corner 1 and heading toward corner 2."""
+        """Boundary cycle, starting at corner 1 and heading toward corner 2.
+
+        The coordinate drawing is plane, with the outer face north of row 1,
+        so the walk east from corner 1 that turns left where it can, else
+        goes straight on, else turns right, goes once round the outer face.
+        """
         if self._perimeter is None:
-            emb = embed_planar(self.graph)
-            cyc = list(emb.outer_face)
-            at = cyc.index(self.corners[0])
-            cyc = cyc[at:] + cyc[:at]
-            east = self.id(2, 1)
-            if cyc[1] != east:
-                cyc = [cyc[0]] + cyc[:0:-1]
+            steps = ((1, 0), (0, 1), (-1, 0), (0, -1))  # east, south, west, north
+            x, y, d, cyc = 1, 1, 0, []
+            while not cyc or (x, y) != (1, 1):
+                cyc.append(self.coords.id(x, y))
+                near = {self.coord(u) for u in self.graph.neighbors(cyc[-1])}
+                d = next(t for t in ((d + 3) % 4, d, (d + 1) % 4)
+                         if (x + steps[t][0], y + steps[t][1]) in near)
+                x, y = x + steps[d][0], y + steps[d][1]
             self._perimeter = tuple(cyc)
         return self._perimeter
 

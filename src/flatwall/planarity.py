@@ -1,23 +1,17 @@
-"""Planarity testing that produces a combinatorial embedding (rotation system).
-
-The embedder works per biconnected block with the classic incremental
-face-splitting scheme: start from any cycle (two faces), then repeatedly pick a
-bridge of the embedded subgraph, check which current faces contain all of its
-attachment vertices, and embed one attachment-to-attachment path through the
-bridge into such a face, splitting it in two. If some bridge has no admissible
-face the block (hence the graph) is not planar; preferring bridges with exactly
-one admissible face makes the procedure exact. Quadratic-ish in the block
-size, and fine at desk scale.
+"""Planarity: a yes/no test, rotation-system embeddings and their faces.
 
 The yes/no test `is_planar` first shrinks the graph to its degree-3 kernel:
 it deletes vertices of degree at most one and smooths vertices of degree two
 into an edge (or deletes them, when that edge is already there), which
-preserves planarity both ways.  Only the kernel, often empty, is embedded,
-and its rotation system is never assembled.
+preserves planarity both ways.  Only the kernel, often empty, is tested, by
+the left-right planarity test (de Fraysseix, Ossona de Mendez and
+Rosenstiehl, "Trémaux trees and planarity", 2006; Brandes, "The Left-Right
+Planarity Test", 2009): two depth-first searches, linear in the kernel's
+size, that answer yes or no and build no embedding.
 
-Faces are kept as directed vertex cycles so that every embedded edge occurs
-exactly once in each direction; the rotation system is read off from the face
-set and block rotations are concatenated at cut vertices.
+Embeddings are rotation systems (`RotationEmbedding`) that a caller
+supplies, as smooth-contraction witnesses do; this module traces their
+faces and validates them, and builds none itself.
 """
 from __future__ import annotations
 
@@ -26,7 +20,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .common import SizeCapExceeded, Verdict
-from .graph import Graph, bfs, connected_components, path_to
+from .graph import Graph, connected_components
 
 APEX_CAP = 16
 
@@ -80,133 +74,6 @@ def biconnected_blocks(g: Graph) -> List[Tuple[Tuple[int, int], ...]]:
 
 
 # ---------------------------------------------------------------------------
-# face-splitting embedder for one biconnected block
-
-
-def _find_cycle(g: Graph, start: int) -> List[int]:
-    # DFS until a back edge closes a cycle; g is biconnected with >= 3 vertices.
-    # Its own loop on purpose: the cycle it finds seeds, and so fixes, the embedding.
-    parent = {start: None}
-    stack = [start]
-    order = []
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in g.neighbors(v):
-            if w not in parent:
-                parent[w] = v
-                stack.append(w)
-            elif parent[v] != w and parent.get(w) != v:
-                # back edge v-w: build cycle from the tree paths
-                pv, pw = [], []
-                a = v
-                while a is not None:
-                    pv.append(a)
-                    a = parent[a]
-                a = w
-                seen = set(pv)
-                while a not in seen:
-                    pw.append(a)
-                    a = parent[a]
-                meet = a
-                cyc = pv[: pv.index(meet) + 1]
-                cyc.reverse()  # [meet, ..., v]
-                cyc.extend(pw)  # then v-w back edge, w's tree path down to meet
-                if len(cyc) >= 3:
-                    return cyc
-    raise ValueError("no cycle found in supposed biconnected block")
-
-
-def _bridges(g: Graph, emb_v: set, emb_e: set):
-    """Bridges of g relative to the embedded subgraph.
-
-    Returns a list of (attachments, path) where path runs between two
-    attachments and its interior avoids embedded vertices.
-    """
-    out = []
-    for e in g.edges:
-        if e not in emb_e and e[0] in emb_v and e[1] in emb_v:
-            out.append((frozenset(e), list(e)))
-    outside = set(g.vertices) - emb_v
-    for v in g.vertices:
-        if v not in outside:
-            continue
-        comp = bfs(g, v, outside)[0]
-        outside.difference_update(comp)
-        attach = sorted({w for u in comp for w in g.neighbors(u) if w in emb_v})
-        # biconnected block: every such component has >= 2 attachments; the
-        # path runs a -> first component vertex next to b, in BFS order
-        a, b = attach[0], attach[1]
-        parent, hit = bfs(g, a, comp, comp.keys() & set(g.neighbors(b)))
-        out.append((frozenset(attach), path_to(parent, hit) + [b]))
-    return out
-
-
-def _split_face(face: List[int], path: List[int]) -> Tuple[List[int], List[int]]:
-    x, y = path[0], path[-1]
-    i, j = face.index(x), face.index(y)
-    if i <= j:
-        seg_a = face[i : j + 1]
-        seg_b = face[j:] + face[: i + 1]
-    else:
-        seg_a = face[i:] + face[: j + 1]
-        seg_b = face[j : i + 1]
-    interior = path[1:-1]
-    face1 = seg_a[:-1] + [y] + list(reversed(interior))
-    face2 = seg_b[:-1] + [x] + interior
-    return face1, face2
-
-
-def _embed_block(g: Graph) -> Optional[List[List[int]]]:
-    """Faces of a planar embedding of a biconnected block, or None."""
-    cyc = _find_cycle(g, g.vertices[0])
-    faces: List[List[int]] = [list(cyc), list(reversed(cyc))]
-    emb_v = set(cyc)
-    emb_e = {tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)]))) for i in range(len(cyc))}
-    total_edges = set(g.edges)
-    while emb_e != total_edges:
-        bridges = _bridges(g, emb_v, emb_e)
-        face_sets = [set(f) for f in faces]
-        best = None
-        for attach, path in bridges:
-            adm = [fi for fi, f in enumerate(face_sets) if attach <= f]
-            if not adm:
-                return None
-            key = (len(adm), sorted(attach))
-            if best is None or key < best[0]:
-                best = (key, adm[0], path)
-        _, face_idx, path = best
-        f1, f2 = _split_face(faces[face_idx], path)
-        faces[face_idx] = f1
-        faces.insert(face_idx + 1, f2)
-        emb_v.update(path)
-        for i in range(len(path) - 1):
-            emb_e.add(tuple(sorted((path[i], path[i + 1]))))
-    return faces
-
-
-def _rotation_from_faces(faces: List[List[int]]) -> Dict[int, Tuple[int, ...]]:
-    nxt: Dict[int, Dict[int, int]] = {}
-    for f in faces:
-        m = len(f)
-        for t in range(m):
-            a, b, c = f[t - 1], f[t], f[(t + 1) % m]
-            nxt.setdefault(b, {})[a] = c
-    rot: Dict[int, Tuple[int, ...]] = {}
-    for v, mapping in nxt.items():
-        start = min(mapping)
-        cycle = [start]
-        cur = mapping[start]
-        while cur != start:
-            cycle.append(cur)
-            cur = mapping[cur]
-        if len(cycle) != len(mapping):
-            raise ValueError("face set does not induce a single rotation cycle")
-        rot[v] = tuple(cycle)
-    return rot
-
-
-# ---------------------------------------------------------------------------
 # public embedding type
 
 
@@ -245,43 +112,166 @@ def _canon_cycle(walk: Sequence[int]) -> Tuple[int, ...]:
     return min(rots)
 
 
-def _block_faces(g: Graph) -> Optional[list]:
-    """(block, faces) for each biconnected block in sorted order, faces None
-    for a single edge; None as soon as a block is not planar."""
-    if g.n >= 3 and g.m > 3 * g.n - 6:
-        return None
-    out = []
-    for block in sorted(biconnected_blocks(g)):
-        faces = None
-        if len(block) > 1:
-            faces = _embed_block(Graph({v for e in block for v in e}, block))
-            if faces is None:
-                return None
-        out.append((block, faces))
-    return out
+def _lr_planar(adj: Dict[int, set]) -> bool:
+    """The left-right planarity test on the simple graph with adjacency sets adj.
 
+    The first depth-first search orients every edge, tree edges away from
+    the root and back edges toward it, and gives each edge its two lowest
+    return heights; the second takes each vertex's outgoing edges by
+    nesting depth and keeps the return edges of finished subtrees on a
+    stack of conflict pairs (two intervals of return edges that must lie on
+    opposite sides).  The graph is planar iff no return edge is forced onto
+    both sides.  Both searches keep their own stacks, so no recursion limit
+    bounds the depth; a forest of search trees covers disconnected graphs.
+    """
+    n = len(adj)
+    m = sum(map(len, adj.values())) // 2
+    if n >= 3 and m > 3 * n - 6:
+        return False
+    index = {v: i for i, v in enumerate(adj)}
+    nbrs = [[index[w] for w in ns] for ns in adj.values()]
+    height, parent, pos = [-1] * n, [-1] * n, [0] * n  # parent: the tree edge in
+    src, dst, low, low2, depth = ([0] * m for _ in range(5))
+    out: List[List[int]] = [[] for _ in range(n)]
+    edges = 0
 
-def embed_planar(g: Graph) -> Optional[RotationEmbedding]:
-    """Planar embedding with rotation system, or None if not planar."""
-    blocks = _block_faces(g)
-    if blocks is None:
-        return None
-    rotation: Dict[int, List[int]] = {v: [] for v in g.vertices}
-    for block, faces in blocks:
-        if faces is None:
-            a, b = block[0]
-            rotation[a].append((b,))
-            rotation[b].append((a,))
+    def settle(e: int) -> None:
+        # e's nesting depth; its return heights pass to the tree edge above it
+        up = parent[src[e]]
+        depth[e] = 2 * low[e] + (low2[e] < height[src[e]])
+        if up >= 0:
+            if low[e] < low[up]:
+                low2[up] = min(low[up], low2[e])
+                low[up] = low[e]
+            else:
+                low2[up] = min(low2[up], low[e] if low[e] > low[up] else low2[e])
+
+    for root in range(n):
+        if height[root] >= 0:
             continue
-        for v, cyc in _rotation_from_faces(faces).items():
-            rotation[v].append(cyc)
-    merged = {v: tuple(x for cyc in cycles for x in cyc) for v, cycles in rotation.items()}
-    faces = trace_faces(g, merged)
-    if faces:
-        outer = max(faces, key=lambda f: (len(f), _canon_cycle(f)))
-    else:
-        outer = ()
-    return RotationEmbedding(g, merged, tuple(outer))
+        height[root] = 0
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            ns, hv = nbrs[v], height[v]
+            above = src[parent[v]] if parent[v] >= 0 else -1
+            while pos[v] < len(ns):
+                w = ns[pos[v]]
+                pos[v] += 1
+                if height[w] >= hv or w == above:
+                    continue  # oriented from w already, as a back edge or the tree edge
+                e, edges = edges, edges + 1
+                out[v].append(e)
+                src[e], dst[e], low2[e] = v, w, hv
+                if height[w] < 0:
+                    low[e], parent[w], height[w] = hv, e, hv + 1
+                    stack.append(w)
+                    break
+                low[e] = height[w]
+                settle(e)
+            else:
+                stack.pop()
+                if parent[v] >= 0:
+                    settle(parent[v])
+
+    for es in out:
+        es.sort(key=depth.__getitem__)
+    ref: List[Optional[int]] = [None] * m
+    low_edge: List[Optional[int]] = [None] * m
+    bottom: List[Optional[list]] = [None] * m
+    pairs: List[list] = []  # conflict pairs [left low, left high, right low, right high]
+
+    def constrain(ei: int, e: int) -> bool:
+        # merge the return edges of ei, then those of earlier siblings that
+        # conflict with them, into one new pair; False once a side is forced twice
+        l_low = l_high = r_low = r_high = None
+        while True:
+            q = pairs.pop()
+            if q[0] is not None:
+                q[:] = q[2:] + q[:2]
+                if q[0] is not None:
+                    return False
+            if low[q[2]] > low[e]:
+                if r_low is None:
+                    r_high = q[3]
+                else:
+                    ref[r_low] = q[3]
+                r_low = q[2]
+            else:
+                ref[q[2]] = low_edge[e]
+            if (pairs[-1] if pairs else None) is bottom[ei]:
+                break
+
+        def conflicting(high: Optional[int]) -> bool:
+            return high is not None and low[high] > low[ei]
+
+        while pairs and (conflicting(pairs[-1][1]) or conflicting(pairs[-1][3])):
+            q = pairs.pop()
+            if conflicting(q[3]):
+                q[:] = q[2:] + q[:2]
+                if conflicting(q[3]):
+                    return False
+            if r_low is not None:
+                ref[r_low] = q[3]
+            if q[2] is not None:
+                r_low = q[2]
+            if l_low is None:
+                l_high = q[1]
+            else:
+                ref[l_low] = q[1]
+            l_low = q[0]
+        if l_low is not None or r_low is not None:
+            pairs.append([l_low, l_high, r_low, r_high])
+        return True
+
+    def integrate(ei: int) -> bool:
+        # the return edges of ei, a back edge or a finished tree edge, at its source
+        v = src[ei]
+        if low[ei] >= height[v]:
+            return True
+        if ei == out[v][0]:
+            low_edge[parent[v]] = low_edge[ei]
+            return True
+        return constrain(ei, parent[v])
+
+    def trim(u: int) -> None:
+        # drop the back edges that end at u, as the search returns to u
+        while pairs and min(low[x] for x in pairs[-1][0::2] if x is not None) == height[u]:
+            pairs.pop()
+        if pairs:
+            q = pairs[-1]
+            for side in (0, 2):  # the left interval, then the right one
+                while q[side + 1] is not None and dst[q[side + 1]] == u:
+                    q[side + 1] = ref[q[side + 1]]
+                if q[side + 1] is None and q[side] is not None:
+                    ref[q[side]] = q[2 - side]
+                    q[side] = None
+
+    pos = [0] * n
+    for root in range(n):
+        stack = [root] if parent[root] < 0 else []
+        while stack:
+            v = stack[-1]
+            es = out[v]
+            while pos[v] < len(es):
+                ei = es[pos[v]]
+                pos[v] += 1
+                bottom[ei] = pairs[-1] if pairs else None
+                if parent[dst[ei]] == ei:
+                    stack.append(dst[ei])
+                    break
+                low_edge[ei] = ei
+                pairs.append([None, None, ei, ei])
+                if not integrate(ei):
+                    return False
+            else:
+                stack.pop()
+                e = parent[v]
+                if e >= 0:
+                    trim(src[e])
+                    if not integrate(e):
+                        return False
+    return True
 
 
 def _kernel_planar(adj: Dict[int, set]) -> bool:
@@ -310,8 +300,7 @@ def _kernel_planar(adj: Dict[int, set]) -> bool:
         todo.extend(ns)
     if not adj:
         return True
-    kernel = Graph(adj, [(a, b) for a, ns in adj.items() for b in ns if a < b])
-    return _block_faces(kernel) is not None
+    return _lr_planar(adj)
 
 
 def is_planar(g: Graph) -> bool:
@@ -397,6 +386,9 @@ def embeds_in_disk_with_boundary(g: Graph, cycle: Sequence[int]) -> bool:
     for v in cyc:
         if not g.has_vertex(v):
             raise ValueError(f"boundary vertex {v} is not in the graph")
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
     hub = g.fresh_id()
-    added = [(a, cyc[i - 1]) for i, a in enumerate(cyc)] + [(v, hub) for v in cyc]
-    return is_planar(Graph(g.vertices + (hub,), g.edges + tuple(added)))
+    adj[hub] = set(cyc)
+    for i, a in enumerate(cyc):
+        adj[a].update((cyc[i - 1], cyc[(i + 1) % len(cyc)], hub))
+    return _kernel_planar(adj)

@@ -21,7 +21,7 @@ from .minors import (MINOR_HOST_CAP, MINOR_PATTERN_CAP, MinorModel, find_minor,
                      iter_topological_embeddings, verify_minor_model)
 from .planarity import apex_number
 from .rural import RuralDivision, _internal_flaps, trivial_division, validate_rural
-from .wall import SubdividedWall, _compass, compass, disjoint_subwalls, is_flat, verify_wall
+from .wall import SubdividedWall, _compass, _reanchor, disjoint_subwalls, is_flat, verify_wall
 
 TRICHOTOMY_HOST_CAP = 16
 TRICHOTOMY_PATTERN_CAP = 6
@@ -119,13 +119,13 @@ def apex_reduce(g: Graph, h_graph: Graph, a: Iterable[int], w: SubdividedWall,
         raise ValueError("window count %d is not positive" % count)
 
     ga = delete(g, apexes)
-    wa = SubdividedWall(ga, w.height, w.original, w.paths)
+    wa = _reanchor(w, ga)
     ok = verify_wall(wa)
     if not ok:
         raise ValueError("wall is not valid in the host minus the apex set: %s" % ok.condition)
 
     subs = disjoint_subwalls(wa, count, k)
-    comps = [compass(ga, s) for s in subs]
+    comps = [_compass(s) for s in subs]  # a window of a verified wall is valid
     seen = []
     for aj in apexes:
         row = []
@@ -138,10 +138,7 @@ def apex_reduce(g: Graph, h_graph: Graph, a: Iterable[int], w: SubdividedWall,
             if bit == 0:
                 reduced = tuple(x for x in apexes if x != apexes[j])
                 ga2 = delete(g, reduced)
-                w2 = SubdividedWall(ga2, subs[i].height, subs[i].original, subs[i].paths)
-                ok = verify_wall(w2)
-                if not ok:
-                    raise AssertionError("windowed subwall broke: %s" % ok.condition)
+                w2 = _reanchor(subs[i], ga2)  # valid in ga, so in the larger ga2
                 c2 = _compass(w2)
                 leak = set(c2.graph.vertices) & set(apexes)
                 if leak:
@@ -339,7 +336,7 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
         if not g.has_vertex(v):
             return Verdict.reject("apex-outside-host", witness=v)
     ga = delete(g, cert.apex_set)
-    w = SubdividedWall(ga, cert.wall.height, cert.wall.original, cert.wall.paths)
+    w = _reanchor(cert.wall, ga)
     ok = verify_wall(w)
     if not ok:
         return Verdict.reject("wall-invalid", witness=ok.witness, detail=ok.detail)

@@ -13,12 +13,12 @@ from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .common import SizeCapExceeded, Verdict
-from .graph import Graph, bfs, delete, induced_subgraph, path_to, strip_leaves
+from .graph import Graph, bfs, induced_subgraph, path_to
 from .generators import WallGraph, gamma, wall
 from .minors import (SmoothContractionWitness, SubdivisionEmbedding, delta_y, subdivide,
                      verify_smooth_contraction, verify_topological_embedding)
 from .paths import two_disjoint_paths
-from .planarity import embed_planar, embeds_in_disk_with_boundary
+from .planarity import embeds_in_disk_with_boundary
 
 
 class SubdividedWall:
@@ -69,6 +69,13 @@ class SubdividedWall:
 
     def __repr__(self) -> str:
         return "SubdividedWall(height=%d, %d host vertices)" % (self.height, len(self.vertices()))
+
+
+def _reanchor(w: SubdividedWall, host: Graph) -> SubdividedWall:
+    # w in another host; its paths are oriented already, so they are copied as they are
+    out = SubdividedWall.__new__(SubdividedWall)
+    out.host, out.height, out.original, out.paths = host, w.height, dict(w.original), dict(w.paths)
+    return out
 
 
 def verify_wall(w: SubdividedWall) -> Verdict:
@@ -122,18 +129,15 @@ def perimeter(w: SubdividedWall) -> Tuple[int, ...]:
 def layers(w: SubdividedWall) -> List[Tuple[int, ...]]:
     """Nested disjoint cycles, outermost (the perimeter) first.
 
-    Peeling removes the current boundary cycle and prunes degree-one
-    leftovers, which uncovers the wall two heights down; a wall of height
-    k has max(1, k // 2) layers.
+    Layer i is the perimeter of the height k - 2i subwall at pattern
+    position (2i + 1, i + 1): the cycle that peeling i boundary cycles off
+    wall(k), with the leaves each peel leaves, uncovers.  It starts at that
+    subwall's first corner and heads toward its second; a wall of height k
+    has max(1, k // 2) layers.
     """
     _require_valid(w)
-    count = max(1, w.height // 2)
-    cycles = [w.pattern.perimeter()]
-    g = w.pattern.graph
-    while len(cycles) < count:
-        g = strip_leaves(delete(g, vertices=cycles[-1]))
-        cycles.append(embed_planar(g).outer_face)
-    return [_expand_cycle(w, c) for c in cycles]
+    return [_rim(subwall(w, 2 * i + 1, i + 1, w.height - 2 * i))
+            for i in range(max(1, w.height // 2))]
 
 
 def bricks(w: SubdividedWall) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, int]]]:
@@ -175,7 +179,7 @@ def compass(g: Graph, w: SubdividedWall) -> Compass:
     of height one is all perimeter; its compass is the perimeter alone.
     Raises on a wall that is not valid in g.
     """
-    anchored = SubdividedWall(g, w.height, w.original, w.paths)
+    anchored = _reanchor(w, g)
     _require_valid(anchored)
     return _compass(anchored)
 
@@ -191,9 +195,11 @@ def _compass(w: SubdividedWall) -> Compass:
     return Compass(w, induced_subgraph(g, keep))
 
 
-# is_flat tries the corner-wheel test first above this many vertices: on plane
-# walls (best of 60) the search takes ~0.5 ms at 30 and ~16 ms at 48, the wheel
-# ~0.7 and ~1.2 ms.
+# is_flat tries the corner-wheel test first above this many vertices.  On plane
+# walls (best of 60) the search takes ~0.04, ~0.4 and ~12 ms at 16, 30 and 48
+# vertices, the wheel ~0.07, ~0.11 and ~0.16 ms, so the crossover lies
+# between 16 and 30; the bound stays at 40 because it fixes the `explored`
+# count that check-flat reports.
 WHEEL_FIRST_ABOVE = 40
 
 

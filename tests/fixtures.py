@@ -6,7 +6,9 @@ import json
 from flatwall.generators import wall
 from flatwall.graph import Graph, delete
 from flatwall.minors import ContractionModel, SmoothContractionWitness, subdivide
-from flatwall.planarity import _canon_cycle, embed_planar, faces_of
+from flatwall.planarity import _canon_cycle, faces_of
+
+from oracles import embed_planar
 
 
 def identity_witness(g: Graph, loaded: int) -> SmoothContractionWitness:

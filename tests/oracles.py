@@ -16,7 +16,8 @@ from flatwall.common import SizeCapExceeded, Verdict
 from flatwall.decomposition import TREEWIDTH_CAP, TreeDecomposition
 from flatwall.minors import ContractionModel, MinorModel, _connected_subsets, _mask_neighborhood
 from flatwall.paths import DisjointPathsResult, _OutOfTime
-from flatwall.planarity import is_planar, planarizing_set
+from flatwall.planarity import (RotationEmbedding, _canon_cycle, biconnected_blocks, is_planar,
+                                planarizing_set, trace_faces)
 from flatwall.rural import (RuralDivision, _pair_joined, check_disk_embeddable,
                             check_linkage)
 
@@ -652,3 +653,174 @@ def validate_rural_pairwise(rd: RuralDivision) -> Verdict:
             return Verdict.reject("property-5", witness=("linkage", i),
                                   detail="boundary of flap %d is not linked to the corners" % i)
     return Verdict.accept()
+
+
+# ---------------------------------------------------------------------------
+# face-splitting embedder (Demoucron-Malgrange-Pertuiset), the planarity
+# engine before the left-right test: start from a cycle (two faces), then
+# repeatedly embed one attachment-to-attachment path of a bridge with the
+# fewest admissible faces into such a face, splitting it in two.  A bridge
+# with no admissible face proves the block, hence the graph, not planar.
+# Every bridge is recomputed after each path, so it is about quadratic.
+
+
+def _find_cycle(g: Graph, start: int) -> List[int]:
+    # DFS until a back edge closes a cycle; g is biconnected with >= 3 vertices.
+    # Its own loop on purpose: the cycle it finds seeds, and so fixes, the embedding.
+    parent = {start: None}
+    stack = [start]
+    order = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in g.neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                stack.append(w)
+            elif parent[v] != w and parent.get(w) != v:
+                # back edge v-w: build cycle from the tree paths
+                pv, pw = [], []
+                a = v
+                while a is not None:
+                    pv.append(a)
+                    a = parent[a]
+                a = w
+                seen = set(pv)
+                while a not in seen:
+                    pw.append(a)
+                    a = parent[a]
+                meet = a
+                cyc = pv[: pv.index(meet) + 1]
+                cyc.reverse()  # [meet, ..., v]
+                cyc.extend(pw)  # then v-w back edge, w's tree path down to meet
+                if len(cyc) >= 3:
+                    return cyc
+    raise ValueError("no cycle found in supposed biconnected block")
+
+
+def _bridges(g: Graph, emb_v: set, emb_e: set):
+    """Bridges of g relative to the embedded subgraph.
+
+    Returns a list of (attachments, path) where path runs between two
+    attachments and its interior avoids embedded vertices.
+    """
+    out = []
+    for e in g.edges:
+        if e not in emb_e and e[0] in emb_v and e[1] in emb_v:
+            out.append((frozenset(e), list(e)))
+    outside = set(g.vertices) - emb_v
+    for v in g.vertices:
+        if v not in outside:
+            continue
+        comp = bfs(g, v, outside)[0]
+        outside.difference_update(comp)
+        attach = sorted({w for u in comp for w in g.neighbors(u) if w in emb_v})
+        # biconnected block: every such component has >= 2 attachments; the
+        # path runs a -> first component vertex next to b, in BFS order
+        a, b = attach[0], attach[1]
+        parent, hit = bfs(g, a, comp, comp.keys() & set(g.neighbors(b)))
+        out.append((frozenset(attach), path_to(parent, hit) + [b]))
+    return out
+
+
+def _split_face(face: List[int], path: List[int]) -> Tuple[List[int], List[int]]:
+    x, y = path[0], path[-1]
+    i, j = face.index(x), face.index(y)
+    if i <= j:
+        seg_a = face[i : j + 1]
+        seg_b = face[j:] + face[: i + 1]
+    else:
+        seg_a = face[i:] + face[: j + 1]
+        seg_b = face[j : i + 1]
+    interior = path[1:-1]
+    face1 = seg_a[:-1] + [y] + list(reversed(interior))
+    face2 = seg_b[:-1] + [x] + interior
+    return face1, face2
+
+
+def _embed_block(g: Graph) -> Optional[List[List[int]]]:
+    """Faces of a planar embedding of a biconnected block, or None."""
+    cyc = _find_cycle(g, g.vertices[0])
+    faces: List[List[int]] = [list(cyc), list(reversed(cyc))]
+    emb_v = set(cyc)
+    emb_e = {tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)]))) for i in range(len(cyc))}
+    total_edges = set(g.edges)
+    while emb_e != total_edges:
+        bridges = _bridges(g, emb_v, emb_e)
+        face_sets = [set(f) for f in faces]
+        best = None
+        for attach, path in bridges:
+            adm = [fi for fi, f in enumerate(face_sets) if attach <= f]
+            if not adm:
+                return None
+            key = (len(adm), sorted(attach))
+            if best is None or key < best[0]:
+                best = (key, adm[0], path)
+        _, face_idx, path = best
+        f1, f2 = _split_face(faces[face_idx], path)
+        faces[face_idx] = f1
+        faces.insert(face_idx + 1, f2)
+        emb_v.update(path)
+        for i in range(len(path) - 1):
+            emb_e.add(tuple(sorted((path[i], path[i + 1]))))
+    return faces
+
+
+def _rotation_from_faces(faces: List[List[int]]) -> Dict[int, Tuple[int, ...]]:
+    nxt: Dict[int, Dict[int, int]] = {}
+    for f in faces:
+        m = len(f)
+        for t in range(m):
+            a, b, c = f[t - 1], f[t], f[(t + 1) % m]
+            nxt.setdefault(b, {})[a] = c
+    rot: Dict[int, Tuple[int, ...]] = {}
+    for v, mapping in nxt.items():
+        start = min(mapping)
+        cycle = [start]
+        cur = mapping[start]
+        while cur != start:
+            cycle.append(cur)
+            cur = mapping[cur]
+        if len(cycle) != len(mapping):
+            raise ValueError("face set does not induce a single rotation cycle")
+        rot[v] = tuple(cycle)
+    return rot
+
+
+def _block_faces(g: Graph) -> Optional[list]:
+    """(block, faces) for each biconnected block in sorted order, faces None
+    for a single edge; None as soon as a block is not planar."""
+    if g.n >= 3 and g.m > 3 * g.n - 6:
+        return None
+    out = []
+    for block in sorted(biconnected_blocks(g)):
+        faces = None
+        if len(block) > 1:
+            faces = _embed_block(Graph({v for e in block for v in e}, block))
+            if faces is None:
+                return None
+        out.append((block, faces))
+    return out
+
+
+def embed_planar(g: Graph) -> Optional[RotationEmbedding]:
+    """Planar embedding with rotation system, or None if not planar."""
+    blocks = _block_faces(g)
+    if blocks is None:
+        return None
+    rotation: Dict[int, List[int]] = {v: [] for v in g.vertices}
+    for block, faces in blocks:
+        if faces is None:
+            a, b = block[0]
+            rotation[a].append((b,))
+            rotation[b].append((a,))
+            continue
+        for v, cyc in _rotation_from_faces(faces).items():
+            rotation[v].append(cyc)
+    merged = {v: tuple(x for cyc in cycles for x in cyc) for v, cycles in rotation.items()}
+    faces = trace_faces(g, merged)
+    if faces:
+        outer = max(faces, key=lambda f: (len(f), _canon_cycle(f)))
+    else:
+        outer = ()
+    return RotationEmbedding(g, merged, tuple(outer))

@@ -15,10 +15,10 @@ from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitn
                              iter_topological_embeddings,
                              subdivide, verify_contraction, verify_minor_model,
                              verify_smooth_contraction)
-from flatwall.planarity import embed_planar, faces_of, planarizing_set, _canon_cycle
+from flatwall.planarity import faces_of, planarizing_set, _canon_cycle
 
 from fixtures import apex_over
-from oracles import (apex_rule_by_loop, find_minor_unpruned, has_minor_by_partition,
+from oracles import (apex_rule_by_loop, embed_planar, find_minor_unpruned, has_minor_by_partition,
                      minor_to_contraction, random_graph)
 
 K33 = Graph(range(6), [(a, b) for a in range(3) for b in range(3, 6)])

@@ -4,14 +4,15 @@ from itertools import combinations
 
 import pytest
 
-from flatwall import planarity
+from flatwall import cli, planarity
 from flatwall.generators import grid, wall
 from flatwall.graph import Graph, complete_graph, cycle_graph, delete
 from flatwall.minors import subdivide
-from flatwall.planarity import (biconnected_blocks, embed_planar, embeds_in_disk_with_boundary,
-                                faces_of, is_planar, trace_faces, validate_embedding)
+from flatwall.planarity import (biconnected_blocks, embeds_in_disk_with_boundary, faces_of,
+                                is_planar, trace_faces, validate_embedding)
 
-from oracles import embeds_in_disk_by_subdivided_rim, find_minor_unpruned, random_graph
+from oracles import (embed_planar, embeds_in_disk_by_subdivided_rim, find_minor_unpruned,
+                     random_graph)
 
 
 def k33():
@@ -139,12 +140,65 @@ def test_kernel_is_planar_matches_embed_planar(monkeypatch):
         answers.setdefault(family, set()).add(planar)
     assert answers == {"kuratowski": {False}, "reduces": {True}, "sparse": {True, False}}
 
-    def no_embedding(g):
+    def no_test(adj):
         raise AssertionError("the kernel should be empty")
 
-    # treewidth at most 2: deletions and smoothing leave nothing to embed
-    monkeypatch.setattr(planarity, "_block_faces", no_embedding)
+    # treewidth at most 2: deletions and smoothing leave nothing to test
+    monkeypatch.setattr(planarity, "_lr_planar", no_test)
     assert all(is_planar(g) for family, g in graphs if family == "reduces")
+
+
+def differential_corpus():
+    """5,000 seeded random graphs on 5 to 16 vertices; every third one has a
+    second random graph glued on at one vertex, so it has a cut vertex."""
+    rng = random.Random(41)
+    for i in range(5000):
+        g = random_graph(rng, rng.randint(5, 16), rng.choice((0.15, 0.25, 0.35, 0.5)))
+        if i % 3 == 0:
+            extra = random_graph(rng, rng.randint(3, 8), rng.choice((0.3, 0.6)))
+            at = rng.randrange(g.n)
+            ids = {v: at if v == 0 else g.n + v - 1 for v in extra.vertices}
+            g = Graph(range(g.n + extra.n - 1),
+                      g.edges + tuple((ids[a], ids[b]) for a, b in extra.edges))
+        yield g
+
+
+def test_left_right_test_matches_the_face_splitting_embedder():
+    counts = {True: 0, False: 0}
+    for g in differential_corpus():
+        planar = is_planar(g)
+        assert planar == (embed_planar(g) is not None), g.edges
+        counts[planar] += 1
+    assert min(counts.values()) >= 1000, counts
+
+
+def test_left_right_test_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in differential_corpus():
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices)
+        h.add_edges_from(g.edges)
+        assert is_planar(g) == nx.check_planarity(h)[0], g.edges
+
+
+def prism(r: int) -> Graph:
+    """The closed 2 x r ladder: two r-cycles joined by r rungs, all of degree 3."""
+    return Graph(range(2 * r), [(i, (i + 1) % r) for i in range(r)]
+                 + [(r + i, r + (i + 1) % r) for i in range(r)]
+                 + [(i, r + i) for i in range(r)])
+
+
+def test_deep_search_raises_no_recursion_error():
+    # 10,000 vertices, the CLI's host ceiling, and nothing for the kernel to
+    # smooth away: the search tree is a path about 10^4 deep.  An open ladder
+    # would not do: its degree-2 corners smooth away the whole ladder.
+    g = prism(5000)
+    assert g.n == cli.HOST_CAP and min(map(g.degree, g.vertices)) == 3
+    assert is_planar(g)
+    # a K5 glued onto one rung: three fresh vertices on both ends and each other
+    a, b, (x, y, z) = 0, 5000, range(g.n, g.n + 3)
+    k5 = [(u, v) for u, v in combinations((a, b, x, y, z), 2) if (u, v) != (a, b)]
+    assert not is_planar(Graph(range(g.n + 3), g.edges + tuple(k5)))
 
 
 def test_kernel_is_planar_matches_networkx_on_families():

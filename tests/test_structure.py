@@ -127,11 +127,19 @@ def test_merge_flaps_merges_equal_traces():
     assert merge_flaps([Graph([1], [])], {1}, K4) == []
 
 
-def test_apex_reduce_drops_unseen_apex():
+def test_apex_reduce_drops_unseen_apex(monkeypatch):
+    calls = []
+    for module in (wall_module, structure):
+        original = module.verify_wall
+        monkeypatch.setattr(module, "verify_wall",
+                            lambda w, original=original: calls.append(w) or original(w))
     g, (a1, a2), w = apexed_wall_host(3, [list(wall(3).graph.vertices), []])
     reduced, sub = apex_reduce(g, K6, (a1, a2), w, 1, window_count=2)
     assert reduced == (a1,)
     assert sub.height == 1
+    # the wall, and again inside disjoint_subwalls; the windows of the
+    # verified wall, and the one returned, are not verified again
+    assert len(calls) == 2
     c = compass(delete(g, reduced), sub)
     assert not {a1, a2} & set(c.graph.vertices)
 

@@ -5,7 +5,7 @@ import pytest
 
 from flatwall.common import SizeCapExceeded
 from flatwall.generators import gamma, wall
-from flatwall.graph import connected_components, delete
+from flatwall.graph import connected_components, delete, strip_leaves
 from flatwall.minors import subdivide
 from flatwall.paths import two_disjoint_paths
 from flatwall.rural import RuralDivision, internal_flaps
@@ -15,6 +15,7 @@ from flatwall.wall import (WHEEL_FIRST_ABOVE, Compass, SubdividedWall, bricks, c
 
 from fixtures import identity_witness, interior_vertices, k5_piece_host, random_wired_compass, \
     subdivided_witness, wired_nonflat_host
+from oracles import embed_planar
 
 
 def test_identity_wall_is_a_wall():
@@ -86,6 +87,33 @@ def test_interior_splits_into_layers():
     assert [len(layers(identity_wall(k))) for k in (1, 2, 3, 4, 5)] == [1, 1, 1, 2, 2]
     w = identity_wall(2)
     assert set(perimeter(w)) | {8, 9} == w.vertices()
+
+
+def _cycle_class(c):
+    return min(min(d[i:] + d[:i] for i in range(len(d))) for d in (tuple(c), tuple(c)[::-1]))
+
+
+def test_perimeter_and_layers_follow_the_grid_coordinates():
+    # the cycles an embedder gives: the outer face of wall(k), then of what
+    # is left after peeling each boundary cycle and the leaves it leaves
+    for k in range(1, 13):
+        wg = wall(k)
+        outer = list(embed_planar(wg.graph).outer_face)
+        at = outer.index(wg.corners[0])
+        outer = outer[at:] + outer[:at]
+        if outer[1] != wg.id(2, 1):
+            outer = [outer[0]] + outer[:0:-1]
+        assert wg.perimeter() == tuple(outer), k
+        peeled, g = [outer], wg.graph
+        while len(peeled) < max(1, k // 2):
+            g = strip_leaves(delete(g, vertices=peeled[-1]))
+            peeled.append(embed_planar(g).outer_face)
+        w = identity_wall(k)
+        got = layers(w)
+        assert [_cycle_class(c) for c in got] == [_cycle_class(c) for c in peeled], k
+        # layer i is the perimeter of the subwall at (2i + 1, i + 1), from its first corner
+        assert got == [perimeter(subwall(w, 2 * i + 1, i + 1, k - 2 * i))
+                       for i in range(len(got))], k
 
 
 def test_bricks_count():
