@@ -10,7 +10,7 @@ grow under taking minors, so that None is a proof of absence too.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .common import SizeCapExceeded, Verdict
 from .decomposition import treewidth_at_most
@@ -121,11 +121,34 @@ def _mask_neighborhood(adj: List[int], mask: int) -> int:
     return acc & ~mask
 
 
-def _grow_connected(adj: List[int], s: int, size: int, ok: int,
-                    max_size: int) -> Iterator[int]:
+def _falls_short(adj: List[int], seed: int, within: int, size: int, masks: List[int]) -> int:
+    """The component of seed in G[within] (seed included) if it has fewer
+    than size vertices or misses a mask, else 0.  The search grows breadth
+    first from seed and stops as soon as the grown set is large enough and
+    meets every mask."""
+    comp = frontier = seed
+    while True:
+        if comp.bit_count() >= size:
+            for m in masks:
+                if not comp & m:
+                    break
+            else:
+                return 0
+        frontier = _mask_neighborhood(adj, frontier) & within & ~comp
+        if not frontier:
+            return comp
+        comp |= frontier
+
+
+def _grow_connected(adj: List[int], s: int, size: int, ok: int, max_size: int,
+                    dead: Optional[Callable[[int, int], bool]]) -> Iterator[int]:
     # Binary-partition enumeration: branch on each frontier vertex in
     # ascending order, excluding it from all later branches at this level,
-    # so every connected superset is produced exactly once.
+    # so every connected superset is produced exactly once.  s is inside ok,
+    # and the subtree below s yields only connected sets between s and ok;
+    # dead(s, ok) true skips all of them.
+    if dead is not None and dead(s, ok):
+        return
     yield s
     if size == max_size:
         return
@@ -134,24 +157,62 @@ def _grow_connected(adj: List[int], s: int, size: int, ok: int,
     while ext:
         v = ext & -ext
         ext ^= v
-        yield from _grow_connected(adj, s | v, size + 1, ok & ~shut, max_size)
+        yield from _grow_connected(adj, s | v, size + 1, ok & ~shut, max_size, dead)
         shut |= v
 
 
-def _connected_subsets(adj: List[int], allowed: int, anchors: int,
-                       max_size: int) -> Iterator[int]:
-    """All connected subsets of allowed meeting anchors, small sets early.
+def _connected_subsets(adj: List[int], allowed: int, anchors: int, max_size: int,
+                       dead: Optional[Callable[[int, int], bool]] = None) -> Iterator[int]:
+    """All connected subsets of allowed meeting anchors, in depth-first order.
 
     Canonical form: the smallest anchor contained in the subset; smaller
     anchors are banned from the extension, so each subset appears once.
+    Sets with the same smallest anchor come out depth first: each set, then
+    the sets that extend it by its lowest frontier vertex, then by its next
+    one with the lowest excluded, and so on (on grid(2, 3): [0], [0, 1],
+    [0, 1, 2], [0, 1, 2, 3], ...).  dead, when given, cuts a set together
+    with every set that the enumeration would grow from it.
     """
     banned = 0
     seeds = anchors & allowed
     while seeds:
         low = seeds & -seeds
         seeds ^= low
-        yield from _grow_connected(adj, low, 1, allowed & ~banned, max_size)
+        yield from _grow_connected(adj, low, 1, allowed & ~banned, max_size, dead)
         banned |= low
+
+
+def _dead_test(adj: List[int], free: int, cap: List[Tuple[int, int]], reach: List[int],
+               room: List[Tuple[int, List[int]]]) -> Optional[Callable[[int, int], bool]]:
+    """The subtree cut of find_minor's rules (a) to (c) for one branch set.
+
+    cap holds (free neighbours of a placed branch set, count needed), reach
+    the free neighbourhoods the new set must meet, room (group size, free
+    neighbourhoods the group's component must meet).  None when all three
+    are empty, so the enumerator pays nothing.
+    """
+    if not (cap or reach or room):
+        return None
+
+    def dead(s: int, ok: int) -> bool:
+        for m, c in cap:
+            if (m & ~s).bit_count() < c:
+                return True
+        if reach and _falls_short(adj, s, ok, 0, reach):
+            return True
+        rest = free & ~s
+        for size, masks in room:
+            seeds = rest & masks[0]
+            while seeds:
+                comp = _falls_short(adj, seeds & -seeds, rest, size, masks)
+                if not comp:
+                    break
+                seeds &= ~comp
+            else:
+                return True
+        return False
+
+    return dead
 
 
 def _check_caps(host: Graph, pattern: Graph, pattern_cap: int, host_cap: int) -> None:
@@ -167,8 +228,10 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
 
     Pattern vertices are placed in the fixed order (degree descending,
     then id); each branch set is a connected subset of the free host
-    vertices, enumerated small sets first.  The search is depth-first and
-    returns the first complete model in that order.
+    vertices, enumerated in _connected_subsets' depth-first order (by the
+    smallest anchor it holds, then each set before the sets grown from
+    it).  The search is depth-first and returns the first complete model
+    in that order.
 
     Capacity rule: after placing a branch set, every placed pattern vertex
     q with c unplaced pattern neighbours must still have at least c free
@@ -177,6 +240,32 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
     placement that breaks the rule has no completion, so cutting it skips
     only dead subtrees: the order in which complete models are reached is
     unchanged and the first model found is the same as without the rule.
+
+    Subtree rules: while placing pattern vertex p, the enumerator grows
+    each candidate set s inside an allowed set ok, and every set it would
+    grow from s is a connected t with s <= t <= ok.  Before s is yielded,
+    three rules are tried on it; each one that holds for s holds for every
+    such t, so no such t has a completion and the whole subtree is cut.
+    The sets that remain come out in the same order, so the first model
+    is unchanged.  B(q) is the branch set of a placed q and N(B(q)) its
+    neighbourhood outside it.
+    (a) Earlier capacity: the capacity rule for each placed q other than
+    p.  The free vertices of N(B(q)) outside t are among those outside s,
+    so if s leaves fewer than c of them, every t does.  (For q = p,
+    N(B(p)) grows with s, so that check waits for the yielded set.)
+    (b) Reach: for each placed pattern neighbour q of p after the first,
+    t must meet N(B(q)).  t is connected, holds s and lies in ok, so t
+    lies in the component of s in G[ok]; if that component misses
+    N(B(q)), every t misses it.
+    (c) Room: let X be a component of the pattern vertices placed after
+    p, with placed neighbours R other than p.  The branch sets of X are
+    connected, pairwise joined along the edges of X and disjoint from the
+    used vertices and t, so their union lies in one component of
+    G[free - t], has at least |X| vertices and meets N(B(r)) for every r
+    in R.  Each component of G[free - t] lies inside one of G[free - s],
+    so if no component of G[free - s] is that large and meets every such
+    N(B(r)), no component of G[free - t] is either.  p is left out of R
+    because N(B(p)) changes with s.
 
     K4 rule: the pattern vertices still unplaced must form a minor of the
     free host vertices.  K4-minor-free graphs (treewidth at most 2) form a
@@ -213,18 +302,31 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
     order, adj = adjacency_masks(host)
     full = (1 << host.n) - 1
     porder = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
-    # needs[i]: (q, unplaced neighbour count) for each q placed once porder[i]
-    # is, newest first, since the set just placed is the likeliest to fail
-    needs = []
-    for i in range(len(porder)):
-        later = set(porder[i + 1:])
-        needs.append([(q, c) for q in reversed(porder[:i + 1])
-                      if (c := sum(1 for r in pattern.neighbors(q) if r in later))])
-    # k4[i]: whether the pattern vertices after porder[i] hold a K4 minor
     pos = {q: j for j, q in enumerate(porder)}
     padj = [sum(1 << pos[r] for r in pattern.neighbors(q)) for q in porder]
-    k4 = [not treewidth_at_most(padj, (1 << len(porder)) - (2 << i), 2)
-          for i in range(len(porder))]
+    # own[i]: the unplaced neighbour count of porder[i] once it is placed;
+    # needs[i]: (q, count) for each earlier q with unplaced neighbours left,
+    # newest first, since the newest sets are the likeliest to fail;
+    # k4[i]: whether the pattern vertices after porder[i] hold a K4 minor;
+    # room[i]: (size, placed neighbours but porder[i]) for each component of
+    # the pattern vertices after porder[i] that has such neighbours
+    own, needs, k4, room = [], [], [], []
+    for i in range(len(porder)):
+        later = (1 << len(porder)) - (2 << i)
+        count = [(padj[j] & later).bit_count() for j in range(i + 1)]
+        own.append(count[i])
+        needs.append([(porder[j], count[j]) for j in reversed(range(i)) if count[j]])
+        k4.append(not treewidth_at_most(padj, later, 2))
+        groups, rest = [], later
+        while rest:
+            # no group reaches len(porder) vertices, so this is a whole component
+            group = _falls_short(padj, rest & -rest, rest, len(porder), [])
+            rest &= ~group
+            placed = _mask_neighborhood(padj, group) & ((1 << i) - 1)
+            if placed:
+                groups.append((group.bit_count(),
+                               [porder[j] for j in range(i) if placed >> j & 1]))
+        room.append(groups)
     nbs: Dict[int, int] = {}  # placed pattern vertex -> N(branch set)
 
     def rec(i: int, used: int, sets: Dict[int, int]) -> Optional[Dict[int, int]]:
@@ -237,12 +339,15 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
             return None
         req = [nbs[q] for q in pattern.neighbors(p) if q in sets]
         anchors = (req[0] & free) if req else free
-        for s in _connected_subsets(adj, free, anchors, max_size):
+        dead = _dead_test(adj, free, [(nbs[q] & free, c) for q, c in needs[i]],
+                          [r & free for r in req[1:]],
+                          [(size, [nbs[r] & free for r in rs]) for size, rs in room[i]])
+        for s in _connected_subsets(adj, free, anchors, max_size, dead):
             if any(not r & s for r in req[1:]):
                 continue
             nbs[p] = _mask_neighborhood(adj, s)
             left = free & ~s
-            if any((nbs[q] & left).bit_count() < c for q, c in needs[i]):
+            if (nbs[p] & left).bit_count() < own[i]:
                 continue
             if k4[i] and treewidth_at_most(adj, left, 2):
                 continue

@@ -349,7 +349,13 @@ def minor_to_contraction(m: MinorModel) -> ContractionModel:
 
 
 def find_minor_unpruned(host: Graph, pattern: Graph) -> Optional[MinorModel]:
-    """find_minor without its capacity cut: same order, same first model."""
+    """find_minor with no cut at all: same order, same first model.
+
+    It keeps only the checks that define a model (disjoint connected branch
+    sets touching their placed pattern neighbours) and none of find_minor's
+    rules: no apex rule, no capacity rule, no subtree rules (a) to (c) and
+    no K4 rule.
+    """
     if pattern.n > host.n or pattern.m > host.m:
         return None
     if pattern.n == 0:

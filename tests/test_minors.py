@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -23,6 +24,7 @@ from oracles import (apex_rule_by_loop, embed_planar, find_minor_unpruned, has_m
 
 K33 = Graph(range(6), [(a, b) for a in range(3) for b in range(3, 6)])
 C5_CHORD = Graph(range(5), list(cycle_graph(5).edges) + [(0, 2)])
+W4 = Graph(range(5), list(cycle_graph(4).edges) + [(4, v) for v in range(4)])
 
 
 def test_find_minor_on_known_hosts():
@@ -78,6 +80,62 @@ def test_find_minor_same_first_model_as_unpruned_search():
         for pat in (complete_graph(5), K33):
             got, want = find_minor(host, pat), find_minor_unpruned(host, pat)
             assert got.branch_sets == want.branch_sets
+    # sparse hosts of 10 to 12 vertices and relabelled grids, where the
+    # subtree rules cut most of the search
+    small = [complete_graph(4), cycle_graph(4), C5_CHORD, W4]
+    found = 0
+    for i in range(40):
+        host = random_graph(rng, rng.randint(10, 12), rng.choice([0.25, 0.3, 0.35]))
+        pat = small[i % len(small)]
+        got, want = find_minor(host, pat), find_minor_unpruned(host, pat)
+        assert (got and got.branch_sets) == (want and want.branch_sets)
+        found += got is not None
+    assert 10 < found < 40
+    for rows, cols in [(3, 3), (2, 5), (3, 4), (4, 4)]:
+        g = grid(rows, cols)[0]
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        host = Graph(range(g.n), [(perm[a], perm[b]) for a, b in g.edges])
+        for pat in small:
+            got, want = find_minor(host, pat), find_minor_unpruned(host, pat)
+            assert (got and got.branch_sets) == (want and want.branch_sets)
+
+
+def test_find_minor_subtree_rules_cut_the_enumeration(monkeypatch):
+    # sets yielded by the branch-set enumerator over whole searches: rule (c)
+    # cuts most of K4 in the grids, rule (a) most of K3,3 in pyramid(3, 1),
+    # and each of the three rules cuts part of K4 in grid(2, 4), which has none
+    yielded = [0]
+    enumerate_sets = minors._connected_subsets
+
+    def counted(*args):
+        for s in enumerate_sets(*args):
+            yielded[0] += 1
+            yield s
+    monkeypatch.setattr(minors, "_connected_subsets", counted)
+    cases = [(grid(3, 4)[0], complete_graph(4)), (grid(3, 5)[0], complete_graph(4)),
+             (grid(3, 6)[0], complete_graph(4)), (grid(4, 4)[0], complete_graph(4)),
+             (grid(2, 4)[0], complete_graph(4)), (pyramid(3, 1), K33)]
+    counts = []
+    for host, pat in cases:
+        yielded[0] = 0
+        find_minor(host, pat)
+        counts.append(yielded[0])
+    assert counts == [12, 12, 12, 12, 806, 10]
+
+
+def test_find_minor_k4_in_long_grids():
+    # the first models in the enumeration order; with the capacity and K4
+    # rules alone the search takes about 15 s and 6 s of CPU to reach them
+    # on a shared 2-vCPU machine
+    want = {(5, 6): {0: [0, 1], 1: [2], 2: [3, 6, 9, 12, 13, 14, 15], 3: [7, 8]},
+            (3, 10): {0: [0, 1], 1: [2], 2: [3, 10, 13, 20, 21, 22, 23], 3: [11, 12]}}
+    for (rows, cols), sets in want.items():
+        start = time.process_time()
+        m = find_minor(grid(rows, cols)[0], complete_graph(4))
+        assert time.process_time() - start < 1.0
+        assert {p: sorted(s) for p, s in m.branch_sets.items()} == sets
+        assert verify_minor_model(m)
 
 
 class SearchStarted(Exception):
