@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Dict
 
 from .common import SizeCapExceeded
-from .decomposition import TREEWIDTH_CAP, exact_treewidth, validate as validate_td, width
+from .decomposition import TREEWIDTH_CAP, _width, exact_treewidth, validate as validate_td
 from .graph import Graph, delete
 from .generators import gamma, gamma_star, grid, lower_bound_graph, pyramid, wall
 from .minors import verify_minor_model
@@ -187,7 +187,7 @@ def cmd_td_validate(args) -> int:
     if not ok:
         _emit(_reject_report(ok))
         return EXIT_REFUTED
-    _emit({"verdict": "accepted", "width": width(td)})
+    _emit({"verdict": "accepted", "width": _width(td)})
     return EXIT_OK
 
 

@@ -45,6 +45,18 @@ class TreeDecomposition:
         if not _is_tree(tree):
             raise ValueError("decomposition tree is not a tree")
 
+    @classmethod
+    def _trusted(cls, host: Graph, tree: Graph, bags: Mapping[int, Iterable[int]]) -> "TreeDecomposition":
+        """The decomposition of host with this tree and these bags, checked
+        for nothing: for producers whose construction guarantees what
+        __init__ checks (one bag per tree node, bags of host vertices, a
+        tree).  validate still checks the tree."""
+        td = cls.__new__(cls)
+        td.host = host
+        td.tree = tree
+        td.bags = {i: frozenset(b) for i, b in bags.items()}
+        return td
+
     def __repr__(self) -> str:
         return "TreeDecomposition(%d bags, host n=%d)" % (len(self.bags), self.host.n)
 
@@ -55,31 +67,62 @@ def validate(td: TreeDecomposition) -> Verdict:
     Conditions, in order: every host vertex is covered by some bag, every
     host edge lies inside some bag, and each vertex's trace (the set of
     tree nodes whose bags contain it) is connected in the tree.
+
+    One pass over the bags lists each vertex's trace.  An edge is inside
+    some bag iff a bag of the shorter trace of its ends holds the other
+    end.  A trace spans a forest of the tree, so it holds at most
+    |trace| - 1 tree edges, and exactly that many iff it is connected;
+    tree edge ij is held by every vertex of bags[i] & bags[j].  That count
+    is exact only on a forest, so the tree is checked first, and a tree
+    that is not one raises the constructor's ValueError.
     """
-    covered = set()
-    for bag in td.bags.values():
-        covered |= bag
-    for v in td.host.vertices:
-        if v not in covered:
+    if not _is_tree(td.tree):
+        raise ValueError("decomposition tree is not a tree")
+    bags = td.bags
+    trace: Dict[int, List[int]] = {v: [] for v in td.host.vertices}
+    for i, bag in bags.items():
+        for v in bag:
+            trace[v].append(i)
+    for v, t in trace.items():
+        if not t:
             return Verdict.reject("uncovered-vertex", witness=v,
                                   detail="vertex %r is in no bag" % (v,))
-    for a, b in td.host.edges:
-        if not any(a in bag and b in bag for bag in td.bags.values()):
-            return Verdict.reject("uncovered-edge", witness=(a, b),
-                                  detail="edge %r-%r is inside no bag" % (a, b))
-    for v in td.host.vertices:
-        trace = [i for i in td.tree.vertices if v in td.bags[i]]
-        if len(bfs(td.tree, trace[0], set(trace))[0]) != len(trace):
-            return Verdict.reject("disconnected-trace", witness=v,
-                                  detail="trace of vertex %r spans a disconnected set of bags" % (v,))
-    return Verdict.accept()
+    for e in td.host.edges:
+        a, b = e
+        t = trace[a]
+        if len(trace[b]) < len(t):
+            t, b = trace[b], a
+        for i in t:
+            if b in bags[i]:
+                break
+        else:
+            return Verdict.reject("uncovered-edge", witness=e,
+                                  detail="edge %r-%r is inside no bag" % e)
+    # summed over vertices, the tree edges held number sum |bags[i] & bags[j]|
+    # and their bounds sum |bag| - n: equal sums mean every trace holds its
+    # bound; the count per vertex only finds the first that does not
+    if (sum(len(bags[i] & bags[j]) for i, j in td.tree.edges)
+            == sum(map(len, bags.values())) - len(trace)):
+        return Verdict.accept()
+    held = dict.fromkeys(trace, 0)
+    for i, j in td.tree.edges:
+        for v in bags[i] & bags[j]:
+            held[v] += 1
+    v = next(v for v, t in trace.items() if held[v] != len(t) - 1)
+    return Verdict.reject("disconnected-trace", witness=v,
+                          detail="trace of vertex %r spans a disconnected set of bags" % (v,))
+
+
+def _width(td: TreeDecomposition) -> int:
+    # The width of a decomposition that validate has accepted.
+    return max(len(bag) for bag in td.bags.values()) - 1
 
 
 def width(td: TreeDecomposition) -> int:
     v = validate(td)
     if not v:
         raise ValueError("invalid decomposition: %s" % v.condition)
-    return max(len(bag) for bag in td.bags.values()) - 1
+    return _width(td)
 
 
 def closure_bag(td: TreeDecomposition, i: int) -> Graph:
@@ -296,11 +339,15 @@ def exact_treewidth(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDecomp
         bags[i] = [order[v]] + [order[u] for u in members]
         parent[i] = min(pos[u] for u in members) if members else None
         h = _eliminate(h, v)
+    # A parent comes later in the order, and roots are chained ascending,
+    # so every tree edge is already normalised (smaller node first).  The
+    # order covers every vertex and edge and gives one bag per node, so
+    # neither the tree nor the decomposition is checked again.
     tree_edges = [(i, p) for i, p in parent.items() if p is not None]
     roots = sorted(i for i, p in parent.items() if p is None)
     tree_edges.extend(zip(roots, roots[1:]))
-    td = TreeDecomposition(g, Graph(range(n), tree_edges), bags)
-    return tw, td
+    tree = Graph._trusted(range(n), sorted(tree_edges))
+    return tw, TreeDecomposition._trusted(g, tree, bags)
 
 
 class WeightedTree:

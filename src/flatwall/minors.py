@@ -92,21 +92,38 @@ class MinorModel:
 
 
 def verify_minor_model(m: MinorModel) -> Verdict:
-    """Check disjointness, connectivity, and edge realization of branch sets."""
+    """Check disjointness, connectivity, and edge realization of branch sets.
+
+    One pass over the sets in ascending pattern id builds the owner map
+    (host vertex -> the smallest id whose set holds it).  An overlap makes
+    the first pair (v, u): v is the smallest owner of a shared vertex, u the
+    next id whose set meets v's.  Once the sets are disjoint, an edge vu is
+    realized iff some host neighbour of v's set is owned by u.
+    """
+    sets = m.branch_sets
     for v in m.pattern.vertices:
-        if not m.branch_sets.get(v):
+        if not sets.get(v):
             return Verdict.reject("empty-branch-set", witness=v)
-    ids = sorted(m.branch_sets)
-    for i, v in enumerate(ids):
-        for u in ids[i + 1:]:
-            if m.branch_sets[v] & m.branch_sets[u]:
-                return Verdict.reject("overlapping-branch-sets", witness=(v, u))
+    owner: Dict[int, int] = {}
+    first = None
+    for v in sorted(sets):
+        for x in sets[v]:
+            q = owner.setdefault(x, v)
+            if q != v and (first is None or q < first):
+                first = q
+    if first is not None:
+        sv = sets[first]
+        u = next(u for u in sorted(sets) if u > first and not sv.isdisjoint(sets[u]))
+        return Verdict.reject("overlapping-branch-sets", witness=(first, u))
     for v in m.pattern.vertices:
-        if not is_connected(induced_subgraph(m.host, m.branch_sets[v])):
+        s = sets[v]
+        if len(s) > 1 and len(bfs(m.host, next(iter(s)), s)[0]) != len(s):
             return Verdict.reject("branch-set-disconnected", witness=v)
+    touched: Dict[int, set] = {}
     for v, u in m.pattern.edges:
-        sv, su = m.branch_sets[v], m.branch_sets[u]
-        if not any(b in su for a in sv for b in m.host.neighbors(a)):
+        if v not in touched:
+            touched[v] = {owner.get(b) for a in sets[v] for b in m.host.neighbors(a)}
+        if u not in touched[v]:
             return Verdict.reject("unrealized-pattern-edge", witness=(v, u))
     return Verdict.accept()
 

@@ -13,8 +13,8 @@ from math import isqrt
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .common import SizeCapExceeded, Verdict
-from .decomposition import (TREEWIDTH_CAP, TreeDecomposition, exact_treewidth,
-                            treewidth_at_most, validate as validate_td, width)
+from .decomposition import (TREEWIDTH_CAP, TreeDecomposition, _width, exact_treewidth,
+                            treewidth_at_most, validate as validate_td)
 from .generators import grid, pyramid, wall
 from .graph import Graph, adjacency_masks, connected_components, delete, induced_subgraph, union
 from .minors import (MINOR_HOST_CAP, MINOR_PATTERN_CAP, MinorModel, find_minor,
@@ -267,8 +267,9 @@ def trichotomy_check(g: Graph, h_graph: Graph, k: int,
     if model is not None:
         return WeakStructureCertificate(1, minor=model)
 
-    tw, td = exact_treewidth(g)
-    if tw <= width_threshold:
+    # decided first: the decomposition is computed only when it certifies
+    if treewidth_at_most(adjacency_masks(g)[1], (1 << g.n) - 1, width_threshold):
+        _, td = exact_treewidth(g)
         return WeakStructureCertificate(2, decomposition=td, width_bound=width_threshold)
 
     an, _ = apex_number(h_graph)
@@ -323,9 +324,10 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
         ok = validate_td(td)
         if not ok:
             return Verdict.reject("decomposition-invalid", witness=ok.witness, detail=ok.detail)
-        if width(td) > cert.width_bound:
-            return Verdict.reject("width-exceeded", witness=width(td),
-                                  detail="width %d exceeds bound %d" % (width(td), cert.width_bound))
+        w = _width(td)
+        if w > cert.width_bound:
+            return Verdict.reject("width-exceeded", witness=w,
+                                  detail="width %d exceeds bound %d" % (w, cert.width_bound))
         return Verdict.accept()
 
     an, _ = apex_number(h_graph)

@@ -11,7 +11,8 @@ import time
 from collections import Counter, deque
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from flatwall.graph import Graph, Hypergraph, adjacency_masks, bfs, delete, path_to
+from flatwall.graph import (Graph, Hypergraph, adjacency_masks, bfs, delete, induced_subgraph,
+                            is_connected, path_to)
 from flatwall.common import SizeCapExceeded, Verdict
 from flatwall.decomposition import TREEWIDTH_CAP, TreeDecomposition
 from flatwall.minors import ContractionModel, MinorModel, _connected_subsets, _mask_neighborhood
@@ -324,6 +325,51 @@ def exact_treewidth_dp(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDec
     tree_edges.extend(zip(roots, roots[1:]))
     td = TreeDecomposition(g, Graph(range(n), tree_edges), bags)
     return tw, td
+
+
+def validate_by_scan(td: TreeDecomposition) -> Verdict:
+    """decomposition.validate as it was before the trace pass: a scan of
+    every bag per host edge, and one breadth-first search per vertex over
+    its trace.  Same verdicts on any decomposition built by the checked
+    constructor."""
+    covered = set()
+    for bag in td.bags.values():
+        covered |= bag
+    for v in td.host.vertices:
+        if v not in covered:
+            return Verdict.reject("uncovered-vertex", witness=v,
+                                  detail="vertex %r is in no bag" % (v,))
+    for a, b in td.host.edges:
+        if not any(a in bag and b in bag for bag in td.bags.values()):
+            return Verdict.reject("uncovered-edge", witness=(a, b),
+                                  detail="edge %r-%r is inside no bag" % (a, b))
+    for v in td.host.vertices:
+        trace = [i for i in td.tree.vertices if v in td.bags[i]]
+        if len(bfs(td.tree, trace[0], set(trace))[0]) != len(trace):
+            return Verdict.reject("disconnected-trace", witness=v,
+                                  detail="trace of vertex %r spans a disconnected set of bags" % (v,))
+    return Verdict.accept()
+
+
+def verify_minor_model_pairwise(m: MinorModel) -> Verdict:
+    """minors.verify_minor_model as it was before the owner map: every pair
+    of branch sets intersected, one induced subgraph per set."""
+    for v in m.pattern.vertices:
+        if not m.branch_sets.get(v):
+            return Verdict.reject("empty-branch-set", witness=v)
+    ids = sorted(m.branch_sets)
+    for i, v in enumerate(ids):
+        for u in ids[i + 1:]:
+            if m.branch_sets[v] & m.branch_sets[u]:
+                return Verdict.reject("overlapping-branch-sets", witness=(v, u))
+    for v in m.pattern.vertices:
+        if not is_connected(induced_subgraph(m.host, m.branch_sets[v])):
+            return Verdict.reject("branch-set-disconnected", witness=v)
+    for v, u in m.pattern.edges:
+        sv, su = m.branch_sets[v], m.branch_sets[u]
+        if not any(b in su for a in sv for b in m.host.neighbors(a)):
+            return Verdict.reject("unrealized-pattern-edge", witness=(v, u))
+    return Verdict.accept()
 
 
 def minor_to_contraction(m: MinorModel) -> ContractionModel:

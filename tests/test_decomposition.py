@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -14,7 +15,7 @@ from flatwall.graph import (Graph, adjacency_masks, complete_graph, cycle_graph,
 from flatwall.serialize import td_to_json
 
 from oracles import (exact_treewidth_dp, random_elimination_td, random_graph,
-                     treewidth_by_elimination)
+                     treewidth_by_elimination, validate_by_scan)
 
 
 def tw(g):
@@ -181,6 +182,76 @@ def test_non_tree_rejected_at_construction():
     g = path_graph(2)
     with pytest.raises(ValueError):
         TreeDecomposition(g, cycle_graph(3), {0: [0], 1: [0, 1], 2: [1]})
+
+
+def _random_tree(rng, nodes):
+    nodes = list(nodes)
+    rng.shuffle(nodes)
+    return Graph(nodes, [(v, rng.choice(nodes[:i])) for i, v in enumerate(nodes) if i])
+
+
+def test_validate_matches_scan_oracle_on_mutated_decompositions():
+    # Same verdict, condition, witness and detail as the bag scan, on valid
+    # decompositions and on ones with bags, tree or host mutated.
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(2400):
+        host = random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.6]))
+        td = random_elimination_td(rng, host)
+        tree, bags = td.tree, {i: set(b) for i, b in td.bags.items()}
+        for _ in range(rng.randint(0, 3)):
+            kind, i = rng.randrange(5), rng.choice(tree.vertices)
+            if kind == 0 and bags[i]:
+                bags[i].discard(rng.choice(sorted(bags[i])))
+            elif kind == 1:
+                bags[i].add(rng.choice(host.vertices))
+            elif kind == 2:
+                tree = _random_tree(rng, tree.vertices)
+            elif kind == 3:
+                host = host.add_vertices([host.fresh_id()])
+            else:
+                a, b = rng.sample(host.vertices, 2) if host.n > 1 else (0, 0)
+                if a != b and not host.has_edge(a, b):
+                    host = host.add_edges([(a, b)])
+        mutated = TreeDecomposition(host, tree, bags)
+        got = validate(mutated)
+        assert got == validate_by_scan(mutated)
+        seen.add(got.condition)
+    assert seen == {None, "uncovered-vertex", "uncovered-edge", "disconnected-trace"}
+
+
+def test_validate_checks_the_tree_of_a_trusted_decomposition():
+    # a triangle plus an isolated node has n - 1 edges and is no tree; the
+    # edge count alone would accept every trace here
+    g = path_graph(2)
+    bad = TreeDecomposition._trusted(g, Graph(range(4), [(0, 1), (0, 2), (1, 2)]),
+                                     {0: [0, 1], 1: [0, 1], 2: [0, 1], 3: [0]})
+    with pytest.raises(ValueError, match="not a tree"):
+        validate(bad)
+    with pytest.raises(ValueError, match="not a tree"):
+        width(bad)
+
+
+def test_validate_is_linear_on_a_long_path_decomposition():
+    # the bag scan took about 6 s of CPU on a shared 2-vCPU machine
+    n = 9000
+    td = TreeDecomposition(path_graph(n), path_graph(n - 1), {i: (i, i + 1) for i in range(n - 1)})
+    start = time.process_time()
+    assert validate(td)
+    assert time.process_time() - start < 0.5
+
+
+def test_exact_treewidth_output_passes_the_checked_constructor():
+    # the tree and decomposition are built unchecked; the checked
+    # constructors build equal ones, and validate accepts them
+    rng = random.Random(6)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(0, 10), rng.choice([0.1, 0.3, 0.6]))
+        k, td = exact_treewidth(g)
+        tree = Graph(td.tree.vertices, td.tree.edges)
+        assert tree == td.tree and tree.edges == td.tree.edges
+        assert TreeDecomposition(g, tree, td.bags).bags == td.bags
+        assert validate(td) and width(td) == k
 
 
 def test_apex_deletion_lowers_treewidth_boundedly():

@@ -20,7 +20,7 @@ from flatwall.planarity import faces_of, planarizing_set, _canon_cycle
 
 from fixtures import apex_over
 from oracles import (apex_rule_by_loop, embed_planar, find_minor_unpruned, has_minor_by_partition,
-                     minor_to_contraction, random_graph)
+                     minor_to_contraction, random_graph, verify_minor_model_pairwise)
 
 K33 = Graph(range(6), [(a, b) for a in range(3) for b in range(3, 6)])
 C5_CHORD = Graph(range(5), list(cycle_graph(5).edges) + [(0, 2)])
@@ -219,6 +219,39 @@ def test_verify_minor_model_conditions():
     v = verify_minor_model(MinorModel(g, pat, {0: [0, 1], 1: [1, 2]}))
     assert not v and v.condition == "overlapping-branch-sets"
     assert verify_minor_model(MinorModel(g, pat, {0: [0, 1], 1: [2]}))
+
+
+def test_verify_minor_model_matches_pairwise_oracle():
+    # Same verdict and witness as the pairwise check on random models:
+    # disjoint nonempty sets from a random owner map, then overlaps and
+    # missing sets.
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(2400):
+        host = random_graph(rng, rng.randint(2, 10), rng.choice([0.3, 0.5, 0.8]))
+        pattern = random_graph(rng, rng.randint(1, min(5, host.n)), rng.choice([0.3, 0.6, 1.0]))
+        owner = {v: rng.choice(pattern.vertices + (None,)) for v in host.vertices}
+        owner.update(zip(rng.sample(host.vertices, pattern.n), pattern.vertices))
+        sets = {p: {v for v, q in owner.items() if q == p} for p in pattern.vertices}
+        for _ in range(rng.choice([0, 0, 0, 1, 2])):
+            sets[rng.choice(pattern.vertices)].add(rng.choice(host.vertices))
+        if rng.random() < 0.1:
+            del sets[rng.choice(pattern.vertices)]
+        m = MinorModel(host, pattern, sets)
+        got = verify_minor_model(m)
+        assert got == verify_minor_model_pairwise(m)
+        seen.add(got.condition)
+    assert seen == {None, "empty-branch-set", "overlapping-branch-sets",
+                    "branch-set-disconnected", "unrealized-pattern-edge"}
+
+
+def test_verify_minor_model_is_linear_on_a_long_path():
+    # the pairwise check took about 1.3 s of CPU on a shared 2-vCPU machine
+    p = path_graph(3000)
+    m = MinorModel(p, p, {v: (v,) for v in p.vertices})
+    start = time.process_time()
+    assert verify_minor_model(m)
+    assert time.process_time() - start < 0.5
 
 
 def test_contraction_model_roundtrip():
