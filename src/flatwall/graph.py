@@ -259,12 +259,3 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={len(self.vertices)}, m={len(self.hyperedges)})"
-
-
-def incidence_graph(h: Hypergraph) -> Graph:
-    """Bipartite incidence graph; original ids kept, one fresh id per
-    hyperedge, consecutive after the largest vertex id."""
-    base = (max(h.vertices) + 1) if h.vertices else 0
-    nodes = range(base, base + len(h.hyperedges))
-    edges = [(v, x) for x, he in zip(nodes, h.hyperedges) for v in he]
-    return Graph(list(h.vertices) + list(nodes), edges)

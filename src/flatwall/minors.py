@@ -10,6 +10,7 @@ grow under taking minors, so that None is a proof of absence too.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .common import SizeCapExceeded, Verdict
@@ -239,6 +240,40 @@ def _check_caps(host: Graph, pattern: Graph, pattern_cap: int, host_cap: int) ->
         raise SizeCapExceeded("host capped at %d vertices, got %d" % (host_cap, host.n))
 
 
+@lru_cache(maxsize=32)
+def _pattern_tables(pattern: Graph) -> tuple:
+    """find_minor's tables that depend on the pattern alone, kept for the
+    last few patterns: (apex number, porder, own, needs, k4, room)."""
+    a, _ = apex_number(pattern, cap=pattern.n)
+    porder = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
+    pos = {q: j for j, q in enumerate(porder)}
+    padj = [sum(1 << pos[r] for r in pattern.neighbors(q)) for q in porder]
+    # own[i]: the unplaced neighbour count of porder[i] once it is placed;
+    # needs[i]: (q, count) for each earlier q with unplaced neighbours left,
+    # newest first, since the newest sets are the likeliest to fail;
+    # k4[i]: whether the pattern vertices after porder[i] hold a K4 minor;
+    # room[i]: (size, placed neighbours but porder[i]) for each component of
+    # the pattern vertices after porder[i] that has such neighbours
+    own, needs, k4, room = [], [], [], []
+    for i in range(len(porder)):
+        later = (1 << len(porder)) - (2 << i)
+        count = [(padj[j] & later).bit_count() for j in range(i + 1)]
+        own.append(count[i])
+        needs.append(tuple((porder[j], count[j]) for j in reversed(range(i)) if count[j]))
+        k4.append(not treewidth_at_most(padj, later, 2))
+        groups, rest = [], later
+        while rest:
+            # no group reaches len(porder) vertices, so this is a whole component
+            group = _falls_short(padj, rest & -rest, rest, len(porder), [])
+            rest &= ~group
+            placed = _mask_neighborhood(padj, group) & ((1 << i) - 1)
+            if placed:
+                groups.append((group.bit_count(),
+                               tuple(porder[j] for j in range(i) if placed >> j & 1)))
+        room.append(tuple(groups))
+    return a, tuple(porder), tuple(own), tuple(needs), tuple(k4), tuple(room)
+
+
 def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP,
                host_cap: int = MINOR_HOST_CAP) -> Optional[MinorModel]:
     """Exhaustive branch-set search: a valid model, or None if none exists.
@@ -312,38 +347,12 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
         return None
     if pattern.n == 0:
         return MinorModel(host, pattern, {})
-    a, _ = apex_number(pattern, cap=pattern.n)
+    a, porder, own, needs, k4, room = _pattern_tables(pattern)
     if a and planarizing_set(host, a - 1) is not None:
         return None
 
     order, adj = adjacency_masks(host)
     full = (1 << host.n) - 1
-    porder = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
-    pos = {q: j for j, q in enumerate(porder)}
-    padj = [sum(1 << pos[r] for r in pattern.neighbors(q)) for q in porder]
-    # own[i]: the unplaced neighbour count of porder[i] once it is placed;
-    # needs[i]: (q, count) for each earlier q with unplaced neighbours left,
-    # newest first, since the newest sets are the likeliest to fail;
-    # k4[i]: whether the pattern vertices after porder[i] hold a K4 minor;
-    # room[i]: (size, placed neighbours but porder[i]) for each component of
-    # the pattern vertices after porder[i] that has such neighbours
-    own, needs, k4, room = [], [], [], []
-    for i in range(len(porder)):
-        later = (1 << len(porder)) - (2 << i)
-        count = [(padj[j] & later).bit_count() for j in range(i + 1)]
-        own.append(count[i])
-        needs.append([(porder[j], count[j]) for j in reversed(range(i)) if count[j]])
-        k4.append(not treewidth_at_most(padj, later, 2))
-        groups, rest = [], later
-        while rest:
-            # no group reaches len(porder) vertices, so this is a whole component
-            group = _falls_short(padj, rest & -rest, rest, len(porder), [])
-            rest &= ~group
-            placed = _mask_neighborhood(padj, group) & ((1 << i) - 1)
-            if placed:
-                groups.append((group.bit_count(),
-                               [porder[j] for j in range(i) if placed >> j & 1]))
-        room.append(groups)
     nbs: Dict[int, int] = {}  # placed pattern vertex -> N(branch set)
 
     def rec(i: int, used: int, sets: Dict[int, int]) -> Optional[Dict[int, int]]:

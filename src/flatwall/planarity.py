@@ -26,54 +26,6 @@ APEX_CAP = 16
 
 
 # ---------------------------------------------------------------------------
-# biconnected blocks
-
-
-def biconnected_blocks(g: Graph) -> List[Tuple[Tuple[int, int], ...]]:
-    """Edge sets of the biconnected components, iterative Hopcroft-Tarjan
-    (a lowpoint DFS, hence its own stack of neighbour iterators)."""
-    depth: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    parent: Dict[int, int] = {}
-    blocks: List[Tuple[Tuple[int, int], ...]] = []
-    estack: List[Tuple[int, int]] = []
-    for root in g.vertices:
-        if root in depth:
-            continue
-        depth[root] = low[root] = 0
-        stack = [(root, iter(g.neighbors(root)))]
-        while stack:
-            v, it = stack[-1]
-            pushed = False
-            for w in it:
-                if w not in depth:
-                    parent[w] = v
-                    depth[w] = low[w] = depth[v] + 1
-                    estack.append((v, w))
-                    stack.append((w, iter(g.neighbors(w))))
-                    pushed = True
-                    break
-                if w != parent.get(v) and depth[w] < depth[v]:
-                    estack.append((v, w))
-                    low[v] = min(low[v], depth[w])
-            if pushed:
-                continue
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= depth[u]:
-                    block = set()
-                    while estack:
-                        e = estack.pop()
-                        block.add(tuple(sorted(e)))
-                        if e == (u, v):
-                            break
-                    blocks.append(tuple(sorted(block)))
-    return blocks
-
-
-# ---------------------------------------------------------------------------
 # public embedding type
 
 
@@ -380,14 +332,19 @@ def embeds_in_disk_with_boundary(g: Graph, cycle: Sequence[int]) -> bool:
     ab; once every triangle is empty, deleting the hub leaves the rim
     bounding a face.  Conversely a hub fits into any face the rim bounds.
     """
+    return _disk_planar({v: set(ns) for v, ns in g._adj.items()}, cycle)
+
+
+def _disk_planar(adj: Dict[int, set], cycle: Sequence[int]) -> bool:
+    """embeds_in_disk_with_boundary for the graph with adjacency sets adj,
+    which it consumes."""
     cyc = list(cycle)
     if len(cyc) < 3 or len(set(cyc)) != len(cyc):
         raise ValueError("boundary must be a simple cycle")
     for v in cyc:
-        if not g.has_vertex(v):
+        if v not in adj:
             raise ValueError(f"boundary vertex {v} is not in the graph")
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    hub = g.fresh_id()
+    hub = max(adj) + 1
     adj[hub] = set(cyc)
     for i, a in enumerate(cyc):
         adj[a].update((cyc[i - 1], cyc[(i + 1) % len(cyc)], hub))

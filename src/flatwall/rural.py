@@ -16,12 +16,13 @@ fixtures reject deterministically:
      the corners by as many vertex-disjoint paths as it has vertices.
 """
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from itertools import combinations
+from typing import AbstractSet, Collection, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .common import Verdict
-from .graph import Graph, Hypergraph, _norm_edge, bfs, incidence_graph
+from .graph import Graph, Hypergraph, _norm_edge, bfs
 from .paths import max_vertex_disjoint_paths
-from .planarity import biconnected_blocks, embeds_in_disk_with_boundary
+from .planarity import _disk_planar
 from .wall import Compass, _require_valid, _rim
 
 
@@ -87,7 +88,33 @@ def check_disk_embeddable(h: Hypergraph, corners: Sequence[int]) -> bool:
     for c in corners:
         if c not in h.vertices:
             raise ValueError("corner %r is not a hypergraph vertex" % (c,))
-    return embeds_in_disk_with_boundary(incidence_graph(h), corners)
+    return _boundaries_embed_in_disk(h.hyperedges, corners)
+
+
+def _boundaries_embed_in_disk(boundaries: Sequence[Collection[int]],
+                              corners: Sequence[int]) -> bool:
+    """check_disk_embeddable for distinct boundaries, on a gadget that
+    planarity.py's kernel makes of their incidence graph anyway.
+
+    A two-vertex boundary ab is the edge ab: its incidence node has degree
+    2, so the kernel smooths it into ab, or deletes it beside an ab that is
+    already there.  A boundary of three or more vertices is one fresh node
+    joined to each of them, and one of at most one vertex, whose node the
+    kernel deletes, adds nothing.  Each step preserves planarity both ways.
+    """
+    adj: Dict[int, set] = {v: set() for bs in (corners, *boundaries) for v in bs}
+    x = max(adj, default=-1)
+    for bs in boundaries:
+        if len(bs) == 2:
+            a, b = bs
+            adj[a].add(b)
+            adj[b].add(a)
+        elif len(bs) > 2:
+            x += 1
+            adj[x] = set(bs)
+            for v in bs:
+                adj[v].add(x)
+    return _disk_planar(adj, corners)
 
 
 def check_linkage(k: Compass, e: Iterable[int]) -> bool:
@@ -100,58 +127,71 @@ def check_linkage(k: Compass, e: Iterable[int]) -> bool:
     return flow >= len(terminals)
 
 
-def _separator_tree(g: Graph, corners: Sequence[int]) -> Dict[int, int]:
-    """up[v] for each vertex v of g that reaches a corner: the next vertex
-    that separates v from the corners, or a sink t joined to every corner
-    (a fresh id, with up[t] = t) if none does.
+def _separator_tree(g: Graph, corners: Sequence[int]) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """(up, top) for the vertices of g that reach a corner.
 
-    The map is read off one block-cut tree of g plus t, rooted at t: up[v]
-    is the cut vertex (or t) at which the block holding v nearest to t
-    hangs, so v, up[v], up[up[v]], ... before t are v and the vertices
-    that separate it from the corners.
+    up[v] is the next vertex that separates v from the corners, or a sink t
+    joined to every corner (a fresh id, with up[t] = t) if none does; so v,
+    up[v], up[up[v]], ... before t are v and the vertices that separate it
+    from the corners.  top[v] is the last of them, the one whose up is t
+    (and top[t] = t).
+
+    One iterative lowpoint DFS of g plus t, rooted at t, finds the blocks
+    (Hopcroft and Tarjan): when a child v of u has low[v] >= depth[u], the
+    vertices stacked since v, with u, form a block that hangs at u toward
+    t, so each of them gets up = u.  up[v] is an ancestor of v, so top
+    fills in preorder.
     """
+    adj = g._adj
     t = g.fresh_id()
-    blocks = biconnected_blocks(Graph(g.vertices + (t,), g.edges + tuple((c, t) for c in corners)))
-    block_vertices = [{v for e in block for v in e} for block in blocks]
-    blocks_of: Dict[int, List[int]] = {}
-    for i, vs in enumerate(block_vertices):
-        for v in vs:
-            blocks_of.setdefault(v, []).append(i)
+    on_rim = set(corners)
+    depth = {t: 0}
+    low = {t: 0}
     up = {t: t}
-    order = [t]
-    opened = set()
-    for v in order:
-        for i in blocks_of[v]:
-            if i not in opened:
-                opened.add(i)
-                for w in block_vertices[i] - up.keys():
-                    up[w] = v
-                    order.append(w)
-    return up
+    pending: List[int] = []
+    stack = [(t, t, iter(corners))]
+    while stack:
+        u, above, it = stack[-1]
+        for w in it:
+            if w not in depth:
+                d = depth[u] + 1
+                depth[w] = d
+                # a corner entered from below t has its back edge to t
+                low[w] = 0 if w in on_rim and u != t else d
+                pending.append(w)
+                stack.append((w, u, iter(adj[w])))
+                break
+            if w != above and depth[w] < low[u]:
+                low[u] = depth[w]
+        else:
+            stack.pop()
+            if u != t:
+                low[above] = min(low[above], low[u])
+                if low[u] >= depth[above]:  # u's subtree closes a block at above
+                    x = None
+                    while x != u:
+                        x = pending.pop()
+                        up[x] = above
+    top: Dict[int, int] = {}
+    for v in depth:  # in preorder
+        top[v] = v if up[v] == t else top[up[v]]
+    return up, top
 
 
-def _separators(up: Dict[int, int], v: int) -> set:
-    out = set()
-    while up[v] != v:
-        out.add(v)
-        v = up[v]
-    return out
-
-
-def _linked_by_tree(up: Dict[int, int], e: Iterable[int]) -> bool:
-    """check_linkage for a boundary of at most two vertices, from _separator_tree.
+def _linked_by_top(top: Dict[int, int], e: Collection[int]) -> bool:
+    """check_linkage for a set e of at most two vertices, from _separator_tree.
 
     By Menger's theorem |e| disjoint paths run from e to the corners iff no
     set of fewer than |e| vertices separates e from them: each vertex of e
-    reaches a corner, and no one vertex separates both of a pair.
+    reaches a corner, and no one vertex separates both of a pair.  The
+    separators of a and b are root paths of the up tree, so they meet
+    iff they end at the same top.
     """
-    vs = sorted(set(e))
-    if any(v not in up for v in vs):
-        return False
-    return len(vs) < 2 or not _separators(up, vs[0]) & _separators(up, vs[1])
+    tops = {top.get(v) for v in e}
+    return None not in tops and len(tops) == len(e)
 
 
-def _pair_joined(d: Graph, u: int, v: int, others: set) -> bool:
+def _pair_joined(d: Graph, u: int, v: int, others: AbstractSet[int]) -> bool:
     # internal vertices must avoid the rest of the boundary, endpoints may not
     return d.has_edge(u, v) or bfs(d, u, (set(d.vertices) - others) | {v}, (v,))[1] is not None
 
@@ -213,27 +253,32 @@ def validate_rural(rd: RuralDivision) -> Verdict:
                               detail="edge %r-%r is in no flap" % missing[0])
 
     # 2: distinct boundaries; shared vertices are exactly shared boundary.
-    # A boundary lies inside its flap, so only flaps that share a vertex or
-    # have equal boundaries can fail; those pairs are checked in (i, j)
-    # order, which names the same first failure as checking every pair.
+    # A boundary lies inside its flap, so only flaps with equal boundaries,
+    # or that share a vertex off the boundary of one of them, can fail;
+    # those pairs are checked in (i, j) order, which names the same first
+    # failure as checking every pair.
     bounds = _swept_boundaries(rd, seen)
     verts = [set(d.vertices) for d in rd.flaps]
-    by_vertex: Dict[int, List[int]] = {}
     by_bound: Dict[FrozenSet[int], List[int]] = {}
+    for i, bs in enumerate(bounds):
+        by_bound.setdefault(bs, []).append(i)
+    groups = [group for group in by_bound.values() if len(group) > 1]
+    by_vertex: Dict[int, List[int]] = {v: [] for vs, bs in zip(verts, bounds) for v in vs - bs}
     for i, vs in enumerate(verts):
-        for v in vs:
-            by_vertex.setdefault(v, []).append(i)
-        by_bound.setdefault(bounds[i], []).append(i)
-    for i, vs in enumerate(verts):
-        near = set(by_bound[bounds[i]])
-        for v in vs:
-            near.update(by_vertex[v])
-        for j in sorted(j for j in near if j > i):
+        for v in vs & by_vertex.keys():
+            by_vertex[v].append(i)
+    groups += by_vertex.values()
+    near: Dict[int, set] = {}  # i -> the flaps that may fail beside flap i
+    for group in groups:
+        for i in group:
+            near.setdefault(i, set()).update(group)
+    for i in sorted(near):
+        for j in sorted(j for j in near[i] if j > i):
             if bounds[i] == bounds[j]:
                 return Verdict.reject("property-2", witness=(i, j),
                                       detail="flaps %d and %d have the same boundary" % (i, j))
-            shared = vs & verts[j]
-            if shared != set(bounds[i] & bounds[j]):
+            shared = verts[i] & verts[j]
+            if shared != bounds[i] & bounds[j]:
                 v = sorted(shared ^ (bounds[i] & bounds[j]))[0]
                 return Verdict.reject("property-2", witness=(i, j, v),
                                       detail="flaps %d and %d share %r beyond their boundaries"
@@ -241,13 +286,11 @@ def validate_rural(rd: RuralDivision) -> Verdict:
 
     # 3: boundary pairs joined inside the flap, internally off the boundary
     for i, d in enumerate(rd.flaps):
-        bs = sorted(bounds[i])
-        for a in range(len(bs)):
-            for b in range(a + 1, len(bs)):
-                if not _pair_joined(d, bs[a], bs[b], set(bs)):
-                    return Verdict.reject("property-3", witness=(i, bs[a], bs[b]),
-                                          detail="boundary pair %r,%r not joined inside flap %d"
-                                          % (bs[a], bs[b], i))
+        for a, b in combinations(sorted(bounds[i]), 2):
+            if not _pair_joined(d, a, b, bounds[i]):
+                return Verdict.reject("property-3", witness=(i, a, b),
+                                      detail="boundary pair %r,%r not joined inside flap %d"
+                                      % (a, b, i))
 
     # 4: boundaries have at most 3 vertices
     for i, bs in enumerate(bounds):
@@ -256,17 +299,13 @@ def validate_rural(rd: RuralDivision) -> Verdict:
                                   detail="flap %d has boundary of size %d" % (i, len(bs)))
 
     # 5: boundary hypergraph drawable in a disk, every boundary corner-linked
-    verts = set(rd.compass.corners)
-    for bs in bounds:
-        verts.update(bs)
-    h = Hypergraph(sorted(verts), [bs for bs in bounds])
-    if not check_disk_embeddable(h, rd.compass.corners):
+    if not _boundaries_embed_in_disk(bounds, rd.compass.corners):
         return Verdict.reject("property-5", witness="disk",
                               detail="boundary hypergraph does not embed in a disk")
-    # at most two vertices: Menger on one block-cut tree; three: the flow
-    up = _separator_tree(kg, rd.compass.corners)
+    # at most two vertices: Menger on one DFS; three: the flow
+    _, top = _separator_tree(kg, rd.compass.corners)
     for i, bs in enumerate(bounds):
-        if not (_linked_by_tree(up, bs) if len(bs) <= 2 else check_linkage(rd.compass, bs)):
+        if not (_linked_by_top(top, bs) if len(bs) <= 2 else check_linkage(rd.compass, bs)):
             return Verdict.reject("property-5", witness=("linkage", i),
                                   detail="boundary of flap %d is not linked to the corners" % i)
     return Verdict.accept()

@@ -296,7 +296,8 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
     two flaps lies on both boundaries); no flap carries both, as its
     boundary would need 4 vertices; so with the corner 4-cycle and the hub
     that the disk test adds they would form a K5 minor, and the gadget
-    would not be planar.
+    (that graph with its two-vertex boundary nodes smoothed) would not be
+    planar.
 
     A crossing outranks division-invalid, so is_flat decides once the
     division rejects; every verdict is what checking flatness first gives.

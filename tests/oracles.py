@@ -9,7 +9,7 @@ import itertools
 import random
 import time
 from collections import Counter, deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from flatwall.graph import (Graph, Hypergraph, adjacency_masks, bfs, delete, induced_subgraph,
                             is_connected, path_to)
@@ -17,10 +17,9 @@ from flatwall.common import SizeCapExceeded, Verdict
 from flatwall.decomposition import TREEWIDTH_CAP, TreeDecomposition
 from flatwall.minors import ContractionModel, MinorModel, _connected_subsets, _mask_neighborhood
 from flatwall.paths import DisjointPathsResult, _OutOfTime
-from flatwall.planarity import (RotationEmbedding, _canon_cycle, biconnected_blocks, is_planar,
-                                planarizing_set, trace_faces)
-from flatwall.rural import (RuralDivision, _pair_joined, check_disk_embeddable,
-                            check_linkage)
+from flatwall.planarity import (RotationEmbedding, _canon_cycle, embeds_in_disk_with_boundary,
+                                is_planar, planarizing_set, trace_faces)
+from flatwall.rural import RuralDivision, _pair_joined, check_linkage
 
 
 def treewidth_by_elimination(g: Graph) -> int:
@@ -697,7 +696,7 @@ def validate_rural_pairwise(rd: RuralDivision) -> Verdict:
     for bs in bounds:
         verts.update(bs)
     h = Hypergraph(sorted(verts), [bs for bs in bounds])
-    if not check_disk_embeddable(h, rd.compass.corners):
+    if not disk_embeddable_by_incidence_graph(h, rd.compass.corners):
         return Verdict.reject("property-5", witness="disk",
                               detail="boundary hypergraph does not embed in a disk")
     for i, bs in enumerate(bounds):
@@ -705,6 +704,126 @@ def validate_rural_pairwise(rd: RuralDivision) -> Verdict:
             return Verdict.reject("property-5", witness=("linkage", i),
                                   detail="boundary of flap %d is not linked to the corners" % i)
     return Verdict.accept()
+
+
+# ---------------------------------------------------------------------------
+# rural property 5 by intermediate graphs: the disk test on the incidence
+# graph of the boundary hypergraph, and the linkage of boundaries of at most
+# two vertices off a block-cut tree of Hopcroft-Tarjan blocks, walked into
+# one separator set per vertex
+
+
+def incidence_graph(h: Hypergraph) -> Graph:
+    """Bipartite incidence graph; original ids kept, one fresh id per
+    hyperedge, consecutive after the largest vertex id."""
+    base = (max(h.vertices) + 1) if h.vertices else 0
+    nodes = range(base, base + len(h.hyperedges))
+    edges = [(v, x) for x, he in zip(nodes, h.hyperedges) for v in he]
+    return Graph(list(h.vertices) + list(nodes), edges)
+
+
+def disk_embeddable_by_incidence_graph(h: Hypergraph, corners) -> bool:
+    """rural.check_disk_embeddable on the incidence graph itself."""
+    for c in corners:
+        if c not in h.vertices:
+            raise ValueError("corner %r is not a hypergraph vertex" % (c,))
+    return embeds_in_disk_with_boundary(incidence_graph(h), corners)
+
+
+def biconnected_blocks(g: Graph) -> List[Tuple[Tuple[int, int], ...]]:
+    """Edge sets of the biconnected components, iterative Hopcroft-Tarjan
+    (a lowpoint DFS, hence its own stack of neighbour iterators)."""
+    depth: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    parent: Dict[int, int] = {}
+    blocks: List[Tuple[Tuple[int, int], ...]] = []
+    estack: List[Tuple[int, int]] = []
+    for root in g.vertices:
+        if root in depth:
+            continue
+        depth[root] = low[root] = 0
+        stack = [(root, iter(g.neighbors(root)))]
+        while stack:
+            v, it = stack[-1]
+            pushed = False
+            for w in it:
+                if w not in depth:
+                    parent[w] = v
+                    depth[w] = low[w] = depth[v] + 1
+                    estack.append((v, w))
+                    stack.append((w, iter(g.neighbors(w))))
+                    pushed = True
+                    break
+                if w != parent.get(v) and depth[w] < depth[v]:
+                    estack.append((v, w))
+                    low[v] = min(low[v], depth[w])
+            if pushed:
+                continue
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= depth[u]:
+                    block = set()
+                    while estack:
+                        e = estack.pop()
+                        block.add(tuple(sorted(e)))
+                        if e == (u, v):
+                            break
+                    blocks.append(tuple(sorted(block)))
+    return blocks
+
+
+def separator_tree_by_blocks(g: Graph, corners: Sequence[int]) -> Dict[int, int]:
+    """up[v] for each vertex v of g that reaches a corner: the next vertex
+    that separates v from the corners, or a sink t joined to every corner
+    (a fresh id, with up[t] = t) if none does.
+
+    The map is read off one block-cut tree of g plus t, rooted at t: up[v]
+    is the cut vertex (or t) at which the block holding v nearest to t
+    hangs, so v, up[v], up[up[v]], ... before t are v and the vertices
+    that separate it from the corners.
+    """
+    t = g.fresh_id()
+    blocks = biconnected_blocks(Graph(g.vertices + (t,), g.edges + tuple((c, t) for c in corners)))
+    block_vertices = [{v for e in block for v in e} for block in blocks]
+    blocks_of: Dict[int, List[int]] = {}
+    for i, vs in enumerate(block_vertices):
+        for v in vs:
+            blocks_of.setdefault(v, []).append(i)
+    up = {t: t}
+    order = [t]
+    opened = set()
+    for v in order:
+        for i in blocks_of[v]:
+            if i not in opened:
+                opened.add(i)
+                for w in block_vertices[i] - up.keys():
+                    up[w] = v
+                    order.append(w)
+    return up
+
+
+def _separators(up: Dict[int, int], v: int) -> set:
+    out = set()
+    while up[v] != v:
+        out.add(v)
+        v = up[v]
+    return out
+
+
+def linked_by_separators(up: Dict[int, int], e: Iterable[int]) -> bool:
+    """check_linkage for a boundary of at most two vertices, from
+    separator_tree_by_blocks.
+
+    By Menger's theorem |e| disjoint paths run from e to the corners iff no
+    set of fewer than |e| vertices separates e from them: each vertex of e
+    reaches a corner, and no one vertex separates both of a pair.
+    """
+    vs = sorted(set(e))
+    if any(v not in up for v in vs):
+        return False
+    return len(vs) < 2 or not _separators(up, vs[0]) & _separators(up, vs[1])
 
 
 # ---------------------------------------------------------------------------

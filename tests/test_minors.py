@@ -138,6 +138,35 @@ def test_find_minor_k4_in_long_grids():
         assert verify_minor_model(m)
 
 
+def test_find_minor_pattern_tables_cached_across_calls():
+    # the tables kept per pattern give the same first models, repeated and
+    # interleaved over K4, K5, K6 and K3,3, as calls after a cleared cache
+    rng = random.Random(23)
+    hosts = [random_graph(rng, rng.randint(6, 10), rng.choice((0.35, 0.5, 0.7)))
+             for _ in range(12)] + [grid(3, 4)[0], pyramid(3, 1), complete_graph(7)]
+    patterns = [complete_graph(4), complete_graph(5), complete_graph(6), K33]
+
+    def first(host, pat):
+        m = find_minor(host, pat)
+        return m and m.branch_sets
+    fresh = {}
+    for h, host in enumerate(hosts):
+        for p, pat in enumerate(patterns):
+            minors._pattern_tables.cache_clear()
+            fresh[h, p] = first(host, pat)
+    minors._pattern_tables.cache_clear()
+    for h, host in enumerate(hosts):
+        for p, pat in enumerate(patterns):
+            assert first(host, pat) == fresh[h, p], (host.edges, pat.edges)
+    for p in range(len(patterns)):
+        pat = Graph(patterns[p].vertices, patterns[p].edges)  # equal, not the same object
+        for h, host in enumerate(hosts):
+            for _ in range(2):
+                assert first(host, pat) == fresh[h, p], (host.edges, pat.edges)
+    assert minors._pattern_tables.cache_info().misses == len(patterns)
+    assert {m is None for m in fresh.values()} == {True, False}
+
+
 class SearchStarted(Exception):
     pass
 

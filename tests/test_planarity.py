@@ -8,11 +8,11 @@ from flatwall import cli, planarity
 from flatwall.generators import grid, wall
 from flatwall.graph import Graph, complete_graph, cycle_graph, delete
 from flatwall.minors import subdivide
-from flatwall.planarity import (biconnected_blocks, embeds_in_disk_with_boundary, faces_of,
-                                is_planar, trace_faces, validate_embedding)
+from flatwall.planarity import (embeds_in_disk_with_boundary, faces_of, is_planar, trace_faces,
+                                validate_embedding)
 
-from oracles import (embed_planar, embeds_in_disk_by_subdivided_rim, find_minor_unpruned,
-                     random_graph)
+from oracles import (biconnected_blocks, embed_planar, embeds_in_disk_by_subdivided_rim,
+                     find_minor_unpruned, random_graph)
 
 
 def k33():

@@ -4,18 +4,19 @@ import random
 import pytest
 
 from flatwall.generators import wall
-from flatwall.graph import Graph, Hypergraph, incidence_graph
+from flatwall.graph import Graph, Hypergraph
 from flatwall.minors import subdivide
 import flatwall.rural as rural
-from flatwall.rural import (RuralDivision, _linked_by_tree, _separator_tree, _swept_boundaries,
-                            boundary, check_disk_embeddable, check_linkage,
-                            division_from_edge_lists, internal_flaps, trivial_division,
-                            validate_rural)
+from flatwall.rural import (RuralDivision, _boundaries_embed_in_disk, _linked_by_top,
+                            _separator_tree, _swept_boundaries, boundary, check_disk_embeddable,
+                            check_linkage, division_from_edge_lists, internal_flaps,
+                            trivial_division, validate_rural)
 from flatwall.wall import (Compass, SubdividedWall, compass, identity_wall, is_flat,
                            perimeter, refind_after_transform)
 
-from oracles import (embeds_in_disk_by_subdivided_rim, min_vertex_cut, random_graph,
-                     validate_rural_pairwise)
+from oracles import (disk_embeddable_by_incidence_graph, embeds_in_disk_by_subdivided_rim,
+                     incidence_graph, linked_by_separators, min_vertex_cut, random_graph,
+                     separator_tree_by_blocks, validate_rural_pairwise)
 
 
 def bare_compass(k: int) -> Compass:
@@ -117,6 +118,18 @@ def test_property5_unlinkable_boundary():
     assert v.witness == ("linkage", 0)
 
 
+def test_flap_with_empty_boundary_passes_property_5():
+    # a hand-built compass with an edge apart from the wall: that flap has
+    # an empty boundary, which needs no path and adds nothing to the disk
+    w = identity_wall(2)
+    c = compass(w.host, w)
+    f = c.graph.fresh_id()
+    apart = Compass(w, c.graph.add_vertices([f, f + 1]).add_edges([(f, f + 1)]))
+    rd = division_from_edge_lists(apart, [[e] for e in apart.graph.edges])
+    assert frozenset() in rd.boundaries()
+    assert validate_rural(rd)
+
+
 def test_flap_outside_compass_fails_property_1():
     c = bare_compass(1)
     v = validate_rural(RuralDivision(c, [Graph([98, 99], [(98, 99)])]))
@@ -162,6 +175,37 @@ def test_check_disk_embeddable_matches_subdivided_rim_gadget():
     assert outcomes == {True, False}
 
 
+def test_disk_gadget_matches_incidence_graph_route():
+    # boundaries of 0-4 vertices, often several through one pair, corners
+    # that may lie on no boundary, and ids that start anywhere
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(1500):
+        n = rng.randint(4, 10)
+        base = rng.choice((0, 7, -5))
+        vs = list(range(base, base + n))
+        bounds = set()
+        for _ in range(rng.randint(0, 10)):
+            held = sorted(sorted(b) for b in bounds if len(b) >= 2)
+            if held and rng.random() < 0.3:
+                # a pair that some boundary already holds, inside a new one
+                pair = rng.sample(rng.choice(held), 2)
+                bounds.add(frozenset(pair + rng.sample(vs, rng.randint(0, 2))))
+            else:
+                bounds.add(frozenset(rng.sample(vs, rng.choice((0, 1, 2, 2, 3, 3, 4)))))
+        corners = rng.sample(vs, 4)
+        bounds = sorted(bounds, key=sorted)
+        # an empty boundary would be an isolated node; Hypergraph refuses it
+        h = Hypergraph(vs, [b for b in bounds if b])
+        want = disk_embeddable_by_incidence_graph(h, corners)
+        assert _boundaries_embed_in_disk(bounds, corners) == want, (bounds, corners)
+        assert check_disk_embeddable(h, corners) == want, (h.hyperedges, corners)
+        off_rim = set(corners) - {v for b in bounds for v in b}
+        seen.add((want, bool(off_rim), any(len(b) == 4 for b in bounds)))
+    assert seen == {(w, o, f) for w in (True, False) for o in (True, False)
+                    for f in (True, False)}, seen
+
+
 def test_check_linkage_matches_menger_oracle():
     for k in (1, 2):
         c = bare_compass(k)
@@ -195,13 +239,14 @@ def test_block_cut_linkage_matches_menger_oracle():
     for _ in range(150):
         g = graph_with_pendants(rng)
         corners = rng.sample(g.vertices[:5], 4)
-        up = _separator_tree(g, corners)
+        _, top = _separator_tree(g, corners)
+        assert _linked_by_top(top, ())
         for _ in range(12):
             e = rng.sample(g.vertices, rng.choice((1, 2, 2)))
             if rng.random() < 0.2:
                 e[0] = rng.choice(corners)
             want = min_vertex_cut(g, set(e), corners) >= len(set(e))
-            assert _linked_by_tree(up, e) == want, (g.edges, corners, e)
+            assert _linked_by_top(top, set(e)) == want, (g.edges, corners, e)
             apart = any(min_vertex_cut(g, [v], corners) == 0 for v in e)
             cases = [want, "corner" if set(e) & set(corners) else None,
                      "apart" if apart else None,
@@ -212,6 +257,26 @@ def test_block_cut_linkage_matches_menger_oracle():
     # and pairs that reach the corners only through one shared vertex
     assert seen[True] >= 300 and seen[False] >= 300 and seen["corner"] >= 300, seen
     assert seen["apart"] >= 50 and seen["one cut vertex"] >= 50, seen
+
+
+def test_separator_tree_matches_block_cut_tree():
+    # hosts with cut vertices, a pendant path, and sometimes a component
+    # that reaches no corner: one DFS gives the block-cut tree's up map, and
+    # the top rule links exactly the boundaries the separator sets link
+    rng = random.Random(41)
+    for _ in range(200):
+        g = graph_with_pendants(rng)
+        f, at = g.fresh_id(), rng.choice(g.vertices)
+        tail = rng.randint(1, 4)
+        g = Graph(g.vertices + tuple(range(f, f + tail)),
+                  g.edges + ((at, f),) + tuple((f + i, f + i + 1) for i in range(tail - 1)))
+        corners = rng.sample(g.vertices[:5], 4)
+        up, top = _separator_tree(g, corners)
+        old = separator_tree_by_blocks(g, corners)
+        assert up == old, (g.edges, corners)
+        for size in (0, 1, 2):
+            for e in itertools.combinations(g.vertices, size):
+                assert _linked_by_top(top, set(e)) == linked_by_separators(old, e), (g.edges, e)
 
 
 def test_check_linkage_rejects_oversize_boundary():
