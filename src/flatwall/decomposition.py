@@ -1,6 +1,5 @@
 """Tree decompositions: validation, width, bag closures, small
-decompositions, exact treewidth, and heavy-vertex selection in weighted
-trees.
+decompositions and exact treewidth.
 
 Exact treewidth raises a threshold from the minimum degree and, for each
 one, walks to the lexicographically smallest elimination order within it.
@@ -14,7 +13,7 @@ is built.
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .common import SizeCapExceeded, Verdict
-from .graph import Graph, adjacency_masks, bfs, induced_subgraph, is_connected, path_to
+from .graph import Graph, adjacency_masks, induced_subgraph, is_connected
 
 TREEWIDTH_CAP = 18
 
@@ -348,33 +347,3 @@ def exact_treewidth(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDecomp
     tree_edges.extend(zip(roots, roots[1:]))
     tree = Graph._trusted(range(n), sorted(tree_edges))
     return tw, TreeDecomposition._trusted(g, tree, bags)
-
-
-class WeightedTree:
-    """A tree with a natural-number weight on each vertex."""
-
-    __slots__ = ("tree", "weight")
-
-    def __init__(self, tree: Graph, weight: Mapping[int, int]):
-        if not _is_tree(tree):
-            raise ValueError("not a tree")
-        for v in tree.vertices:
-            if weight.get(v, -1) < 0:
-                raise ValueError("vertex %r needs a nonnegative weight" % (v,))
-        self.tree = tree
-        self.weight = {v: int(weight[v]) for v in tree.vertices}
-
-
-def select_tree_vertex(wt: WeightedTree, k: int) -> int:
-    """Pick u so that at most one component of tree minus u has weight > k.
-
-    Among the vertices of weight >= k, returns the one farthest from the
-    smallest-id root, ties broken by smallest id.  Every component of
-    tree-minus-u other than the one holding the root then hangs below u,
-    and a heavy vertex below u would have been picked instead.
-    """
-    heavy = [v for v in wt.tree.vertices if wt.weight[v] >= k]
-    if not heavy:
-        raise ValueError("no vertex of weight >= %d" % (k,))
-    parent, _ = bfs(wt.tree, wt.tree.vertices[0], set(wt.tree.vertices))
-    return min(heavy, key=lambda v: (-len(path_to(parent, v)), v))

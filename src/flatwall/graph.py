@@ -1,4 +1,4 @@
-"""Immutable simple graphs and hypergraphs with opaque integer vertex ids.
+"""Immutable simple graphs with opaque integer vertex ids.
 
 All derived orders (vertex lists, neighbor lists, component lists) are by
 ascending id so that every operation is deterministic. Ids are stable under
@@ -227,35 +227,3 @@ def graph_hash(g: Graph) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-class Hypergraph:
-    """Hypergraph with vertex ids disjoint from nothing in particular.
-
-    Hyperedges are stored as sorted tuples, deduplicated, in sorted order.
-    """
-
-    __slots__ = ("vertices", "hyperedges")
-
-    def __init__(self, vertices: Iterable[int], hyperedges: Iterable[Iterable[int]]):
-        vs = sorted(set(vertices))
-        vset = set(vs)
-        hes = sorted({tuple(sorted(set(h))) for h in hyperedges})
-        for h in hes:
-            if not h:
-                raise ValueError("empty hyperedge")
-            for v in h:
-                if v not in vset:
-                    raise ValueError(f"hyperedge vertex {v} outside vertex set")
-        self.vertices: Tuple[int, ...] = tuple(vs)
-        self.hyperedges: Tuple[Tuple[int, ...], ...] = tuple(hes)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Hypergraph)
-            and self.vertices == other.vertices
-            and self.hyperedges == other.hyperedges
-        )
-
-    def __repr__(self) -> str:
-        return f"Hypergraph(n={len(self.vertices)}, m={len(self.hyperedges)})"

@@ -2,9 +2,10 @@
 
 A contraction is certified by a total map phi (host vertex -> pattern
 vertex), a minor by disjoint connected branch sets, a topological minor by
-an injective branch-vertex map plus internally disjoint paths.  The find_*
-searches are exhaustive within size caps, so a failure is a proof of
-absence, not a timeout.  find_minor also answers None without a search
+an injective branch-vertex map plus internally disjoint paths.  find_minor
+is exhaustive within size caps, so a None is a proof of absence, not a
+timeout, and iter_topological_embeddings lists every subdivision
+embedding.  find_minor also answers None without a search
 when the host's apex number is below the pattern's; apex number cannot
 grow under taking minors, so that None is a proof of absence too.
 """
@@ -16,8 +17,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 from .common import SizeCapExceeded, Verdict
 from .decomposition import treewidth_at_most
 from .graph import Graph, adjacency_masks, bfs, delete, induced_subgraph, is_connected
-from .planarity import (RotationEmbedding, _canon_cycle, apex_number, faces_of,
-                        planarizing_set, validate_embedding)
+from .planarity import (RotationEmbedding, _canon_cycle, apex_number, planarizing_set,
+                        trace_faces, validate_embedding)
 
 MINOR_PATTERN_CAP = 6
 MINOR_HOST_CAP = 30
@@ -233,13 +234,6 @@ def _dead_test(adj: List[int], free: int, cap: List[Tuple[int, int]], reach: Lis
     return dead
 
 
-def _check_caps(host: Graph, pattern: Graph, pattern_cap: int, host_cap: int) -> None:
-    if pattern.n > pattern_cap:
-        raise SizeCapExceeded("pattern capped at %d vertices, got %d" % (pattern_cap, pattern.n))
-    if host.n > host_cap:
-        raise SizeCapExceeded("host capped at %d vertices, got %d" % (host_cap, host.n))
-
-
 @lru_cache(maxsize=32)
 def _pattern_tables(pattern: Graph) -> tuple:
     """find_minor's tables that depend on the pattern alone, kept for the
@@ -342,7 +336,10 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
     answers only calls whose search would end in None, so every model
     found is the one found without it.
     """
-    _check_caps(host, pattern, pattern_cap, host_cap)
+    if pattern.n > pattern_cap:
+        raise SizeCapExceeded("pattern capped at %d vertices, got %d" % (pattern_cap, pattern.n))
+    if host.n > host_cap:
+        raise SizeCapExceeded("host capped at %d vertices, got %d" % (host_cap, host.n))
     if pattern.n > host.n or pattern.m > host.m:
         return None
     if pattern.n == 0:
@@ -540,13 +537,6 @@ def iter_topological_embeddings(host: Graph, pattern: Graph) -> Iterator[Subdivi
     yield from step(0)
 
 
-def find_topological_minor(host: Graph, pattern: Graph,
-                           pattern_cap: int = MINOR_PATTERN_CAP,
-                           host_cap: int = MINOR_HOST_CAP) -> Optional[SubdivisionEmbedding]:
-    _check_caps(host, pattern, pattern_cap, host_cap)
-    return next(iter_topological_embeddings(host, pattern), None)
-
-
 def delta_y(g: Graph, triangle: Iterable[int]) -> Tuple[Graph, int]:
     """Replace a triangle by a new degree-3 hub adjacent to its corners."""
     tri = sorted(set(triangle))
@@ -570,17 +560,6 @@ def subdivide(g: Graph, e: Tuple[int, int]) -> Tuple[Graph, int]:
     w = g.fresh_id()
     out = delete(g, edges=[(a, b)])
     return out.add_vertices([w]).add_edges([(a, w), (w, b)]), w
-
-
-def dissolve(g: Graph, v: int) -> Graph:
-    """Remove a degree-2 vertex, joining its two neighbors directly."""
-    nb = g.neighbors(v)
-    if len(nb) != 2:
-        raise ValueError("vertex %r has degree %d, need 2" % (v, len(nb)))
-    a, b = nb
-    if g.has_edge(a, b):
-        raise ValueError("dissolving %r would double edge %r-%r" % (v, a, b))
-    return delete(g, vertices=[v]).add_edges([(a, b)])
 
 
 @dataclass(frozen=True)
@@ -612,7 +591,8 @@ def verify_smooth_contraction(w: SmoothContractionWitness) -> Verdict:
     if not w.model.pattern.has_vertex(w.v):
         raise ValueError("unknown pattern vertex %r" % (w.v,))
 
-    by_canon = {_canon_cycle(f): f for f in faces_of(w.embedding)}
+    all_faces = trace_faces(eg, w.embedding.rotation)
+    by_canon = {_canon_cycle(f): f for f in all_faces}
     chosen = []
     for f in w.disk_faces:
         cf = by_canon.get(_canon_cycle(tuple(f)))
@@ -656,7 +636,6 @@ def verify_smooth_contraction(w: SmoothContractionWitness) -> Verdict:
                               detail="vertices outside the disk differ from the model of %r" % (w.v,))
 
     # Every other model must avoid some face, so it fits in an open disk.
-    all_faces = faces_of(w.embedding)
     for u in w.model.pattern.vertices:
         if u == w.v:
             continue

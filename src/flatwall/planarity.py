@@ -315,10 +315,6 @@ def validate_embedding(emb: RotationEmbedding) -> Verdict:
     return Verdict.accept()
 
 
-def faces_of(emb: RotationEmbedding) -> List[Tuple[int, ...]]:
-    return trace_faces(emb.graph, emb.rotation)
-
-
 def embeds_in_disk_with_boundary(g: Graph, cycle: Sequence[int]) -> bool:
     """True iff g embeds in a closed disk with the cycle's vertices on the
     boundary in this cyclic order; equivalently, iff g plus the rim edges

@@ -20,34 +20,10 @@ from itertools import combinations
 from typing import AbstractSet, Collection, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .common import Verdict
-from .graph import Graph, Hypergraph, _norm_edge, bfs
+from .graph import Graph, _norm_edge, bfs
 from .paths import max_vertex_disjoint_paths
 from .planarity import _disk_planar
 from .wall import Compass, _require_valid, _rim
-
-
-def boundary(k: Compass, j: Graph) -> FrozenSet[int]:
-    """Boundary of a subgraph j: corners of the compass lying in j, plus
-    vertices of j incident to a compass edge outside j."""
-    kg = k.graph
-    for v in j.vertices:
-        if not kg.has_vertex(v):
-            raise ValueError("subgraph vertex %r is not in the compass" % (v,))
-    for a, b in j.edges:
-        if not kg.has_edge(a, b):
-            raise ValueError("subgraph edge %r-%r is not in the compass" % (a, b))
-    corners = set(k.corners)
-    out = set()
-    jedges = set(j.edges)
-    for v in j.vertices:
-        if v in corners:
-            out.add(v)
-            continue
-        for u in kg.neighbors(v):
-            if (min(u, v), max(u, v)) not in jedges:
-                out.add(v)
-                break
-    return frozenset(out)
 
 
 class RuralDivision:
@@ -58,9 +34,6 @@ class RuralDivision:
     def __init__(self, compass: Compass, flaps: Iterable[Graph]):
         self.compass = compass
         self.flaps = tuple(flaps)
-
-    def boundaries(self) -> Tuple[FrozenSet[int], ...]:
-        return tuple(boundary(self.compass, d) for d in self.flaps)
 
     def __repr__(self) -> str:
         return "RuralDivision(%d flaps over %d compass edges)" % (
@@ -81,20 +54,11 @@ def trivial_division(c: Compass) -> RuralDivision:
     return division_from_edge_lists(c, [[e] for e in c.graph.edges])
 
 
-def check_disk_embeddable(h: Hypergraph, corners: Sequence[int]) -> bool:
-    """True iff the incidence graph of h embeds in a closed disk with the
-    corners on the rim in the given order."""
-    # a corner must be a vertex of h, not a hyperedge node of the incidence graph
-    for c in corners:
-        if c not in h.vertices:
-            raise ValueError("corner %r is not a hypergraph vertex" % (c,))
-    return _boundaries_embed_in_disk(h.hyperedges, corners)
-
-
 def _boundaries_embed_in_disk(boundaries: Sequence[Collection[int]],
                               corners: Sequence[int]) -> bool:
-    """check_disk_embeddable for distinct boundaries, on a gadget that
-    planarity.py's kernel makes of their incidence graph anyway.
+    """True iff the incidence graph of distinct boundaries embeds in a
+    closed disk with the corners on the rim in the given order, tested on a
+    gadget that planarity.py's kernel makes of that graph anyway.
 
     A two-vertex boundary ab is the edge ab: its incidence node has degree
     2, so the kernel smooths it into ab, or deletes it beside an ab that is
@@ -198,12 +162,12 @@ def _pair_joined(d: Graph, u: int, v: int, others: AbstractSet[int]) -> bool:
 
 def _swept_boundaries(rd: RuralDivision, seen: Dict[Tuple[int, int], int]
                       ) -> Tuple[FrozenSet[int], ...]:
-    """rd.boundaries() from seen, which maps every compass edge to the one
-    flap holding it (property 1 holds).
+    """The boundary of each flap of rd, from seen, which maps every compass
+    edge to the one flap holding it (property 1 holds).
 
-    Vertex v of flap i is on its boundary iff v is a corner, or some
-    compass edge at v lies outside flap i: v's edges lie in more than one
-    flap, or all in one flap other than i (v is an isolated vertex of i).
+    The boundary of flap i is its corners plus its vertices incident to a
+    compass edge outside it: v's edges lie in more than one flap, or all in
+    one flap other than i (v is an isolated vertex of i).
     """
     owner: Dict[int, int] = {}
     for (a, b), i in seen.items():

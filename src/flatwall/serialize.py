@@ -53,13 +53,13 @@ def _int_keyed(obj: dict, valid, what: str, key_what: str) -> dict:
     return out
 
 
-def _int_pairs(obj, what: str) -> List[Tuple[int, int]]:
-    _require(isinstance(obj, list), "%s is not a list", what)
-    out = []
-    for e in obj:
-        _require(_is_int_pair(e), "%s entry %r", what, e)
-        out.append((e[0], e[1]))
-    return out
+def _int_pairs(obj, what: str, *args) -> List[Tuple[int, int]]:
+    """obj read as a list of int pairs; the message names obj as what % args
+    and, as in _require, is formatted only on failure."""
+    if not (isinstance(obj, list) and all(map(_is_int_pair, obj))):
+        _require(isinstance(obj, list), what + " is not a list", *args)
+        _require(False, what + " entry %r", *args, next(e for e in obj if not _is_int_pair(e)))
+    return [(e[0], e[1]) for e in obj]
 
 
 def graph_to_json(g: Graph) -> dict:
@@ -151,7 +151,7 @@ def rural_to_json(rd: RuralDivision) -> dict:
 def rural_from_json(c: Compass, obj) -> RuralDivision:
     _require(isinstance(obj, dict), "division document is not an object")
     _require(isinstance(obj.get("flaps"), list), "missing flaps")
-    groups = [_int_pairs(flap, "flap %d" % i) for i, flap in enumerate(obj["flaps"])]
+    groups = [_int_pairs(flap, "flap %d", i) for i, flap in enumerate(obj["flaps"])]
     return division_from_edge_lists(c, groups)
 
 

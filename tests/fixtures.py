@@ -6,7 +6,7 @@ import json
 from flatwall.generators import wall
 from flatwall.graph import Graph, delete
 from flatwall.minors import ContractionModel, SmoothContractionWitness, subdivide
-from flatwall.planarity import _canon_cycle, faces_of
+from flatwall.planarity import _canon_cycle, trace_faces
 
 from oracles import embed_planar
 
@@ -18,7 +18,7 @@ def identity_witness(g: Graph, loaded: int) -> SmoothContractionWitness:
     emb = embed_planar(part)
     assert emb is not None
     outer = _canon_cycle(emb.outer_face)
-    faces = [f for f in faces_of(emb) if _canon_cycle(f) != outer]
+    faces = [f for f in trace_faces(emb.graph, emb.rotation) if _canon_cycle(f) != outer]
     return SmoothContractionWitness(model, emb, loaded, faces)
 
 
@@ -35,7 +35,7 @@ def subdivided_witness(g: Graph, loaded: int) -> SmoothContractionWitness:
     emb = embed_planar(part)
     assert emb is not None
     outer = _canon_cycle(emb.outer_face)
-    faces = [f for f in faces_of(emb) if _canon_cycle(f) != outer]
+    faces = [f for f in trace_faces(emb.graph, emb.rotation) if _canon_cycle(f) != outer]
     return SmoothContractionWitness(model, emb, loaded, faces)
 
 

@@ -9,10 +9,10 @@ import itertools
 import random
 import time
 from collections import Counter, deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from flatwall.graph import (Graph, Hypergraph, adjacency_masks, bfs, delete, induced_subgraph,
-                            is_connected, path_to)
+from flatwall.graph import (Graph, adjacency_masks, bfs, delete, induced_subgraph, is_connected,
+                            path_to)
 from flatwall.common import SizeCapExceeded, Verdict
 from flatwall.decomposition import TREEWIDTH_CAP, TreeDecomposition
 from flatwall.minors import ContractionModel, MinorModel, _connected_subsets, _mask_neighborhood
@@ -20,6 +20,7 @@ from flatwall.paths import DisjointPathsResult, _OutOfTime
 from flatwall.planarity import (RotationEmbedding, _canon_cycle, embeds_in_disk_with_boundary,
                                 is_planar, planarizing_set, trace_faces)
 from flatwall.rural import RuralDivision, _pair_joined, check_linkage
+from flatwall.wall import Compass
 
 
 def treewidth_by_elimination(g: Graph) -> int:
@@ -628,6 +629,39 @@ def is_isomorphic_to_subdivision(big: Graph, small: Graph) -> bool:
     return extend(0)
 
 
+# ---------------------------------------------------------------------------
+# rural boundaries flap by flap, the reference for the sweep that
+# validate_rural reads every boundary off (rural._swept_boundaries)
+
+
+def boundary(k: Compass, j: Graph) -> FrozenSet[int]:
+    """Boundary of a subgraph j: corners of the compass lying in j, plus
+    vertices of j incident to a compass edge outside j."""
+    kg = k.graph
+    for v in j.vertices:
+        if not kg.has_vertex(v):
+            raise ValueError("subgraph vertex %r is not in the compass" % (v,))
+    for a, b in j.edges:
+        if not kg.has_edge(a, b):
+            raise ValueError("subgraph edge %r-%r is not in the compass" % (a, b))
+    corners = set(k.corners)
+    out = set()
+    jedges = set(j.edges)
+    for v in j.vertices:
+        if v in corners:
+            out.add(v)
+            continue
+        for u in kg.neighbors(v):
+            if (min(u, v), max(u, v)) not in jedges:
+                out.add(v)
+                break
+    return frozenset(out)
+
+
+def boundaries(rd: RuralDivision) -> Tuple[FrozenSet[int], ...]:
+    return tuple(boundary(rd.compass, d) for d in rd.flaps)
+
+
 def validate_rural_pairwise(rd: RuralDivision) -> Verdict:
     """validate_rural as it was before property 2 used vertex and boundary
     indexes: property 2 compares every pair of flaps.  Check properties 1-5
@@ -662,7 +696,7 @@ def validate_rural_pairwise(rd: RuralDivision) -> Verdict:
                               detail="edge %r-%r is in no flap" % missing[0])
 
     # 2: distinct boundaries; shared vertices are exactly shared boundary
-    bounds = rd.boundaries()
+    bounds = boundaries(rd)
     for i in range(len(rd.flaps)):
         for j in range(i + 1, len(rd.flaps)):
             if bounds[i] == bounds[j]:
@@ -692,11 +726,8 @@ def validate_rural_pairwise(rd: RuralDivision) -> Verdict:
                                   detail="flap %d has boundary of size %d" % (i, len(bs)))
 
     # 5: boundary hypergraph drawable in a disk, every boundary corner-linked
-    verts = set(rd.compass.corners)
-    for bs in bounds:
-        verts.update(bs)
-    h = Hypergraph(sorted(verts), [bs for bs in bounds])
-    if not disk_embeddable_by_incidence_graph(h, rd.compass.corners):
+    verts = set(rd.compass.corners).union(*bounds)
+    if not disk_embeddable_by_incidence_graph(verts, bounds, rd.compass.corners):
         return Verdict.reject("property-5", witness="disk",
                               detail="boundary hypergraph does not embed in a disk")
     for i, bs in enumerate(bounds):
@@ -713,21 +744,21 @@ def validate_rural_pairwise(rd: RuralDivision) -> Verdict:
 # one separator set per vertex
 
 
-def incidence_graph(h: Hypergraph) -> Graph:
-    """Bipartite incidence graph; original ids kept, one fresh id per
-    hyperedge, consecutive after the largest vertex id."""
-    base = (max(h.vertices) + 1) if h.vertices else 0
-    nodes = range(base, base + len(h.hyperedges))
-    edges = [(v, x) for x, he in zip(nodes, h.hyperedges) for v in he]
-    return Graph(list(h.vertices) + list(nodes), edges)
+def incidence_graph(vertices: Iterable[int], boundaries: Sequence[Iterable[int]]) -> Graph:
+    """Bipartite incidence graph of the boundaries over the vertices;
+    vertex ids kept, one fresh id per boundary, in order, consecutive after
+    the largest vertex id."""
+    vs = sorted(vertices)
+    base = vs[-1] + 1 if vs else 0
+    nodes = range(base, base + len(boundaries))
+    edges = [(v, x) for x, bs in zip(nodes, boundaries) for v in bs]
+    return Graph(vs + list(nodes), edges)
 
 
-def disk_embeddable_by_incidence_graph(h: Hypergraph, corners) -> bool:
-    """rural.check_disk_embeddable on the incidence graph itself."""
-    for c in corners:
-        if c not in h.vertices:
-            raise ValueError("corner %r is not a hypergraph vertex" % (c,))
-    return embeds_in_disk_with_boundary(incidence_graph(h), corners)
+def disk_embeddable_by_incidence_graph(vertices: Iterable[int], boundaries: Sequence[Iterable[int]],
+                                       corners) -> bool:
+    """rural._boundaries_embed_in_disk on the incidence graph itself."""
+    return embeds_in_disk_with_boundary(incidence_graph(vertices, boundaries), corners)
 
 
 def biconnected_blocks(g: Graph) -> List[Tuple[Tuple[int, int], ...]]:

@@ -6,8 +6,7 @@ import time
 import pytest
 
 from flatwall.common import SizeCapExceeded
-from flatwall.decomposition import (TreeDecomposition, WeightedTree, closure_bag,
-                                    exact_treewidth, make_small, select_tree_vertex,
+from flatwall.decomposition import (TreeDecomposition, closure_bag, exact_treewidth, make_small,
                                     treewidth_at_most, validate, width)
 from flatwall.generators import grid, pyramid, wall
 from flatwall.graph import (Graph, adjacency_masks, complete_graph, cycle_graph, delete,
@@ -296,31 +295,3 @@ def test_some_closure_bag_carries_the_width():
         k = tw(g)
         td = random_elimination_td(rng, g)
         assert any(tw(closure_bag(td, i)) >= k for i in td.bags)
-
-
-def test_select_tree_vertex_splits_weight():
-    tree = Graph(range(7), [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (4, 6)])
-    weight = {v: 1 for v in tree.vertices}
-    u = select_tree_vertex(WeightedTree(tree, weight), 1)
-    rest = delete(tree, [u])
-    comps = []
-    seen = set()
-    for v in rest.vertices:
-        if v in seen:
-            continue
-        comp = set()
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(rest.neighbors(x))
-        seen |= comp
-        comps.append(sum(weight[x] for x in comp))
-    assert sum(1 for c in comps if c > 1) <= 1
-
-
-def test_select_tree_vertex_needs_a_heavy_vertex():
-    with pytest.raises(ValueError):
-        select_tree_vertex(WeightedTree(path_graph(3), {0: 0, 1: 0, 2: 0}), 1)

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import random
+import types
 
 import pytest
 
-from flatwall.graph import (Graph, Hypergraph, adjacency_masks, bfs, complete_graph,
+from flatwall.graph import (Graph, adjacency_masks, bfs, complete_graph,
                             connected_components, cycle_graph, delete, graph_hash,
                             induced_subgraph, is_connected, path_graph, path_to, union)
 
@@ -130,25 +131,29 @@ def test_bfs_matches_networkx_on_induced_subgraphs():
                 nx.shortest_path_length(h, start, t) for t in reachable)
 
 
+def test_all_names_exactly_the_public_package_names():
+    # a deleted name left as a string in __all__ fails only at "import *";
+    # the submodules are bound in the package too, but they are not its API
+    import flatwall
+    public = {name for name, value in vars(flatwall).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(flatwall.__all__) == sorted(public)
+    namespace = {}
+    exec("from flatwall import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == public
+
+
 def test_adjacency_masks_by_position():
     order, adj = adjacency_masks(Graph([3, 5, 9], [(3, 9), (5, 9)]))
     assert order == [3, 5, 9]
     assert adj == [0b100, 0b100, 0b011]
 
 
-def test_hypergraph_dedups_and_rejects_empty():
-    h = Hypergraph([0, 1, 2], [(1, 0), (0, 1), (2,)])
-    assert len(h.hyperedges) == 2
-    with pytest.raises(ValueError):
-        Hypergraph([0], [()])
-
-
 def test_incidence_graph_is_bipartite_by_degrees():
-    h = Hypergraph([0, 1, 2], [(0, 1), (1, 2), (0, 1, 2)])
-    inc = incidence_graph(h)
+    inc = incidence_graph([0, 1, 2], [(0, 1), (1, 2), (0, 1, 2)])
     assert inc.n == 3 + 3
     assert inc.m == 2 + 2 + 3
-    # hyperedge nodes are fresh ids beyond the vertex ids
+    # boundary nodes are fresh ids beyond the vertex ids
     assert all(v in (0, 1, 2) or v > 2 for v in inc.vertices)
 
 

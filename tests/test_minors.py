@@ -12,11 +12,9 @@ from flatwall.generators import grid, pyramid, wall
 from flatwall.graph import (Graph, adjacency_masks, complete_graph, cycle_graph, delete,
                             induced_subgraph, path_graph)
 from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitness,
-                             delta_y, dissolve, find_minor, find_topological_minor,
-                             iter_topological_embeddings,
-                             subdivide, verify_contraction, verify_minor_model,
-                             verify_smooth_contraction)
-from flatwall.planarity import faces_of, planarizing_set, _canon_cycle
+                             delta_y, find_minor, iter_topological_embeddings, subdivide,
+                             verify_contraction, verify_minor_model, verify_smooth_contraction)
+from flatwall.planarity import _canon_cycle, planarizing_set, trace_faces
 
 from fixtures import apex_over
 from oracles import (apex_rule_by_loop, embed_planar, find_minor_unpruned, has_minor_by_partition,
@@ -326,14 +324,9 @@ def test_subdivide_and_dissolve_are_inverse():
     g2, nv = subdivide(g, (0, 1))
     assert g2.n == 5 and g2.m == 5
     assert sorted(g2.neighbors(nv)) == [0, 1]
-    assert dissolve(g2, nv) == g
+    assert delete(g2, [nv]).add_edges([(0, 1)]) == g
     with pytest.raises(ValueError):
         subdivide(g, (0, 2))
-
-
-def test_dissolve_needs_degree_two():
-    with pytest.raises(ValueError):
-        dissolve(complete_graph(4), 0)
 
 
 def test_delta_y_replaces_triangle_by_hub():
@@ -347,14 +340,14 @@ def test_delta_y_replaces_triangle_by_hub():
 
 def test_find_topological_minor_subdivision():
     g = cycle_graph(8)
-    emb = find_topological_minor(g, cycle_graph(4))
+    emb = next(iter_topological_embeddings(g, cycle_graph(4)), None)
     assert emb is not None
     # K4 is 3-regular, so topological containment needs three edge-paths per vertex
     k4 = complete_graph(4)
     host, _ = subdivide(k4, (0, 1))
     host, _ = subdivide(host, (2, 3))
-    assert find_topological_minor(host, k4) is not None
-    assert find_topological_minor(cycle_graph(8), k4) is None
+    assert next(iter_topological_embeddings(host, k4), None) is not None
+    assert next(iter_topological_embeddings(cycle_graph(8), k4), None) is None
 
 
 def _identity_witness(g, loaded):
@@ -363,7 +356,7 @@ def _identity_witness(g, loaded):
     emb = embed_planar(part)
     assert emb is not None
     outer = _canon_cycle(emb.outer_face)
-    faces = [f for f in faces_of(emb) if _canon_cycle(f) != outer]
+    faces = [f for f in trace_faces(emb.graph, emb.rotation) if _canon_cycle(f) != outer]
     return SmoothContractionWitness(model, emb, loaded, faces)
 
 
@@ -422,7 +415,7 @@ def test_smooth_contraction_rejects_a_model_on_every_face():
                              {0: 0, 2: 0, 4: 0, 1: 1, 3: 2, 5: 3})
     emb = embed_planar(delete(host, [5]))
     outer = _canon_cycle(emb.outer_face)
-    disk = [f for f in faces_of(emb) if _canon_cycle(f) != outer]
+    disk = [f for f in trace_faces(emb.graph, emb.rotation) if _canon_cycle(f) != outer]
     assert len(disk) == 4 and set(outer) == {0, 1, 2, 3}
     v = verify_smooth_contraction(SmoothContractionWitness(model, emb, 3, disk))
     assert (v.condition, v.witness) == ("model-not-in-open-disk", 0)

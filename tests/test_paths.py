@@ -9,8 +9,8 @@ from flatwall.paths import max_vertex_disjoint_paths, two_disjoint_paths
 from flatwall.rural import trivial_division
 from flatwall.wall import compass, identity_wall, refind_after_transform
 
-from oracles import (max_vertex_disjoint_paths_by_network, min_vertex_cut, random_graph,
-                     two_disjoint_paths_bfs_each_node)
+from oracles import (boundaries, max_vertex_disjoint_paths_by_network, min_vertex_cut,
+                     random_graph, two_disjoint_paths_bfs_each_node)
 
 
 def test_two_disjoint_paths_on_cycle():
@@ -260,7 +260,7 @@ def test_max_disjoint_paths_same_paths_as_network_on_compasses():
         for times in (0, 10, 20):
             c = subdivided_compass(k, times)
             rng = random.Random("terminals %d %d" % (k, times))
-            terminals = list(trivial_division(c).boundaries())
+            terminals = list(boundaries(trivial_division(c)))
             terminals += [rng.sample(c.graph.vertices, rng.randint(2, 4)) for _ in range(200)]
             for b in terminals:
                 want = max_vertex_disjoint_paths_by_network(c.graph, b, c.corners)

@@ -8,8 +8,7 @@ from flatwall import cli, planarity
 from flatwall.generators import grid, wall
 from flatwall.graph import Graph, complete_graph, cycle_graph, delete
 from flatwall.minors import subdivide
-from flatwall.planarity import (embeds_in_disk_with_boundary, faces_of, is_planar, trace_faces,
-                                validate_embedding)
+from flatwall.planarity import embeds_in_disk_with_boundary, is_planar, trace_faces, validate_embedding
 
 from oracles import (biconnected_blocks, embed_planar, embeds_in_disk_by_subdivided_rim,
                      find_minor_unpruned, random_graph)
@@ -43,7 +42,7 @@ def test_embedding_is_validated_and_euler_consistent():
         emb = embed_planar(g)
         assert emb is not None
         assert validate_embedding(emb)
-        assert len(faces_of(emb)) == 2 - g.n + g.m  # connected Euler formula
+        assert len(trace_faces(g, emb.rotation)) == 2 - g.n + g.m  # connected Euler formula
 
 
 def test_embed_planar_refuses_nonplanar():

@@ -4,19 +4,20 @@ import random
 import pytest
 
 from flatwall.generators import wall
-from flatwall.graph import Graph, Hypergraph
+from flatwall.graph import Graph
 from flatwall.minors import subdivide
 import flatwall.rural as rural
 from flatwall.rural import (RuralDivision, _boundaries_embed_in_disk, _linked_by_top,
-                            _separator_tree, _swept_boundaries, boundary, check_disk_embeddable,
-                            check_linkage, division_from_edge_lists, internal_flaps,
-                            trivial_division, validate_rural)
+                            _separator_tree, _swept_boundaries, check_linkage,
+                            division_from_edge_lists, internal_flaps, trivial_division,
+                            validate_rural)
 from flatwall.wall import (Compass, SubdividedWall, compass, identity_wall, is_flat,
                            perimeter, refind_after_transform)
 
-from oracles import (disk_embeddable_by_incidence_graph, embeds_in_disk_by_subdivided_rim,
-                     incidence_graph, linked_by_separators, min_vertex_cut, random_graph,
-                     separator_tree_by_blocks, validate_rural_pairwise)
+from oracles import (boundaries, boundary, disk_embeddable_by_incidence_graph,
+                     embeds_in_disk_by_subdivided_rim, incidence_graph, linked_by_separators,
+                     min_vertex_cut, random_graph, separator_tree_by_blocks,
+                     validate_rural_pairwise)
 
 
 def bare_compass(k: int) -> Compass:
@@ -58,7 +59,7 @@ def test_trivial_division_validates_heights_1_to_3():
 def test_division_positions_match_edges():
     c = bare_compass(1)
     rd = division_from_edge_lists(c, [[e] for e in c.graph.edges])
-    assert rd.boundaries()
+    assert boundaries(rd)
 
 
 def test_property1_missing_edge():
@@ -126,8 +127,8 @@ def test_flap_with_empty_boundary_passes_property_5():
     f = c.graph.fresh_id()
     apart = Compass(w, c.graph.add_vertices([f, f + 1]).add_edges([(f, f + 1)]))
     rd = division_from_edge_lists(apart, [[e] for e in apart.graph.edges])
-    assert frozenset() in rd.boundaries()
-    assert validate_rural(rd)
+    assert frozenset() in boundaries(rd)
+    assert validate_rural(rd) and validate_rural_pairwise(rd)
 
 
 def test_flap_outside_compass_fails_property_1():
@@ -154,10 +155,15 @@ def test_internal_flaps_avoid_the_perimeter():
 
 
 def test_check_disk_embeddable_corner_cases():
-    h = Hypergraph([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert check_disk_embeddable(h, (0, 1, 2, 3))
-    with pytest.raises(ValueError):
-        check_disk_embeddable(h, (0, 1, 2, 9))
+    # a square of pairs, with its corners in and out of order, and a corner
+    # that only a boundary of at most one vertex names: such a boundary adds
+    # nothing, so the corner just sits on the rim
+    square = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    for bounds, corners, want in ((square, (0, 1, 2, 3), True), (square, (0, 2, 1, 3), False),
+                                  (square + [(9,), ()], (0, 1, 2, 9), True)):
+        assert _boundaries_embed_in_disk(bounds, corners) == want, (bounds, corners)
+        verts = {v for bs in bounds for v in bs}
+        assert disk_embeddable_by_incidence_graph(verts, bounds, corners) == want
 
 
 def test_check_disk_embeddable_matches_subdivided_rim_gadget():
@@ -166,11 +172,12 @@ def test_check_disk_embeddable_matches_subdivided_rim_gadget():
     for _ in range(2000):
         n = rng.randint(4, 9)
         hes = [rng.sample(range(n), rng.randint(1, 3)) for _ in range(rng.randint(1, 9))]
-        h = Hypergraph(range(n), hes)
+        bounds = sorted({tuple(sorted(he)) for he in hes})  # distinct, as validate_rural's are
         c1, c2, c3, c4 = corners = rng.sample(range(n), 4)
-        ring = incidence_graph(h).add_edges([(c1, c2), (c2, c3), (c3, c4), (c4, c1)])
+        ring = incidence_graph(range(n), bounds).add_edges(
+            [(c1, c2), (c2, c3), (c3, c4), (c4, c1)])
         want = embeds_in_disk_by_subdivided_rim(ring, corners)
-        assert check_disk_embeddable(h, corners) == want, (h.hyperedges, corners)
+        assert _boundaries_embed_in_disk(bounds, corners) == want, (bounds, corners)
         outcomes.add(want)
     assert outcomes == {True, False}
 
@@ -195,11 +202,9 @@ def test_disk_gadget_matches_incidence_graph_route():
                 bounds.add(frozenset(rng.sample(vs, rng.choice((0, 1, 2, 2, 3, 3, 4)))))
         corners = rng.sample(vs, 4)
         bounds = sorted(bounds, key=sorted)
-        # an empty boundary would be an isolated node; Hypergraph refuses it
-        h = Hypergraph(vs, [b for b in bounds if b])
-        want = disk_embeddable_by_incidence_graph(h, corners)
+        # an empty boundary is an isolated node of the incidence graph
+        want = disk_embeddable_by_incidence_graph(vs, bounds, corners)
         assert _boundaries_embed_in_disk(bounds, corners) == want, (bounds, corners)
-        assert check_disk_embeddable(h, corners) == want, (h.hyperedges, corners)
         off_rim = set(corners) - {v for b in bounds for v in b}
         seen.add((want, bool(off_rim), any(len(b) == 4 for b in bounds)))
     assert seen == {(w, o, f) for w in (True, False) for o in (True, False)
@@ -399,7 +404,7 @@ def overlapping_division(rng: random.Random, rd: RuralDivision) -> RuralDivision
     """rd with up to three vertices, each off the boundary of its own flap,
     copied into another flap as isolated vertices."""
     flaps = list(rd.flaps)
-    inner = [(v, j) for j, (d, b) in enumerate(zip(flaps, rd.boundaries()))
+    inner = [(v, j) for j, (d, b) in enumerate(zip(flaps, boundaries(rd)))
              for v in d.vertices if v not in b]
     for v, j in rng.sample(inner, min(len(inner), rng.randint(1, 3))):
         i = rng.choice([i for i in range(len(flaps)) if i != j])
@@ -486,7 +491,7 @@ def test_swept_boundaries_match_boundary():
             kg, corners = rd.compass.graph, set(rd.compass.corners)
             seen = {e: i for i, d in enumerate(rd.flaps) for e in d.edges}
             swept = _swept_boundaries(rd, seen)
-            assert swept == tuple(boundary(rd.compass, d) for d in rd.flaps)
+            assert swept == boundaries(rd)
             for i, d in enumerate(rd.flaps):
                 for v in d.vertices:
                     owners = {seen[min(u, v), max(u, v)] for u in kg.neighbors(v)}
