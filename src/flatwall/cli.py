@@ -245,10 +245,10 @@ def cmd_reduce_apex(args) -> int:
     w = ser.wall_from_json(delete(g, apexes), _read_json(args.wall))
     try:
         reduced, w2 = apex_reduce(g, h_graph, apexes, w, args.height, window_count=args.windows)
-    except HMinorFound as e:
-        print("reduce-apex: %s" % e, file=sys.stderr)
-        _emit({"verdict": "h-minor-found", "minor": ser.minor_to_json(e.model)})
-        return EXIT_REFUTED
+    except HMinorFound as e:  # no model of the excluded graph backs this yet
+        print("reduce-apex: undetermined: %s" % e, file=sys.stderr)
+        _emit({"verdict": "undetermined", "reason": str(e)})
+        return EXIT_UNDETERMINED
     _emit({"verdict": "reduced", "apex_set": list(reduced),
            "wall": ser.wall_to_json(w2)})
     return EXIT_OK

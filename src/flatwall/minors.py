@@ -16,7 +16,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 from .common import SizeCapExceeded, Verdict
 from .decomposition import treewidth_at_most
-from .graph import Graph, adjacency_masks, bfs, delete, induced_subgraph, is_connected
+from .graph import Graph, adjacency_masks, bfs, delete, is_connected
 from .planarity import (RotationEmbedding, _canon_cycle, apex_number, planarizing_set,
                         trace_faces, validate_embedding)
 
@@ -52,7 +52,10 @@ def verify_contraction(m: ContractionModel) -> Verdict:
 
     In order: each preimage induces a connected subgraph, each pattern
     edge's joint preimage induces a connected subgraph, and each host edge
-    maps to equal endpoints or to a pattern edge.
+    maps to equal endpoints or to a pattern edge.  The preimages are
+    disjoint, so verify_minor_model on them as branch sets checks the first
+    two in the same order: two connected preimages have a connected union
+    iff a host edge joins them.
     """
     models = {v: set() for v in m.pattern.vertices}
     for u, img in m.phi.items():
@@ -60,14 +63,15 @@ def verify_contraction(m: ContractionModel) -> Verdict:
     empty = [v for v in m.pattern.vertices if not models[v]]
     if empty:
         raise ValueError("phi is not surjective: no preimage for %r" % (empty[0],))
-    for v in m.pattern.vertices:
-        if not is_connected(induced_subgraph(m.host, models[v])):
-            return Verdict.reject("model-disconnected", witness=v,
-                                  detail="preimage of %r induces a disconnected graph" % (v,))
-    for v, u in m.pattern.edges:
-        if not is_connected(induced_subgraph(m.host, models[v] | models[u])):
-            return Verdict.reject("edge-union-disconnected", witness=(v, u),
-                                  detail="joint preimage of pattern edge %r-%r is disconnected" % (v, u))
+    ok = verify_minor_model(MinorModel(m.host, m.pattern, models))
+    if ok.condition == "branch-set-disconnected":
+        v = ok.witness
+        return Verdict.reject("model-disconnected", witness=v,
+                              detail="preimage of %r induces a disconnected graph" % (v,))
+    if ok.condition == "unrealized-pattern-edge":
+        v, u = ok.witness
+        return Verdict.reject("edge-union-disconnected", witness=(v, u),
+                              detail="joint preimage of pattern edge %r-%r is disconnected" % (v, u))
     for a, b in m.host.edges:
         fa, fb = m.phi[a], m.phi[b]
         if fa != fb and not m.pattern.has_edge(fa, fb):

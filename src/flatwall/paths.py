@@ -8,7 +8,6 @@ breadth-first search only when the first path steps onto the last route
 found, or reaches its end.
 """
 
-import hashlib
 import time
 from bisect import bisect
 from collections import deque
@@ -22,16 +21,15 @@ class DisjointPathsResult:
 
     verdict is "found", "none" or "unknown" (budget ran out).  For "found",
     paths holds the two vertex sequences; for "none" the search was
-    exhaustive and transcript_hash fingerprints the exploration order.
+    exhaustive.  explored counts the partial first paths visited.
     """
 
-    __slots__ = ("verdict", "paths", "explored", "transcript_hash")
+    __slots__ = ("verdict", "paths", "explored")
 
-    def __init__(self, verdict: str, paths, explored: int, transcript_hash: str):
+    def __init__(self, verdict: str, paths, explored: int):
         self.verdict = verdict
         self.paths = paths
         self.explored = explored
-        self.transcript_hash = transcript_hash
 
     def __repr__(self) -> str:
         return "DisjointPathsResult(%r, explored=%d)" % (self.verdict, self.explored)
@@ -55,8 +53,7 @@ def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int]
     fresh search runs when the added vertex is on the route, and always at
     t1, so a "found" second path is the breadth-first one.  Backtracking
     only frees vertices, so a route stays free until the path enters it;
-    the visited states, explored and transcript_hash are those of a search
-    at every state.
+    the visited states and explored are those of a search at every state.
     """
     s1, t1 = first
     s2, t2 = second
@@ -67,8 +64,6 @@ def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int]
         raise ValueError("need four distinct endpoints")
 
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    log = hashlib.sha256()
-    log.update(("two-disjoint-paths %d-%d %d-%d\n" % (s1, t1, s2, t2)).encode())
     explored = 0
 
     path = [s1]
@@ -91,17 +86,13 @@ def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int]
             todo.append(iter(g.neighbors(u)))
             return None
         parent, hit = bfs(g, s2, free, goal)
-        if hit is not None:
-            second_path = path_to(parent, hit)
-            route = set(second_path)
+        if hit is None:
+            return None
+        second_path = path_to(parent, hit)
+        route = set(second_path)
         if u == t1:
-            log.update(("done %s %d\n" % (" ".join(map(str, path)), hit is not None)).encode())
-            if hit is not None:
-                return list(path), second_path
-        elif hit is None:
-            log.update(("cut %d %d\n" % (u, len(path))).encode())
-        else:
-            todo.append(iter(g.neighbors(u)))
+            return list(path), second_path
+        todo.append(iter(g.neighbors(u)))
         return None
 
     try:
@@ -118,11 +109,8 @@ def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int]
             if len(todo) < len(path):
                 free.add(path.pop())
     except _OutOfTime:
-        return DisjointPathsResult("unknown", None, explored, "")
-    log.update(("end %d\n" % explored).encode())
-    if found is not None:
-        return DisjointPathsResult("found", found, explored, log.hexdigest())
-    return DisjointPathsResult("none", None, explored, log.hexdigest())
+        return DisjointPathsResult("unknown", None, explored)
+    return DisjointPathsResult("none" if found is None else "found", found, explored)
 
 
 def max_vertex_disjoint_paths(g: Graph, sources: Iterable[int],

@@ -4,7 +4,6 @@ Everything here is deliberately naive: permutations, subset sweeps and
 exhaustive path packing.  Keep inputs tiny.
 """
 
-import hashlib
 import itertools
 import random
 import time
@@ -372,6 +371,32 @@ def verify_minor_model_pairwise(m: MinorModel) -> Verdict:
     return Verdict.accept()
 
 
+def verify_contraction_by_induced_subgraphs(m: ContractionModel) -> Verdict:
+    """minors.verify_contraction as it was before it ran verify_minor_model:
+    one induced subgraph per preimage and one per pattern edge's joint
+    preimage, each tested for connectivity."""
+    models = {v: set() for v in m.pattern.vertices}
+    for u, img in m.phi.items():
+        models[img].add(u)
+    empty = [v for v in m.pattern.vertices if not models[v]]
+    if empty:
+        raise ValueError("phi is not surjective: no preimage for %r" % (empty[0],))
+    for v in m.pattern.vertices:
+        if not is_connected(induced_subgraph(m.host, models[v])):
+            return Verdict.reject("model-disconnected", witness=v,
+                                  detail="preimage of %r induces a disconnected graph" % (v,))
+    for v, u in m.pattern.edges:
+        if not is_connected(induced_subgraph(m.host, models[v] | models[u])):
+            return Verdict.reject("edge-union-disconnected", witness=(v, u),
+                                  detail="joint preimage of pattern edge %r-%r is disconnected" % (v, u))
+    for a, b in m.host.edges:
+        fa, fb = m.phi[a], m.phi[b]
+        if fa != fb and not m.pattern.has_edge(fa, fb):
+            return Verdict.reject("host-edge-unmatched", witness=(a, b),
+                                  detail="host edge %r-%r maps to non-edge %r-%r" % (a, b, fa, fb))
+    return Verdict.accept()
+
+
 def minor_to_contraction(m: MinorModel) -> ContractionModel:
     """The contraction a minor model certifies, of a host subgraph.
 
@@ -442,7 +467,7 @@ def two_disjoint_paths_bfs_each_node(g: Graph, first: Tuple[int, int],
                                      second: Tuple[int, int],
                                      budget_ms: Optional[float] = None) -> DisjointPathsResult:
     """two_disjoint_paths with a fresh second-pair search at every state,
-    no route reuse: same states, explored and transcript_hash."""
+    no route reuse: same states, paths and explored."""
     s1, t1 = first
     s2, t2 = second
     for v in (s1, t1, s2, t2):
@@ -452,8 +477,6 @@ def two_disjoint_paths_bfs_each_node(g: Graph, first: Tuple[int, int],
         raise ValueError("need four distinct endpoints")
 
     deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-    log = hashlib.sha256()
-    log.update(("two-disjoint-paths %d-%d %d-%d\n" % (s1, t1, s2, t2)).encode())
     explored = 0
 
     path = [s1]
@@ -470,12 +493,9 @@ def two_disjoint_paths_bfs_each_node(g: Graph, first: Tuple[int, int],
         u = path[-1]
         parent, hit = bfs(g, s2, free, goal)
         if u == t1:
-            log.update(("done %s %d\n" % (" ".join(map(str, path)), hit is not None)).encode())
             if hit is not None:
                 return list(path), path_to(parent, hit)
-        elif hit is None:
-            log.update(("cut %d %d\n" % (u, len(path))).encode())
-        else:
+        elif hit is not None:
             todo.append(iter(g.neighbors(u)))
         return None
 
@@ -493,11 +513,10 @@ def two_disjoint_paths_bfs_each_node(g: Graph, first: Tuple[int, int],
             if len(todo) < len(path):
                 free.add(path.pop())
     except _OutOfTime:
-        return DisjointPathsResult("unknown", None, explored, "")
-    log.update(("end %d\n" % explored).encode())
+        return DisjointPathsResult("unknown", None, explored)
     if found is not None:
-        return DisjointPathsResult("found", found, explored, log.hexdigest())
-    return DisjointPathsResult("none", None, explored, log.hexdigest())
+        return DisjointPathsResult("found", found, explored)
+    return DisjointPathsResult("none", None, explored)
 
 
 def _branch_multigraph(g: Graph):

@@ -13,10 +13,10 @@ from flatwall import serialize as ser
 from flatwall.cli import HOST_CAP, main
 from flatwall.common import SizeCapExceeded
 from flatwall.decomposition import TREEWIDTH_CAP, exact_treewidth
+from flatwall.generators import gamma_star
 from flatwall.graph import complete_graph, path_graph
-from flatwall.minors import verify_minor_model
 from flatwall.serialize import (certificate_from_json, certificate_to_json, graph_from_json,
-                                graph_to_json, minor_from_json)
+                                graph_to_json)
 from flatwall.structure import TRICHOTOMY_HOST_CAP, trichotomy_check, verify_certificate
 
 from fixtures import document_mutations
@@ -90,6 +90,23 @@ def test_generate_param_errors(capsys):
     assert rc == 2 and "missing k" in err
     rc, out, err = run(capsys, "generate", "--family", "grid", "--params", "k=two")
     assert rc == 2 and "must be an integer" in err
+    rc, out, err = run(capsys, "generate", "--family", "grid", "--params", "k")
+    assert (rc, out) == (2, "") and "--params expects name=value, got 'k'" in err
+
+
+def test_generate_gamma_star_and_pyramid_meta(capsys):
+    rc, doc, _ = run_json(capsys, "generate", "--family", "gamma-star", "--params", "k=3")
+    assert rc == 0
+    assert (doc["params"], doc["meta"]) == ({"k": 3}, {"size": 3})
+    assert (doc["graph"]["n"], len(doc["graph"]["edges"])) == (gamma_star(3).n, gamma_star(3).m)
+    rc, doc, _ = run_json(capsys, "generate", "--family", "pyramid", "--params", "k=3,l=2")
+    assert rc == 0
+    assert (doc["params"], doc["meta"]) == ({"k": 3, "l": 2},
+                                            {"grid_side": 3, "apexes": [9, 10]})
+    # after relabelling, the apexes named in meta are the ones joined to every vertex
+    g = graph_from_json(doc["graph"])
+    assert g.n == 11
+    assert [v for v in g.vertices if g.degree(v) == g.n - 1] == doc["meta"]["apexes"]
 
 
 def test_treewidth_and_td_validate(capsys, tmp_path):
@@ -206,6 +223,13 @@ def test_check_rural_accept_and_reject(capsys, tmp_path):
     assert rc == 1
     assert rep["condition"] == "property-1"
 
+    # a wall the host cannot hold is rejected before the division is read
+    tall = write_doc(tmp_path, "tall.json", dict(doc["meta"]["wall"], height=10 ** 6))
+    rc, rep, _ = run_json(capsys, "check-rural", "--graph", graph, "--wall", tall,
+                          "--division", str(tmp_path / "absent.json"))
+    assert rc == 1
+    assert rep["condition"] == "bad-height" and rep["witness"] == 10 ** 6
+
 
 def test_check_rural_reports_a_flap_outside_the_compass(capsys, tmp_path):
     # a semantic defect: the verifier names it, exit 1, like verify-cert does
@@ -240,19 +264,21 @@ def test_reduce_apex_drops_blind_apex(capsys, tmp_path):
     assert rep["wall"]["height"] == 1
 
 
-def test_reduce_apex_reports_found_minor(capsys, tmp_path):
-    graph, wall, (a1, a2) = apexed_wall_files(capsys, tmp_path, list(range(30)))
+def test_reduce_apex_is_undetermined_when_every_apex_sees_every_window(capsys, tmp_path):
+    # wall(2) plus two apices on its first vertex (n = 18) has no K6 minor, yet
+    # both apices see the one window: no minor is claimed
+    doc, _, wall = generate_wall(capsys, tmp_path, 2)
+    g = doc["graph"]
+    graph = write_doc(tmp_path, "apexed2.json",
+                      {"n": 18, "edges": g["edges"] + [[0, 16], [0, 17]]})
     rc, rep, err = run_json(capsys, "reduce-apex", "--graph", graph,
                             "--excluded", complete_doc(tmp_path, 6),
-                            "--wall", wall, "--apexes", "%d,%d" % (a1, a2),
-                            "--height", "1", "--windows", "2")
-    assert rc == 1
-    assert rep["verdict"] == "h-minor-found"
-    assert "every apex sees every window" in err
-    host = json.loads(Path(graph).read_text())
-    from flatwall.serialize import graph_from_json
-    model = minor_from_json(graph_from_json(host), rep["minor"])
-    assert verify_minor_model(model)
+                            "--wall", wall, "--apexes", "16,17",
+                            "--height", "1", "--windows", "1")
+    assert (rc, rep) == (3, {"schema_version": 1, "verdict": "undetermined",
+                             "reason": "every apex sees every window compass "
+                                       "(apices 2, windows 1)"})
+    assert "reduce-apex: undetermined: every apex sees every window" in err
 
 
 def test_reduce_apex_derives_its_constants(capsys, tmp_path):
@@ -265,6 +291,9 @@ def test_reduce_apex_derives_its_constants(capsys, tmp_path):
                            "--windows", "2")
         assert (rc, out) == (2, "")
         assert "no apex to drop" in err
+    rc, out, err = run(capsys, *common, "--excluded", k6, "--apexes", "1,x", "--windows", "2")
+    assert (rc, out) == (2, "")
+    assert "reduce-apex: expected comma-separated vertex ids, got '1,x'" in err
     # no --windows: f5^2 windows with f5 = 14 (6 - 2) + ceil(sqrt(2)) - 24 = 34 for K6
     rc, out, err = run(capsys, *common, "--excluded", k6, "--apexes", "%d,%d" % (a1, a2))
     assert (rc, out) == (2, "")

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -14,11 +15,13 @@ from flatwall.graph import (Graph, adjacency_masks, complete_graph, cycle_graph,
 from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitness,
                              delta_y, find_minor, iter_topological_embeddings, subdivide,
                              verify_contraction, verify_minor_model, verify_smooth_contraction)
-from flatwall.planarity import _canon_cycle, planarizing_set, trace_faces
+from flatwall.planarity import (RotationEmbedding, _canon_cycle, planarizing_set, trace_faces,
+                                validate_embedding)
 
 from fixtures import apex_over
 from oracles import (apex_rule_by_loop, embed_planar, find_minor_unpruned, has_minor_by_partition,
-                     minor_to_contraction, random_graph, verify_minor_model_pairwise)
+                     minor_to_contraction, random_graph, verify_contraction_by_induced_subgraphs,
+                     verify_minor_model_pairwise)
 
 K33 = Graph(range(6), [(a, b) for a in range(3) for b in range(3, 6)])
 C5_CHORD = Graph(range(5), list(cycle_graph(5).edges) + [(0, 2)])
@@ -312,6 +315,53 @@ def test_verify_contraction_names_each_broken_condition():
         verify_contraction(ContractionModel(host, pattern.add_vertices([3]), phi))
 
 
+def random_contraction(rng: random.Random):
+    """A random host, a map phi grown from k seeds along host edges (a stray
+    vertex sometimes moved, which can disconnect or empty a part) and the
+    quotient pattern with a few edges dropped and a few added."""
+    host = random_graph(rng, rng.randint(2, 10), rng.choice((0.2, 0.35, 0.5, 0.7)))
+    k = rng.randint(1, host.n)
+    phi = dict(zip(rng.sample(host.vertices, k), range(k)))
+    frontier = [(v, u) for v in phi for u in host.neighbors(v)]
+    while frontier:
+        v, u = frontier.pop(rng.randrange(len(frontier)))
+        if u not in phi:
+            phi[u] = phi[v]
+            frontier += [(u, x) for x in host.neighbors(u)]
+    for v in host.vertices:
+        phi.setdefault(v, rng.randrange(k))
+    if rng.random() < 0.3:
+        phi[rng.choice(host.vertices)] = rng.randrange(k)
+    quotient = {(min(phi[a], phi[b]), max(phi[a], phi[b])) for a, b in host.edges
+                if phi[a] != phi[b]}
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges = [e for e in pairs if (e in quotient) == (rng.random() > 0.1)]
+    return ContractionModel(host, Graph(range(k), edges), phi)
+
+
+def test_verify_contraction_matches_induced_subgraph_oracle():
+    # the owner-map route gives the same condition, witness and detail as one
+    # induced subgraph per preimage and per pattern edge, and the same refusal
+    rng = random.Random(23)
+    seen = Counter()
+
+    def outcome(check, m):
+        try:
+            v = check(m)
+        except ValueError as e:
+            return "raises", str(e)
+        return v.ok, v.condition, v.witness, v.detail
+
+    for _ in range(6000):
+        m = random_contraction(rng)
+        got = outcome(verify_contraction, m)
+        assert got == outcome(verify_contraction_by_induced_subgraphs, m)
+        seen["raises" if got[0] == "raises" else got[1]] += 1
+    assert set(seen) == {None, "model-disconnected", "edge-union-disconnected",
+                         "host-edge-unmatched", "raises"}
+    assert sum(seen.values()) - seen["raises"] >= 5000
+
+
 def test_minor_to_contraction():
     g, _ = grid(3, 3)
     m = find_minor(g, complete_graph(4))
@@ -419,6 +469,23 @@ def test_smooth_contraction_rejects_a_model_on_every_face():
     assert len(disk) == 4 and set(outer) == {0, 1, 2, 3}
     v = verify_smooth_contraction(SmoothContractionWitness(model, emb, 3, disk))
     assert (v.condition, v.witness) == ("model-not-in-open-disk", 0)
+
+
+def test_smooth_contraction_rejects_a_face_listed_twice():
+    # bowtie: triangles 0-1-5 and 0-3-4 share vertex 0, and the face walk
+    # (0, 1, 5, 0, 3, 4) meets 0 twice; listed under two rotations it covers
+    # every edge twice, is edge-connected and passes Euler (5 - 6 + 2 = 1),
+    # so only the empty boundary tells it from a disk
+    bowtie = Graph([0, 1, 3, 4, 5], [(0, 1), (1, 5), (0, 5), (0, 3), (3, 4), (0, 4)])
+    emb = RotationEmbedding(bowtie, {0: (1, 5, 3, 4), 1: (0, 5), 5: (0, 1), 3: (0, 4),
+                                     4: (0, 3)}, (0, 1, 5, 0, 3, 4))
+    assert validate_embedding(emb)
+    assert _canon_cycle((0, 1, 5, 0, 3, 4)) in map(_canon_cycle, trace_faces(bowtie, emb.rotation))
+    model = ContractionModel(bowtie, bowtie, {v: v for v in bowtie.vertices})
+    assert verify_contraction(model)
+    disk = [(0, 1, 5, 0, 3, 4), (0, 3, 4, 0, 1, 5)]
+    v = verify_smooth_contraction(SmoothContractionWitness(model, emb, 0, disk))
+    assert (v.condition, v.detail) == ("disk-not-a-disk", "boundary is not a single cycle")
 
 
 # (count, sha256 over the JSON of each embedding's sorted vertex map and

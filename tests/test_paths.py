@@ -45,14 +45,6 @@ def test_two_disjoint_paths_budget_runs_out():
     assert r.verdict == "unknown"
 
 
-def test_transcript_hash_is_reproducible():
-    c = cycle_graph(6)
-    a = two_disjoint_paths(c, (0, 2), (3, 5))
-    b = two_disjoint_paths(c, (0, 2), (3, 5))
-    assert a.transcript_hash == b.transcript_hash
-    assert a.explored == b.explored
-
-
 def ladder(n: int, step: int) -> Graph:
     """Paths 0..n-1 and n..2n-1 with a rung i -- n+i at every step-th i."""
     edges = [(i, i + 1) for i in range(n - 1)] + [(n + i, n + i + 1) for i in range(n - 1)]
@@ -74,7 +66,14 @@ def test_two_disjoint_paths_long_ladder():
 
 
 def outcome(r):
-    return r.verdict, r.paths, r.explored, r.transcript_hash
+    return r.verdict, r.paths, r.explored
+
+
+def test_two_disjoint_paths_is_reproducible():
+    c = cycle_graph(6)
+    a = two_disjoint_paths(c, (0, 2), (3, 5))
+    b = two_disjoint_paths(c, (0, 2), (3, 5))
+    assert outcome(a) == outcome(b)
 
 
 def subdivided_compass(k: int, times: int):
@@ -90,24 +89,18 @@ def subdivided_compass(k: int, times: int):
 
 
 def test_two_disjoint_paths_transcripts_pinned():
-    # explored counts and transcript hashes of the earlier searches (recursive,
-    # then iterative with a BFS at every state): the exploration order is unchanged
+    # explored counts of the earlier searches (recursive, then iterative with
+    # a BFS at every state): the exploration is unchanged
     g, coords = grid(4, 4)
     r = two_disjoint_paths(g, (coords.id(1, 1), coords.id(4, 4)),
                            (coords.id(4, 1), coords.id(1, 4)))
     assert (r.verdict, r.explored) == ("none", 123)
-    assert r.transcript_hash == \
-        "5719a7734c2908223b48299b4edc37738663ead85831e9c650919b459db1b3b5"
     r = two_disjoint_paths(ladder(150, 50), (0, 149), (150, 299))
     assert (r.verdict, r.explored) == ("found", 150)
-    assert r.transcript_hash == \
-        "8edbcfca10bd7a7ac3a2f64c6393248ac7288ba6205f7475d01222d4e9690acd"
     c = subdivided_compass(4, 0)
     c1, c2, c3, c4 = c.corners
     r = two_disjoint_paths(c.graph, (c1, c3), (c2, c4))
     assert (r.verdict, r.explored) == ("none", 8391)
-    assert r.transcript_hash == \
-        "75dcfdbd0677a50ad9be82468e6a7b1c0e663355eaa43ee9fa800265034b8e78"
 
 
 def test_route_reuse_matches_bfs_each_node_on_random_graphs():

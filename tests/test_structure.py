@@ -153,17 +153,30 @@ def test_apex_reduce_returns_missed_window():
     assert sorted(sub.vertices()) == [4, 5, 6, 12, 13, 14]
 
 
+def test_apex_reduce_takes_the_first_apex_at_its_first_missed_window():
+    # every apex sees window 0 ({0, 1, 2, 8, 9, 10}); the first apex also sees
+    # window 1 ({4, 5, 6, 12, 13, 14}) and misses window 2, the second misses
+    # windows 1 and 2: the first apex goes, with window 2
+    g, (a1, a2), w = apexed_wall_host(3, [[0, 4], [0]])
+    reduced, sub = apex_reduce(g, K6, (a1, a2), w, 1, window_count=3)
+    assert reduced == (a2,)
+    assert sorted(sub.vertices()) == [16, 17, 18, 24, 25, 26]
+    assert sub.height == 1
+
+
 def test_apex_reduce_all_ones_raises_evidence():
     everything = list(wall(3).graph.vertices)
     g, apexes, w = apexed_wall_host(3, [everything, everything])
-    with pytest.raises(HMinorFound) as exc:
+    with pytest.raises(HMinorFound, match=r"^every apex sees every window compass "
+                       r"\(apices 2, windows 2\)$") as exc:
         apex_reduce(g, K6, apexes, w, 1, window_count=2)
-    model = exc.value.model
-    assert verify_minor_model(model)
-    # complete bipartite pattern: 2 apices x 2 windows
-    assert model.pattern.n == 4
-    assert model.pattern.edges == ((0, 2), (0, 3), (1, 2), (1, 3))
-    assert model.branch_sets[0] == frozenset({apexes[0]})
+    # the evidence is no model of K6, so none is attached: wall(2) plus two
+    # apices on its first vertex has no K6 minor, yet both see its one window
+    assert not hasattr(exc.value, "model")
+    g, apexes, w = apexed_wall_host(2, [[0], [0]])
+    assert g.n == 18 and find_minor(g, K6) is None
+    with pytest.raises(HMinorFound, match="apices 2, windows 1"):
+        apex_reduce(g, K6, apexes, w, 1, window_count=1)
 
 
 def test_apex_reduce_guardrails():
