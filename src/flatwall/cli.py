@@ -40,6 +40,16 @@ EXIT_UNDETERMINED = 3
 HOST_CAP = 10_000
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json.loads keeps the last of two equal keys; such a document is ambiguous
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError("malformed document: key %r given twice" % (key,))
+    return doc
+
+
 def _read_json(path: str):
     if path == "-":
         text = sys.stdin.read()
@@ -47,7 +57,7 @@ def _read_json(path: str):
         with open(path) as f:
             text = f.read()
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ValueError("%s: not valid JSON (%s)" % (path, e))
 
@@ -57,21 +67,10 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _jsonable(x):
-    if x is None or isinstance(x, (str, int, float, bool)):
-        return x
-    if isinstance(x, (set, frozenset)):
-        return sorted(_jsonable(v) for v in x)
-    if isinstance(x, (tuple, list)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(x.items())}
-    return repr(x)
-
-
 def _reject_report(verdict) -> dict:
+    # every witness is an int, a string, a tuple or a list, which JSON writes as it is
     return {"verdict": "rejected", "condition": verdict.condition,
-            "witness": _jsonable(verdict.witness), "detail": verdict.detail}
+            "witness": verdict.witness, "detail": verdict.detail}
 
 
 def _read_host(path: str, cap: int = HOST_CAP, capped: str = "host") -> Graph:
@@ -128,40 +127,49 @@ def _mapped_wall_doc(w, m) -> dict:
     return doc
 
 
+# family -> (parameters with defaults, the smallest value of each, vertex count)
+FAMILIES = {
+    "grid": ({"k": None, "r": 0}, (2, 2), lambda k, r: k * r),
+    "gamma": ({"k": None}, (3,), lambda k: k * k),
+    "gamma-star": ({"k": None}, (3,), lambda k: k * k),
+    "wall": ({"k": None}, (1,), lambda k: 2 * k * (k + 2)),
+    "pyramid": ({"k": None, "l": None}, (2, 0), lambda k, l: k * k + l),
+    "lower-bound": ({"k": None, "h": None}, (3, 6), lambda k, h: k * k + h - 5),
+}
+
+
 def cmd_generate(args) -> int:
     fam = args.family
+    defaults, least, size = FAMILIES[fam]
+    p = _parse_params(args.params, defaults)
+    if fam == "grid" and p["r"] == 0:
+        p["r"] = p["k"]
+    # over the ceiling refused unbuilt, unless a parameter is below its least (a usage error)
+    n = size(*p.values())
+    if n > HOST_CAP and all(v >= low for v, low in zip(p.values(), least)):
+        raise SizeCapExceeded("host capped at %d vertices, got %d" % (HOST_CAP, n))
     if fam == "grid":
-        p = _parse_params(args.params, {"k": None, "r": 0})
-        if p["r"] == 0:
-            p["r"] = p["k"]
         g, _ = grid(p["k"], p["r"])
         meta = {"rows": p["k"], "columns": p["r"]}
     elif fam == "gamma":
-        p = _parse_params(args.params, {"k": None})
         tg = gamma(p["k"])
         g = tg.graph
         meta = {"size": tg.size, "loaded": tg.loaded, "external": list(tg.external)}
     elif fam == "gamma-star":
-        p = _parse_params(args.params, {"k": None})
         g = gamma_star(p["k"])
         meta = {"size": p["k"]}
     elif fam == "wall":
-        p = _parse_params(args.params, {"k": None})
         w = wall(p["k"])
         g = w.graph
         meta = {"height": p["k"], "corners": list(w.corners)}
     elif fam == "pyramid":
-        p = _parse_params(args.params, {"k": None, "l": None})
         g = pyramid(p["k"], p["l"])
         meta = {"grid_side": p["k"],
                 "apexes": list(range(p["k"] ** 2, p["k"] ** 2 + p["l"]))}
-    elif fam == "lower-bound":
-        p = _parse_params(args.params, {"k": None, "h": None})
+    else:
         g = lower_bound_graph(p["k"], p["h"])
         meta = {"grid_side": p["k"],
                 "apexes": list(range(p["k"] ** 2, p["k"] ** 2 + p["h"] - 5))}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError("unknown family %r" % fam)
 
     g2, m = _relabel(g)
     for key in ("loaded", "corners", "external", "apexes"):
@@ -218,7 +226,7 @@ def cmd_check_flat(args) -> int:
     if res.flat:
         _emit({"verdict": "flat", "explored": res.explored})
         return EXIT_OK
-    _emit({"verdict": "not-flat", "witness": _jsonable(res.witness)})
+    _emit({"verdict": "not-flat", "witness": res.witness})
     return EXIT_REFUTED
 
 
@@ -288,8 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("generate", help="emit a named graph family member")
-    p.add_argument("--family", required=True,
-                   choices=["grid", "gamma", "gamma-star", "wall", "pyramid", "lower-bound"])
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
     p.add_argument("--params", action="append", metavar="k=2[,r=3]",
                    help="family parameters, repeatable or comma-separated")
     p.set_defaults(func=cmd_generate)

@@ -12,7 +12,7 @@ grow under taking minors, so that None is a proof of absence too.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .common import SizeCapExceeded, Verdict
 from .decomposition import treewidth_at_most
@@ -27,24 +27,27 @@ MINOR_HOST_CAP = 30
 class ContractionModel:
     """Total map phi from host vertices onto pattern vertices."""
 
-    __slots__ = ("host", "pattern", "phi")
+    __slots__ = ("host", "pattern", "phi", "models")
 
     def __init__(self, host: Graph, pattern: Graph, phi: Mapping[int, int]):
         for v in host.vertices:
             if v not in phi:
                 raise ValueError("phi is not total: vertex %r unmapped" % (v,))
+        models = {v: set() for v in pattern.vertices}
         for v, img in phi.items():
             if not host.has_vertex(v):
                 raise ValueError("phi maps unknown host vertex %r" % (v,))
             if not pattern.has_vertex(img):
                 raise ValueError("phi hits unknown pattern vertex %r" % (img,))
+            models[img].add(v)
         self.host = host
         self.pattern = pattern
         self.phi = dict(phi)
+        self.models = {v: frozenset(s) for v, s in models.items()}
 
     def model_of(self, v: int) -> frozenset:
         """The set of host vertices mapped to pattern vertex v."""
-        return frozenset(u for u, img in self.phi.items() if img == v)
+        return self.models.get(v, frozenset())
 
 
 def verify_contraction(m: ContractionModel) -> Verdict:
@@ -57,13 +60,10 @@ def verify_contraction(m: ContractionModel) -> Verdict:
     two in the same order: two connected preimages have a connected union
     iff a host edge joins them.
     """
-    models = {v: set() for v in m.pattern.vertices}
-    for u, img in m.phi.items():
-        models[img].add(u)
-    empty = [v for v in m.pattern.vertices if not models[v]]
+    empty = [v for v in m.pattern.vertices if not m.models[v]]
     if empty:
         raise ValueError("phi is not surjective: no preimage for %r" % (empty[0],))
-    ok = verify_minor_model(MinorModel(m.host, m.pattern, models))
+    ok = verify_minor_model(MinorModel(m.host, m.pattern, m.models))
     if ok.condition == "branch-set-disconnected":
         v = ok.witness
         return Verdict.reject("model-disconnected", witness=v,
@@ -392,40 +392,30 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
     return MinorModel(host, pattern, branch)
 
 
-class SubdivisionEmbedding:
-    """Injective branch-vertex map plus one host path per pattern edge."""
-
-    __slots__ = ("host", "pattern", "vertex_map", "paths")
-
-    def __init__(self, host: Graph, pattern: Graph, vertex_map: Mapping[int, int],
-                 paths: Mapping[Tuple[int, int], Tuple[int, ...]]):
-        self.host = host
-        self.pattern = pattern
-        self.vertex_map = dict(vertex_map)
-        self.paths = {(min(e), max(e)): tuple(p) for e, p in paths.items()}
-
-
-def verify_topological_embedding(emb: SubdivisionEmbedding) -> Verdict:
-    vm = emb.vertex_map
-    if sorted(vm) != list(emb.pattern.vertices):
-        return Verdict.reject("bad-vertex-map", witness=sorted(set(vm) ^ set(emb.pattern.vertices)))
+def verify_topological_embedding(host: Graph, pattern: Graph, vertex_map: Mapping[int, int],
+                                 paths: Mapping[Tuple[int, int], Sequence[int]]) -> Verdict:
+    """vertex_map injective, and for each pattern edge a < b a host path paths[(a, b)]
+    from vertex_map[a] to vertex_map[b]; the paths share no vertex but their ends."""
+    vm = vertex_map
+    if sorted(vm) != list(pattern.vertices):
+        return Verdict.reject("bad-vertex-map", witness=sorted(set(vm) ^ set(pattern.vertices)))
     if len(set(vm.values())) != len(vm):
         return Verdict.reject("vertex-map-not-injective")
     for v in vm.values():
-        if not emb.host.has_vertex(v):
+        if not host.has_vertex(v):
             return Verdict.reject("unknown-host-vertex", witness=v)
-    want = {(min(e), max(e)) for e in emb.pattern.edges}
-    if set(emb.paths) != want:
-        return Verdict.reject("path-keys-mismatch", witness=sorted(set(emb.paths) ^ want))
+    want = {(min(e), max(e)) for e in pattern.edges}
+    if set(paths) != want:
+        return Verdict.reject("path-keys-mismatch", witness=sorted(set(paths) ^ want))
     interior_seen = set()
     branch = set(vm.values())
-    for (a, b), p in sorted(emb.paths.items()):
+    for (a, b), p in sorted(paths.items()):
         if len(p) < 2 or p[0] != vm[a] or p[-1] != vm[b]:
             return Verdict.reject("path-endpoints", witness=(a, b))
         if len(set(p)) != len(p):
             return Verdict.reject("path-self-intersects", witness=(a, b))
         for x, y in zip(p, p[1:]):
-            if not emb.host.has_edge(x, y):
+            if not host.has_edge(x, y):
                 return Verdict.reject("path-edge-missing", witness=(x, y))
         for x in p[1:-1]:
             if x in branch or x in interior_seen:
@@ -465,15 +455,14 @@ def _iter_paths(host: Graph, start: int, goals, blocked: set,
         yield from dfs(length)
 
 
-def iter_topological_embeddings(host: Graph, pattern: Graph) -> Iterator[SubdivisionEmbedding]:
-    """All subdivision embeddings of pattern in host, short paths first.
-
-    Uncapped: the search is exponential, so callers bound the input sizes.
-    """
+def iter_topological_embeddings(host: Graph, pattern: Graph) -> Iterator[Tuple[dict, dict]]:
+    """All subdivision embeddings of pattern in host as fresh (vertex map, paths)
+    pairs, short paths first.  Uncapped: the search is exponential, so callers
+    bound the input sizes."""
     if pattern.n > host.n or pattern.m > host.m:
         return
     if pattern.n == 0:
-        yield SubdivisionEmbedding(host, pattern, {}, {})
+        yield {}, {}
         return
 
     # Per component: map its smallest vertex, then its edges in breadth-first
@@ -496,9 +485,9 @@ def iter_topological_embeddings(host: Graph, pattern: Graph) -> Iterator[Subdivi
     def degree_ok(hv: int, pv: int) -> bool:
         return host.degree(hv) >= pattern.degree(pv)
 
-    def step(i: int) -> Iterator[SubdivisionEmbedding]:
+    def step(i: int) -> Iterator[Tuple[dict, dict]]:
         if i == len(plan):
-            yield SubdivisionEmbedding(host, pattern, vm, paths)
+            yield dict(vm), dict(paths)
             return
         kind, payload = plan[i]
         if kind == "root":
@@ -639,11 +628,10 @@ def verify_smooth_contraction(w: SmoothContractionWitness) -> Verdict:
                               witness=sorted(exterior ^ model_v),
                               detail="vertices outside the disk differ from the model of %r" % (w.v,))
 
-    # Every other model must avoid some face, so it fits in an open disk.
+    # Every other model must avoid some face, so it fits in an open disk: phi
+    # must not give its vertex on every face (all_faces holds the chosen ones).
+    on_every_face = set.intersection(*({w.model.phi[x] for x in f} for f in all_faces))
     for u in w.model.pattern.vertices:
-        if u == w.v:
-            continue
-        mu = w.model.model_of(u)
-        if not any(not (mu & set(f)) for f in all_faces):
+        if u != w.v and u in on_every_face:
             return Verdict.reject("model-not-in-open-disk", witness=u)
     return Verdict.accept()

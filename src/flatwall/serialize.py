@@ -42,14 +42,17 @@ def _is_int_pair(obj) -> bool:
 
 def _int_keyed(obj: dict, valid, what: str, key_what: str) -> dict:
     """obj with its keys read as ints, each value checked by valid before
-    its key is read."""
+    its key is read.  A key is an int as str writes it: int() also reads
+    " 3", "+3", "0_3" and other digits, so one id could have two keys."""
     out = {}
     for key, value in obj.items():
         _require(valid(value), "%s %r", what, key)
         try:
-            out[int(key)] = value
+            canonical = str(int(key)) == key
         except ValueError:
-            raise ValueError("malformed document: %s %r" % (key_what, key))
+            canonical = False
+        _require(canonical, "%s %r", key_what, key)
+        out[int(key)] = value
     return out
 
 
@@ -140,7 +143,9 @@ def wall_from_json(host: Graph, obj) -> SubdividedWall:
         _require(_is_int_pair(e), "path edge entry %r", e)
         a, b = e
         _require(_is_int_list(p), "host path for edge (%d,%d)", a, b)
-        paths[(a, b)] = tuple(p)
+        key = (min(a, b), max(a, b))
+        _require(key not in paths, "pattern edge (%d,%d) given twice", a, b)
+        paths[key] = tuple(p)
     return SubdividedWall(host, obj["height"], original, paths)
 
 

@@ -210,8 +210,8 @@ def _find_flat_wall_certificate(g: Graph, apexes: Tuple[int, ...], k: int):
     target = wall(k)
     if target.graph.n > ga.n:
         return None
-    for emb in iter_topological_embeddings(ga, target.graph):
-        cand = SubdividedWall(ga, k, emb.vertex_map, emb.paths)
+    for original, paths in iter_topological_embeddings(ga, target.graph):
+        cand = SubdividedWall(ga, k, original, paths)
         c = _compass(cand)
         # a cheap pre-filter that spares crossed candidates validate_rural
         if is_flat(c).flat is not True:

@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .common import SizeCapExceeded, Verdict
 from .graph import Graph, bfs, induced_subgraph, path_to
 from .generators import WallGraph, gamma, wall
-from .minors import (SmoothContractionWitness, SubdivisionEmbedding, delta_y, subdivide,
-                     verify_smooth_contraction, verify_topological_embedding)
+from .minors import (SmoothContractionWitness, delta_y, subdivide, verify_smooth_contraction,
+                     verify_topological_embedding)
 from .paths import two_disjoint_paths
 from .planarity import embeds_in_disk_with_boundary
 
@@ -87,8 +87,7 @@ def verify_wall(w: SubdividedWall) -> Verdict:
     """
     if w.height < 1 or 2 * w.height * (w.height + 2) > w.host.n:
         return Verdict.reject("bad-height", witness=w.height)
-    emb = SubdivisionEmbedding(w.host, w.pattern.graph, w.original, w.paths)
-    return verify_topological_embedding(emb)
+    return verify_topological_embedding(w.host, w.pattern.graph, w.original, w.paths)
 
 
 def identity_wall(k: int) -> SubdividedWall:

@@ -5,6 +5,7 @@ exhaustive path packing.  Keep inputs tiny.
 """
 
 import itertools
+import json
 import random
 import time
 from collections import Counter, deque
@@ -14,10 +15,11 @@ from flatwall.graph import (Graph, adjacency_masks, bfs, delete, induced_subgrap
                             path_to)
 from flatwall.common import SizeCapExceeded, Verdict
 from flatwall.decomposition import TREEWIDTH_CAP, TreeDecomposition
-from flatwall.minors import ContractionModel, MinorModel, _connected_subsets, _mask_neighborhood
+from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitness,
+                             _connected_subsets, _mask_neighborhood)
 from flatwall.paths import DisjointPathsResult, _OutOfTime
 from flatwall.planarity import (RotationEmbedding, _canon_cycle, embeds_in_disk_with_boundary,
-                                is_planar, planarizing_set, trace_faces)
+                                is_planar, planarizing_set, trace_faces, validate_embedding)
 from flatwall.rural import RuralDivision, _pair_joined, check_linkage
 from flatwall.wall import Compass
 
@@ -395,6 +397,94 @@ def verify_contraction_by_induced_subgraphs(m: ContractionModel) -> Verdict:
             return Verdict.reject("host-edge-unmatched", witness=(a, b),
                                   detail="host edge %r-%r maps to non-edge %r-%r" % (a, b, fa, fb))
     return Verdict.accept()
+
+
+def preimage_by_scan(m: ContractionModel, v: int) -> frozenset:
+    """ContractionModel.model_of as it was before the preimage map: a scan
+    of all of phi."""
+    return frozenset(u for u, img in m.phi.items() if img == v)
+
+
+def verify_smooth_contraction_by_scans(w: SmoothContractionWitness) -> Verdict:
+    """minors.verify_smooth_contraction as it was before the preimage map,
+    with its contraction check through the induced-subgraph oracle: one scan
+    of phi per model, and each model tested against every face in turn."""
+    ok = verify_contraction_by_induced_subgraphs(w.model)
+    if not ok:
+        raise ValueError("invalid contraction model: %s" % ok.condition)
+    emb_ok = validate_embedding(w.embedding)
+    if not emb_ok:
+        raise ValueError("invalid embedding: %s" % emb_ok.condition)
+    host = w.model.host
+    eg = w.embedding.graph
+    if not (set(eg.vertices) <= set(host.vertices) and set(eg.edges) <= set(host.edges)):
+        raise ValueError("embedded part is not a subgraph of the host")
+    if not w.model.pattern.has_vertex(w.v):
+        raise ValueError("unknown pattern vertex %r" % (w.v,))
+
+    all_faces = trace_faces(eg, w.embedding.rotation)
+    by_canon = {_canon_cycle(f): f for f in all_faces}
+    chosen = []
+    for f in w.disk_faces:
+        cf = by_canon.get(_canon_cycle(tuple(f)))
+        if cf is None:
+            return Verdict.reject("unknown-disk-face", witness=tuple(f))
+        chosen.append(cf)
+    if not chosen:
+        return Verdict.reject("disk-not-a-disk", detail="no faces chosen")
+    edge_faces: Dict[Tuple[int, int], List[int]] = {}
+    region_vertices = set()
+    for i, f in enumerate(chosen):
+        region_vertices.update(f)
+        for j in range(len(f)):
+            a, b = f[j], f[(j + 1) % len(f)]
+            edge_faces.setdefault((a, b) if a < b else (b, a), []).append(i)
+    if any(len(fs) > 2 for fs in edge_faces.values()):
+        return Verdict.reject("disk-not-a-disk", detail="an edge lies on more than two chosen face sides")
+    patch = Graph(range(len(chosen)),
+                  [(i, j) for fs in edge_faces.values() for i in fs for j in fs if i < j])
+    if not is_connected(patch):
+        return Verdict.reject("disk-not-a-disk", detail="chosen faces are not edge-connected")
+    if len(region_vertices) - len(edge_faces) + len(chosen) != 1:
+        return Verdict.reject("disk-not-a-disk", detail="face union is not simply connected")
+    boundary = [e for e, fs in edge_faces.items() if len(fs) == 1]
+    ring = Graph({v for e in boundary for v in e}, boundary)
+    if not boundary or any(ring.degree(v) != 2 for v in ring.vertices) or not is_connected(ring):
+        return Verdict.reject("disk-not-a-disk", detail="boundary is not a single cycle")
+    exterior = set(host.vertices) - region_vertices
+    model_v = preimage_by_scan(w.model, w.v)
+    if exterior != model_v:
+        return Verdict.reject("exterior-mismatch",
+                              witness=sorted(exterior ^ model_v),
+                              detail="vertices outside the disk differ from the model of %r" % (w.v,))
+    for u in w.model.pattern.vertices:
+        if u == w.v:
+            continue
+        mu = preimage_by_scan(w.model, u)
+        if not any(not (mu & set(f)) for f in all_faces):
+            return Verdict.reject("model-not-in-open-disk", witness=u)
+    return Verdict.accept()
+
+
+def jsonable(x):
+    """The CLI's witness conversion before reports passed witnesses as they
+    are: sets sorted, tuples as lists, dict keys as strings, any other
+    object as its repr."""
+    if x is None or isinstance(x, (str, int, float, bool)):
+        return x
+    if isinstance(x, (set, frozenset)):
+        return sorted(jsonable(v) for v in x)
+    if isinstance(x, (tuple, list)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): jsonable(v) for k, v in sorted(x.items())}
+    return repr(x)
+
+
+def dumps_like_jsonable(witness) -> bool:
+    """Whether a report writes witness as it is, byte for byte as it wrote
+    jsonable(witness)."""
+    return json.dumps(witness, sort_keys=True) == json.dumps(jsonable(witness), sort_keys=True)
 
 
 def minor_to_contraction(m: MinorModel) -> ContractionModel:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flatwall import serialize as ser
+from flatwall import cli, serialize as ser
 from flatwall.cli import HOST_CAP, main
 from flatwall.common import SizeCapExceeded
 from flatwall.decomposition import TREEWIDTH_CAP, exact_treewidth
@@ -92,6 +92,28 @@ def test_generate_param_errors(capsys):
     assert rc == 2 and "must be an integer" in err
     rc, out, err = run(capsys, "generate", "--family", "grid", "--params", "k")
     assert (rc, out) == (2, "") and "--params expects name=value, got 'k'" in err
+
+
+def test_generate_refuses_a_member_over_the_ceiling_unbuilt(capsys, monkeypatch):
+    # n is worked out from the parameters: k=1000000 would be a grid of 10**12 vertices
+    for name in ("grid", "gamma", "gamma_star", "wall", "pyramid", "lower_bound_graph"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("built"))
+    for family, params, n in (("grid", "k=1000000", 10 ** 12), ("grid", "k=100,r=101", 10100),
+                              ("gamma", "k=101", 10201), ("gamma-star", "k=101", 10201),
+                              ("wall", "k=70", 10080), ("pyramid", "k=100,l=1", 10001),
+                              ("lower-bound", "k=100,h=6", 10001)):
+        rc, rep, err = run_json(capsys, "generate", "--family", family, "--params", params)
+        reason = "host capped at %d vertices, got %d" % (HOST_CAP, n)
+        assert (rc, rep) == (3, {"verdict": "undetermined", "reason": reason,
+                                 "schema_version": 1}), family
+        assert reason in err
+    # below a family's smallest parameters its generator's usage error stands
+    monkeypatch.undo()
+    for family, params in (("grid", "k=1,r=1000000"), ("grid", "k=-1000000"),
+                           ("gamma", "k=-1000"), ("gamma-star", "k=-1000"), ("wall", "k=-1000"),
+                           ("pyramid", "k=1000,l=-1"), ("lower-bound", "k=1000,h=5")):
+        rc, out, err = run(capsys, "generate", "--family", family, "--params", params)
+        assert (rc, out) == (2, ""), family
 
 
 def test_generate_gamma_star_and_pyramid_meta(capsys):
@@ -539,6 +561,19 @@ def test_invalid_json_is_usage_error(capsys, tmp_path):
     rc, out, err = run(capsys, "treewidth", "--graph", str(path))
     assert rc == 2
     assert "not valid JSON" in err
+
+
+def test_a_key_given_twice_is_malformed(capsys, tmp_path):
+    # json.loads keeps the last of two equal keys, so {"n": 3, "n": 4} read as 4 vertices
+    graph = tmp_path / "twice.json"
+    graph.write_text('{"n": 3, "n": 4, "edges": []}')
+    rc, out, err = run(capsys, "treewidth", "--graph", str(graph))
+    assert (rc, out) == (2, "") and "malformed document: key 'n' given twice" in err
+    td = tmp_path / "td.json"
+    td.write_text('{"bags": {"0": [0, 1, 2], "0": [0]}}')
+    rc, out, err = run(capsys, "td-validate", "--graph", complete_doc(tmp_path, 3),
+                       "--decomposition", str(td))
+    assert (rc, out) == (2, "") and "malformed document: key '0' given twice" in err
 
 
 def test_reads_graph_from_stdin(capsys, monkeypatch):

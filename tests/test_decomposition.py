@@ -13,8 +13,8 @@ from flatwall.graph import (Graph, adjacency_masks, complete_graph, cycle_graph,
                             induced_subgraph, path_graph, union)
 from flatwall.serialize import td_to_json
 
-from oracles import (exact_treewidth_dp, random_elimination_td, random_graph,
-                     treewidth_by_elimination, validate_by_scan)
+from oracles import (dumps_like_jsonable, exact_treewidth_dp, random_elimination_td,
+                     random_graph, treewidth_by_elimination, validate_by_scan)
 
 
 def tw(g):
@@ -215,6 +215,7 @@ def test_validate_matches_scan_oracle_on_mutated_decompositions():
         mutated = TreeDecomposition(host, tree, bags)
         got = validate(mutated)
         assert got == validate_by_scan(mutated)
+        assert dumps_like_jsonable(got.witness)
         seen.add(got.condition)
     assert seen == {None, "uncovered-vertex", "uncovered-edge", "disconnected-trace"}
 

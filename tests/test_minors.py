@@ -3,6 +3,7 @@ import json
 import random
 import time
 from collections import Counter
+from typing import Optional
 
 import pytest
 
@@ -19,9 +20,10 @@ from flatwall.planarity import (RotationEmbedding, _canon_cycle, planarizing_set
                                 validate_embedding)
 
 from fixtures import apex_over
-from oracles import (apex_rule_by_loop, embed_planar, find_minor_unpruned, has_minor_by_partition,
-                     minor_to_contraction, random_graph, verify_contraction_by_induced_subgraphs,
-                     verify_minor_model_pairwise)
+from oracles import (apex_rule_by_loop, dumps_like_jsonable, embed_planar, find_minor_unpruned,
+                     has_minor_by_partition, minor_to_contraction, preimage_by_scan, random_graph,
+                     verify_contraction_by_induced_subgraphs, verify_minor_model_pairwise,
+                     verify_smooth_contraction_by_scans)
 
 K33 = Graph(range(6), [(a, b) for a in range(3) for b in range(3, 6)])
 C5_CHORD = Graph(range(5), list(cycle_graph(5).edges) + [(0, 2)])
@@ -270,6 +272,7 @@ def test_verify_minor_model_matches_pairwise_oracle():
         m = MinorModel(host, pattern, sets)
         got = verify_minor_model(m)
         assert got == verify_minor_model_pairwise(m)
+        assert dumps_like_jsonable(got.witness)
         seen.add(got.condition)
     assert seen == {None, "empty-branch-set", "overlapping-branch-sets",
                     "branch-set-disconnected", "unrealized-pattern-edge"}
@@ -471,14 +474,18 @@ def test_smooth_contraction_rejects_a_model_on_every_face():
     assert (v.condition, v.witness) == ("model-not-in-open-disk", 0)
 
 
+# triangles 0-1-5 and 0-3-4 sharing vertex 0, whose outer face walk
+# (0, 1, 5, 0, 3, 4) meets 0 twice
+BOWTIE = Graph([0, 1, 3, 4, 5], [(0, 1), (1, 5), (0, 5), (0, 3), (3, 4), (0, 4)])
+BOWTIE_EMBEDDING = RotationEmbedding(BOWTIE, {0: (1, 5, 3, 4), 1: (0, 5), 5: (0, 1), 3: (0, 4),
+                                              4: (0, 3)}, (0, 1, 5, 0, 3, 4))
+
+
 def test_smooth_contraction_rejects_a_face_listed_twice():
-    # bowtie: triangles 0-1-5 and 0-3-4 share vertex 0, and the face walk
-    # (0, 1, 5, 0, 3, 4) meets 0 twice; listed under two rotations it covers
-    # every edge twice, is edge-connected and passes Euler (5 - 6 + 2 = 1),
-    # so only the empty boundary tells it from a disk
-    bowtie = Graph([0, 1, 3, 4, 5], [(0, 1), (1, 5), (0, 5), (0, 3), (3, 4), (0, 4)])
-    emb = RotationEmbedding(bowtie, {0: (1, 5, 3, 4), 1: (0, 5), 5: (0, 1), 3: (0, 4),
-                                     4: (0, 3)}, (0, 1, 5, 0, 3, 4))
+    # the bowtie's outer face listed under two rotations covers every edge
+    # twice, is edge-connected and passes Euler (5 - 6 + 2 = 1), so only the
+    # empty boundary tells it from a disk
+    bowtie, emb = BOWTIE, BOWTIE_EMBEDDING
     assert validate_embedding(emb)
     assert _canon_cycle((0, 1, 5, 0, 3, 4)) in map(_canon_cycle, trace_faces(bowtie, emb.rotation))
     model = ContractionModel(bowtie, bowtie, {v: v for v in bowtie.vertices})
@@ -486,6 +493,88 @@ def test_smooth_contraction_rejects_a_face_listed_twice():
     disk = [(0, 1, 5, 0, 3, 4), (0, 3, 4, 0, 1, 5)]
     v = verify_smooth_contraction(SmoothContractionWitness(model, emb, 0, disk))
     assert (v.condition, v.detail) == ("disk-not-a-disk", "boundary is not a single cycle")
+
+
+def random_smooth_witness(rng: random.Random) -> Optional[SmoothContractionWitness]:
+    """A small smooth-contraction witness, valid or not: the identity or a
+    merged contraction of a random graph (now and then with one vertex moved,
+    which can disconnect its old part), a random v, an embedding of the host
+    minus v's model or minus a few random vertices, and a random choice of
+    its faces; one in ten is the bowtie.  None when the part to embed is
+    not planar."""
+    if rng.random() < 0.1:
+        host, emb = BOWTIE, BOWTIE_EMBEDDING
+        model = ContractionModel(host, host, {v: v for v in host.vertices})
+    else:
+        host = random_graph(rng, rng.randint(3, 9), rng.choice((0.4, 0.55, 0.7)))
+        phi = {v: v for v in host.vertices}
+        if host.m and rng.random() < 0.5:
+            for a, b in rng.sample(host.edges, min(host.m, rng.randint(1, 3))):
+                lo, hi = sorted((phi[a], phi[b]))
+                phi = {u: lo if r == hi else r for u, r in phi.items()}
+        if rng.random() < 0.1:
+            phi[rng.choice(host.vertices)] = rng.choice(sorted(set(phi.values())))
+        pattern = Graph(set(phi.values()), {(min(phi[a], phi[b]), max(phi[a], phi[b]))
+                                             for a, b in host.edges if phi[a] != phi[b]})
+        model = ContractionModel(host, pattern, phi)
+        emb = None
+    v = rng.choice(model.pattern.vertices) if rng.random() < 0.97 else 99
+    if emb is None:
+        hidden = (model.model_of(v) if rng.random() < 0.7
+                  else rng.sample(host.vertices, rng.randint(0, 2)))
+        part = delete(host, hidden)
+        if rng.random() < 0.03:
+            part = part.add_vertices([99])  # not a host vertex
+        emb = embed_planar(part)
+        if emb is None:
+            return None
+    faces = trace_faces(emb.graph, emb.rotation)
+    inner = [f for f in faces if _canon_cycle(f) != _canon_cycle(emb.outer_face)]
+    pick = rng.random()
+    if pick < 0.45 or not faces:
+        disk = inner
+    elif pick < 0.6:
+        disk = rng.sample(faces, rng.randint(0, len(faces)))
+    elif pick < 0.7:
+        disk = faces
+    elif pick < 0.8:
+        disk = inner + [rng.choice(faces)]
+    elif pick < 0.9:
+        disk = [max(faces, key=len)] * 2  # on the bowtie, only its boundary is no cycle
+    else:
+        disk = inner + [rng.choice(faces)[:-1]]  # not a face
+    return SmoothContractionWitness(model, emb, v, disk)
+
+
+def test_verify_smooth_contraction_matches_the_scans_it_replaced():
+    # one preimage map and one pass over the faces give the same outcome as
+    # a scan of phi per model and a test of each model against every face
+    rng = random.Random(29)
+    seen = Counter()
+
+    def outcome(check, w):
+        try:
+            v = check(w)
+        except ValueError as e:
+            return "raises", str(e)
+        return v.ok, v.condition, v.witness, v.detail
+
+    while sum(seen.values()) < 2400:
+        w = random_smooth_witness(rng)
+        if w is None:
+            continue
+        m = w.model
+        assert all(m.model_of(u) == preimage_by_scan(m, u) for u in m.pattern.vertices)
+        got = outcome(verify_smooth_contraction, w)
+        assert got == outcome(verify_smooth_contraction_by_scans, w)
+        seen["raises" if got[0] == "raises" else
+             got[3] if got[1] == "disk-not-a-disk" else got[1]] += 1
+    assert set(seen) == {None, "raises", "unknown-disk-face", "no faces chosen",
+                         "an edge lies on more than two chosen face sides",
+                         "chosen faces are not edge-connected",
+                         "face union is not simply connected", "boundary is not a single cycle",
+                         "exterior-mismatch", "model-not-in-open-disk"}, seen
+    assert min(seen.values()) >= 20, seen
 
 
 # (count, sha256 over the JSON of each embedding's sorted vertex map and
@@ -508,9 +597,8 @@ def test_topological_embeddings_keep_their_order():
     for name, pattern in patterns.items():
         h = hashlib.sha256()
         count = 0
-        for emb in iter_topological_embeddings(host, pattern):
-            h.update(json.dumps([sorted(emb.vertex_map.items()),
-                                 sorted(emb.paths.items())]).encode())
+        for vertex_map, paths in iter_topological_embeddings(host, pattern):
+            h.update(json.dumps([sorted(vertex_map.items()), sorted(paths.items())]).encode())
             count += 1
         got[name] = (count, h.hexdigest())
     assert got == EMBEDDING_ORDER

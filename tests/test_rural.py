@@ -15,8 +15,8 @@ from flatwall.wall import (Compass, SubdividedWall, compass, identity_wall, is_f
                            perimeter, refind_after_transform)
 
 from oracles import (boundaries, boundary, disk_embeddable_by_incidence_graph,
-                     embeds_in_disk_by_subdivided_rim, incidence_graph, linked_by_separators,
-                     min_vertex_cut, random_graph, separator_tree_by_blocks,
+                     dumps_like_jsonable, embeds_in_disk_by_subdivided_rim, incidence_graph,
+                     linked_by_separators, min_vertex_cut, random_graph, separator_tree_by_blocks,
                      validate_rural_pairwise)
 
 
@@ -454,6 +454,7 @@ def test_validate_rural_matches_pairwise_oracle():
             v, want = validate_rural(rd), validate_rural_pairwise(rd)
             got = (bool(v), v.condition, v.witness, v.detail)
             assert got == (bool(want), want.condition, want.witness, want.detail)
+            assert dumps_like_jsonable(v.witness)
             mode = v.detail.split(" ")[-1] if v.condition == "property-2" else v.condition
             if v.condition == "property-5":
                 mode = "disk" if v.witness == "disk" else "linkage"

@@ -20,7 +20,7 @@ from flatwall.structure import WeakStructureCertificate, trichotomy_check, verif
 from flatwall.wall import SubdividedWall, compass, identity_wall
 
 from fixtures import document_mutations
-from oracles import boundaries, random_elimination_td
+from oracles import boundaries, dumps_like_jsonable, random_elimination_td
 
 K4 = complete_graph(4)
 K6 = complete_graph(6)
@@ -215,6 +215,39 @@ def test_wall_malformed_documents():
         wall_from_json(host, keyed)
 
 
+def test_integer_keys_have_one_spelling():
+    # int() reads each of these keys, so two spellings of one id collided
+    # and the last one won: bags {"0": <all>, "+0": [0]} read as the one bag {0}
+    g = path_graph(3)
+    for key in (" 0", "+0", "-0", "00", "0_0", "\u0660", "0 "):
+        with pytest.raises(ValueError) as exc:
+            td_from_json(g, {"bags": {"0": [0, 1, 2], key: [0]}})
+        assert str(exc.value) == "malformed document: bag id %r" % (key,)
+    # a bogus image under " 3" ahead of the real "3" verified as the wall
+    host = wall(2).graph
+    doc = wall_to_json(identity_wall(2))
+    doc["original"] = {" 3": 999, **doc["original"]}
+    with pytest.raises(ValueError, match="malformed document: pattern vertex ' 3'"):
+        wall_from_json(host, doc)
+    m = minor_to_json(find_minor(grid(3, 3)[0], K4))
+    m["branch_sets"]["+1"] = m["branch_sets"].pop("1")
+    with pytest.raises(ValueError, match="malformed document: pattern vertex '\\+1'"):
+        minor_from_json(grid(3, 3)[0], m)
+
+
+def test_a_pattern_edge_has_one_path():
+    # the last of two entries for one edge won, in either orientation, so a
+    # bogus path ahead of the real one verified
+    host = wall(2).graph
+    good = wall_to_json(identity_wall(2))
+    (a, b) = good["paths"][0]["edge"]
+    for edge in ([b, a], [a, b]):
+        doc = dict(good, paths=[{"edge": edge, "path": [12345]}] + good["paths"])
+        with pytest.raises(ValueError) as exc:
+            wall_from_json(host, doc)
+        assert str(exc.value) == "malformed document: pattern edge (%d,%d) given twice" % (a, b)
+
+
 def test_rural_round_trip():
     g = wall(2).graph
     c = compass(g, identity_wall(2))
@@ -314,6 +347,7 @@ def test_mutated_certificates_get_a_verdict_or_value_error():
             except Exception as e:  # any other exception is a fault
                 pytest.fail("%r set to %r: %r" % (path, value, e))
             assert isinstance(v, Verdict)
+            assert dumps_like_jsonable(v.witness)
             outcomes.add(v.ok)
     assert clauses == {1, 2, 3}
     # some mutations leave a valid certificate (an unread field, a same value)
