@@ -242,7 +242,7 @@ def _dead_test(adj: List[int], free: int, cap: List[Tuple[int, int]], reach: Lis
 def _pattern_tables(pattern: Graph) -> tuple:
     """find_minor's tables that depend on the pattern alone, kept for the
     last few patterns: (apex number, porder, own, needs, k4, room)."""
-    a, _ = apex_number(pattern, cap=pattern.n)
+    a, _ = apex_number(pattern)
     porder = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
     pos = {q: j for j, q in enumerate(porder)}
     padj = [sum(1 << pos[r] for r in pattern.neighbors(q)) for q in porder]
@@ -272,8 +272,7 @@ def _pattern_tables(pattern: Graph) -> tuple:
     return a, tuple(porder), tuple(own), tuple(needs), tuple(k4), tuple(room)
 
 
-def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP,
-               host_cap: int = MINOR_HOST_CAP) -> Optional[MinorModel]:
+def find_minor(host: Graph, pattern: Graph) -> Optional[MinorModel]:
     """Exhaustive branch-set search: a valid model, or None if none exists.
 
     Pattern vertices are placed in the fixed order (degree descending,
@@ -281,7 +280,8 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
     vertices, enumerated in _connected_subsets' depth-first order (by the
     smallest anchor it holds, then each set before the sets grown from
     it).  The search is depth-first and returns the first complete model
-    in that order.
+    in that order.  A pattern over MINOR_PATTERN_CAP vertices or a host
+    over MINOR_HOST_CAP raises SizeCapExceeded.
 
     Capacity rule: after placing a branch set, every placed pattern vertex
     q with c unplaced pattern neighbours must still have at least c free
@@ -340,10 +340,11 @@ def find_minor(host: Graph, pattern: Graph, pattern_cap: int = MINOR_PATTERN_CAP
     answers only calls whose search would end in None, so every model
     found is the one found without it.
     """
-    if pattern.n > pattern_cap:
-        raise SizeCapExceeded("pattern capped at %d vertices, got %d" % (pattern_cap, pattern.n))
-    if host.n > host_cap:
-        raise SizeCapExceeded("host capped at %d vertices, got %d" % (host_cap, host.n))
+    if pattern.n > MINOR_PATTERN_CAP:
+        raise SizeCapExceeded("pattern capped at %d vertices, got %d"
+                              % (MINOR_PATTERN_CAP, pattern.n))
+    if host.n > MINOR_HOST_CAP:
+        raise SizeCapExceeded("host capped at %d vertices, got %d" % (MINOR_HOST_CAP, host.n))
     if pattern.n > host.n or pattern.m > host.m:
         return None
     if pattern.n == 0:

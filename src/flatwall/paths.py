@@ -8,7 +8,6 @@ breadth-first search only when the first path steps onto the last route
 found, or reaches its end.
 """
 
-import time
 from bisect import bisect
 from collections import deque
 from typing import Iterable, List, Optional, Tuple
@@ -19,7 +18,7 @@ from .graph import Graph, bfs, path_to
 class DisjointPathsResult:
     """Outcome of a two-disjoint-paths search.
 
-    verdict is "found", "none" or "unknown" (budget ran out).  For "found",
+    verdict is "found", "none" or "unknown" (budget spent).  For "found",
     paths holds the two vertex sequences; for "none" the search was
     exhaustive.  explored counts the partial first paths visited.
     """
@@ -35,12 +34,8 @@ class DisjointPathsResult:
         return "DisjointPathsResult(%r, explored=%d)" % (self.verdict, self.explored)
 
 
-class _OutOfTime(Exception):
-    pass
-
-
 def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int],
-                       budget_ms: Optional[float] = None) -> DisjointPathsResult:
+                       budget: Optional[int] = None) -> DisjointPathsResult:
     """Search for vertex-disjoint paths first[0]..first[1] and second[0]..second[1].
 
     Depth-first enumeration of candidate first paths, abandoning a branch as
@@ -54,6 +49,9 @@ def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int]
     t1, so a "found" second path is the breadth-first one.  Backtracking
     only frees vertices, so a route stays free until the path enters it;
     the visited states and explored are those of a search at every state.
+
+    budget caps the states entered: with budget states entered and another
+    to enter, the answer is "unknown" with explored equal to budget.
     """
     s1, t1 = first
     s2, t2 = second
@@ -62,8 +60,8 @@ def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int]
             raise ValueError("vertex %r is not in the graph" % (v,))
     if len({s1, t1, s2, t2}) != 4:
         raise ValueError("need four distinct endpoints")
-
-    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be at least 0, got %r" % (budget,))
     explored = 0
 
     path = [s1]
@@ -73,13 +71,14 @@ def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int]
     todo = []  # one neighbour iterator per path vertex still being expanded
     route = None  # vertex set of the last s2-t2 route found; free until the path enters it
 
-    def enter() -> Optional[Tuple[List[int], List[int]]]:
+    def enter() -> Optional[DisjointPathsResult]:
         # Visit the partial first path; queue its last vertex for expansion
-        # unless it ends at t1 or already cuts the second pair apart.
+        # unless it ends at t1 or already cuts the second pair apart.  The
+        # result once the search is decided, else None.
         nonlocal explored, route
+        if budget is not None and explored >= budget:
+            return DisjointPathsResult("unknown", None, explored)
         explored += 1
-        if deadline is not None and time.monotonic() > deadline:
-            raise _OutOfTime
         u = path[-1]
         if u != t1 and route is not None and u not in route:
             # the path took no route vertex since the route was found: still free
@@ -91,26 +90,23 @@ def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int]
         second_path = path_to(parent, hit)
         route = set(second_path)
         if u == t1:
-            return list(path), second_path
+            return DisjointPathsResult("found", (list(path), second_path), explored)
         todo.append(iter(g.neighbors(u)))
         return None
 
-    try:
-        found = enter()
-        while found is None and todo:
-            for w in todo[-1]:
-                if w in free and w not in banned:
-                    path.append(w)
-                    free.discard(w)
-                    found = enter()
-                    break
-            else:
-                todo.pop()
-            if len(todo) < len(path):
-                free.add(path.pop())
-    except _OutOfTime:
-        return DisjointPathsResult("unknown", None, explored)
-    return DisjointPathsResult("none" if found is None else "found", found, explored)
+    result = enter()
+    while result is None and todo:
+        for w in todo[-1]:
+            if w in free and w not in banned:
+                path.append(w)
+                free.discard(w)
+                result = enter()
+                break
+        else:
+            todo.pop()
+        if len(todo) < len(path):
+            free.add(path.pop())
+    return result or DisjointPathsResult("none", None, explored)
 
 
 def max_vertex_disjoint_paths(g: Graph, sources: Iterable[int],

@@ -283,11 +283,11 @@ def planarizing_set(g: Graph, size: int) -> Optional[Tuple[int, ...]]:
     return None
 
 
-def apex_number(g: Graph, cap: int = APEX_CAP) -> Tuple[int, Tuple[int, ...]]:
+def apex_number(g: Graph) -> Tuple[int, Tuple[int, ...]]:
     """Smallest number of vertices whose removal leaves g planar, with the
     lexicographically least witness set."""
-    if g.n > cap:
-        raise SizeCapExceeded("apex search capped at %d vertices, got %d" % (cap, g.n))
+    if g.n > APEX_CAP:
+        raise SizeCapExceeded("apex search capped at %d vertices, got %d" % (APEX_CAP, g.n))
     for size in range(g.n + 1):
         s = planarizing_set(g, size)
         if s is not None:

@@ -145,7 +145,9 @@ def wall_from_json(host: Graph, obj) -> SubdividedWall:
         _require(_is_int_list(p), "host path for edge (%d,%d)", a, b)
         key = (min(a, b), max(a, b))
         _require(key not in paths, "pattern edge (%d,%d) given twice", a, b)
-        paths[key] = tuple(p)
+        # written from either end, the path is stored from key[0]'s image
+        start = original.get(key[0])
+        paths[key] = tuple(p[::-1] if p and p[0] != start and p[-1] == start else p)
     return SubdividedWall(host, obj["height"], original, paths)
 
 

@@ -17,11 +17,10 @@ from .decomposition import (TREEWIDTH_CAP, TreeDecomposition, _width, exact_tree
                             treewidth_at_most, validate as validate_td)
 from .generators import grid, pyramid, wall
 from .graph import Graph, adjacency_masks, connected_components, delete, induced_subgraph, union
-from .minors import (MINOR_HOST_CAP, MINOR_PATTERN_CAP, MinorModel, find_minor,
-                     iter_topological_embeddings, verify_minor_model)
+from .minors import MinorModel, find_minor, iter_topological_embeddings, verify_minor_model
 from .planarity import apex_number
 from .rural import RuralDivision, _internal_flaps, trivial_division, validate_rural
-from .wall import SubdividedWall, _compass, _reanchor, disjoint_subwalls, is_flat, verify_wall
+from .wall import SubdividedWall, _compass, disjoint_subwalls, is_flat, verify_wall
 
 TRICHOTOMY_HOST_CAP = 16
 TRICHOTOMY_PATTERN_CAP = 6
@@ -92,9 +91,8 @@ def apex_reduce(g: Graph, h_graph: Graph, a: Iterable[int], w: SubdividedWall,
     window's compass is removed and that window's subwall returned; its
     compass then avoids the entire original apex set.  If every apex sees
     every compass, HMinorFound is raised.  The precondition that h_graph is
-    not already a minor of g is checked only within find_minor's caps
-    (MINOR_PATTERN_CAP and MINOR_HOST_CAP vertices); past them it is assumed
-    without a warning.
+    not already a minor of g is checked only within find_minor's caps; past
+    them it is assumed without a warning.
     """
     apexes = tuple(sorted(set(a)))
     if not apexes:
@@ -103,15 +101,17 @@ def apex_reduce(g: Graph, h_graph: Graph, a: Iterable[int], w: SubdividedWall,
     if len(apexes) < an_h:
         raise ValueError("apex set of %d is below the apex parameter %d"
                          % (len(apexes), an_h))
-    if h_graph.n <= MINOR_PATTERN_CAP and g.n <= MINOR_HOST_CAP:
+    try:
         if find_minor(g, h_graph) is not None:
             raise ValueError("the excluded graph is already a minor of the host")
+    except SizeCapExceeded:
+        pass  # over find_minor's caps: not checked
     count = _f5(h_graph, an_h) ** 2 if window_count is None else window_count
     if count < 1:
         raise ValueError("window count %d is not positive" % count)
 
     ga = delete(g, apexes)
-    wa = _reanchor(w, ga)
+    wa = SubdividedWall(ga, w.height, w.original, w.paths)
     ok = verify_wall(wa)
     if not ok:
         raise ValueError("wall is not valid in the host minus the apex set: %s" % ok.condition)
@@ -124,7 +124,7 @@ def apex_reduce(g: Graph, h_graph: Graph, a: Iterable[int], w: SubdividedWall,
             if sees.isdisjoint(c):
                 reduced = tuple(x for x in apexes if x != aj)
                 ga2 = delete(g, reduced)
-                w2 = _reanchor(sub, ga2)  # valid in ga, so in the larger ga2
+                w2 = SubdividedWall(ga2, k, sub.original, sub.paths)  # valid in ga, so in ga2
                 c2 = _compass(w2)
                 leak = set(c2.graph.vertices) & set(apexes)
                 if leak:
@@ -172,20 +172,20 @@ class WeakStructureCertificate:
                  flap_width_bound: Optional[int] = None):
         if clause not in (1, 2, 3, "undetermined"):
             raise ValueError("unknown clause %r" % (clause,))
-        have = {
-            1: minor is not None,
-            2: decomposition is not None and width_bound is not None,
-            3: apex_set is not None and wall is not None and division is not None
-               and flap_width_bound is not None,
+        parts = {
+            1: (minor,),
+            2: (decomposition, width_bound),
+            3: (apex_set, wall, division, flap_width_bound),
         }
+        given = {c: [x is not None for x in p] for c, p in parts.items()}
         if clause == "undetermined":
-            if any(x is not None for x in (minor, decomposition, apex_set, wall, division)):
+            if any(map(any, given.values())):
                 raise ValueError("undetermined certificate carries a payload")
         else:
-            if not have[clause]:
+            if not all(given[clause]):
                 raise ValueError("clause %r certificate is missing its payload" % clause)
-            for other, present in have.items():
-                if other != clause and present:
+            for other, present in given.items():
+                if other != clause and any(present):
                     raise ValueError("certificate populates clauses %r and %r" % (clause, other))
         self.clause = clause
         self.minor = minor
@@ -319,7 +319,7 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
         if not g.has_vertex(v):
             return Verdict.reject("apex-outside-host", witness=v)
     ga = delete(g, cert.apex_set)
-    w = _reanchor(cert.wall, ga)
+    w = SubdividedWall(ga, cert.wall.height, cert.wall.original, cert.wall.paths)
     ok = verify_wall(w)
     if not ok:
         return Verdict.reject("wall-invalid", witness=ok.witness, detail=ok.detail)

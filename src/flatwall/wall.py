@@ -25,9 +25,9 @@ class SubdividedWall:
     """A height-h wall in a host graph.
 
     original maps pattern vertices to host vertices; paths maps each
-    pattern edge (stored with min endpoint first) to the oriented host
-    path between the corresponding originals.  The constructor only copies
-    and orients, so re-anchoring a wall in another host never raises;
+    pattern edge (stored with min endpoint first) to the host path from
+    the smaller endpoint's original to the larger's.  The constructor only
+    copies, so re-anchoring a wall in another host never raises;
     verify_wall decides whether the result is a wall there.
     """
 
@@ -39,14 +39,7 @@ class SubdividedWall:
         self.host = host
         self.height = height
         self.original = dict(original)
-        norm = {}
-        for e, p in paths.items():
-            a, b = min(e), max(e)
-            p = tuple(p)
-            if p and p[0] != self.original.get(a) and p[-1] == self.original.get(a):
-                p = p[::-1]
-            norm[(a, b)] = p
-        self.paths = norm
+        self.paths = {(min(e), max(e)): tuple(p) for e, p in paths.items()}
 
     @property
     def pattern(self) -> WallGraph:
@@ -69,13 +62,6 @@ class SubdividedWall:
 
     def __repr__(self) -> str:
         return "SubdividedWall(height=%d, %d host vertices)" % (self.height, len(self.vertices()))
-
-
-def _reanchor(w: SubdividedWall, host: Graph) -> SubdividedWall:
-    # w in another host; its paths are oriented already, so they are copied as they are
-    out = SubdividedWall.__new__(SubdividedWall)
-    out.host, out.height, out.original, out.paths = host, w.height, dict(w.original), dict(w.paths)
-    return out
 
 
 def verify_wall(w: SubdividedWall) -> Verdict:
@@ -178,7 +164,7 @@ def compass(g: Graph, w: SubdividedWall) -> Compass:
     of height one is all perimeter; its compass is the perimeter alone.
     Raises on a wall that is not valid in g.
     """
-    anchored = _reanchor(w, g)
+    anchored = SubdividedWall(g, w.height, w.original, w.paths)
     _require_valid(anchored)
     return _compass(anchored)
 
@@ -204,7 +190,7 @@ WHEEL_FIRST_ABOVE = 40
 
 class FlatnessResult:
     """Flatness verdict: True, False (with the two crossing paths), or
-    None when the search budget ran out."""
+    None when the search budget was spent."""
 
     __slots__ = ("flat", "witness", "explored")
 
@@ -217,7 +203,7 @@ class FlatnessResult:
         return "FlatnessResult(flat=%r, explored=%d)" % (self.flat, self.explored)
 
 
-def is_flat(c: Compass, budget_ms: Optional[float] = None) -> FlatnessResult:
+def is_flat(c: Compass, budget: Optional[int] = None) -> FlatnessResult:
     """A wall is flat when no two disjoint paths join its opposite corner pairs.
 
     Past WHEEL_FIRST_ABOVE vertices a planar corner wheel answers flat with
@@ -226,11 +212,12 @@ def is_flat(c: Compass, budget_ms: Optional[float] = None) -> FlatnessResult:
     paths, the cycle and the hub would form a K5 minor (branch sets: the
     hub, c1, c2, the c1-c3 path minus c1 and the c2-c4 path minus c2).  A
     non-planar wheel proves nothing (non-planar pieces behind small
-    separations spoil it), so the exhaustive search decides.
+    separations spoil it), so the exhaustive search decides, within budget
+    states as in two_disjoint_paths.
     """
     if c.graph.n > WHEEL_FIRST_ABOVE and embeds_in_disk_with_boundary(c.graph, c.corners):
         return FlatnessResult(True, None, 0)
-    hit = two_disjoint_paths(c.graph, c.corners[0::2], c.corners[1::2], budget_ms=budget_ms)
+    hit = two_disjoint_paths(c.graph, c.corners[0::2], c.corners[1::2], budget=budget)
     if hit.verdict == "found":
         return FlatnessResult(False, tuple(hit.paths), hit.explored)
     return FlatnessResult(True if hit.verdict == "none" else None, None, hit.explored)

@@ -7,7 +7,6 @@ exhaustive path packing.  Keep inputs tiny.
 import itertools
 import json
 import random
-import time
 from collections import Counter, deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -17,7 +16,7 @@ from flatwall.common import SizeCapExceeded, Verdict
 from flatwall.decomposition import TREEWIDTH_CAP, TreeDecomposition
 from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitness,
                              _connected_subsets, _mask_neighborhood)
-from flatwall.paths import DisjointPathsResult, _OutOfTime
+from flatwall.paths import DisjointPathsResult
 from flatwall.planarity import (RotationEmbedding, _canon_cycle, embeds_in_disk_with_boundary,
                                 is_planar, planarizing_set, trace_faces, validate_embedding)
 from flatwall.rural import RuralDivision, _pair_joined, check_linkage
@@ -554,8 +553,7 @@ def find_minor_unpruned(host: Graph, pattern: Graph) -> Optional[MinorModel]:
 
 
 def two_disjoint_paths_bfs_each_node(g: Graph, first: Tuple[int, int],
-                                     second: Tuple[int, int],
-                                     budget_ms: Optional[float] = None) -> DisjointPathsResult:
+                                     second: Tuple[int, int]) -> DisjointPathsResult:
     """two_disjoint_paths with a fresh second-pair search at every state,
     no route reuse: same states, paths and explored."""
     s1, t1 = first
@@ -565,8 +563,6 @@ def two_disjoint_paths_bfs_each_node(g: Graph, first: Tuple[int, int],
             raise ValueError("vertex %r is not in the graph" % (v,))
     if len({s1, t1, s2, t2}) != 4:
         raise ValueError("need four distinct endpoints")
-
-    deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
     explored = 0
 
     path = [s1]
@@ -578,8 +574,6 @@ def two_disjoint_paths_bfs_each_node(g: Graph, first: Tuple[int, int],
     def enter() -> Optional[Tuple[List[int], List[int]]]:
         nonlocal explored
         explored += 1
-        if deadline is not None and time.monotonic() > deadline:
-            raise _OutOfTime
         u = path[-1]
         parent, hit = bfs(g, s2, free, goal)
         if u == t1:
@@ -589,21 +583,18 @@ def two_disjoint_paths_bfs_each_node(g: Graph, first: Tuple[int, int],
             todo.append(iter(g.neighbors(u)))
         return None
 
-    try:
-        found = enter()
-        while found is None and todo:
-            for w in todo[-1]:
-                if w in free and w not in banned:
-                    path.append(w)
-                    free.discard(w)
-                    found = enter()
-                    break
-            else:
-                todo.pop()
-            if len(todo) < len(path):
-                free.add(path.pop())
-    except _OutOfTime:
-        return DisjointPathsResult("unknown", None, explored)
+    found = enter()
+    while found is None and todo:
+        for w in todo[-1]:
+            if w in free and w not in banned:
+                path.append(w)
+                free.discard(w)
+                found = enter()
+                break
+        else:
+            todo.pop()
+        if len(todo) < len(path):
+            free.add(path.pop())
     if found is not None:
         return DisjointPathsResult("found", found, explored)
     return DisjointPathsResult("none", None, explored)

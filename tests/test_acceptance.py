@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import flatwall.minors as minors
 from flatwall.decomposition import closure_bag, exact_treewidth, make_small, validate as validate_td
 from flatwall.generators import lower_bound_graph, wall
 from flatwall.graph import complete_graph, delete
@@ -148,13 +149,14 @@ def test_criterion_06_transform_invariance():
     verdict(6, 60, started, "100 op-sequences keep a flat wall, up to subdivision")
 
 
-def test_criterion_07_pyramid_models():
+def test_criterion_07_pyramid_models(monkeypatch):
     started = time.time()
     for k, h in [(2, 1), (2, 2), (3, 1), (2, 4)]:
         assert verify_minor_model(pyramid_minor_model(k, h))
+    monkeypatch.setattr(minors, "MINOR_PATTERN_CAP", 10)  # pyramid(3, 1) has 10 vertices
     for k, h in [(2, 1), (3, 1)]:
         m = pyramid_minor_model(k, h)
-        found = find_minor(m.host, m.pattern, pattern_cap=m.pattern.n, host_cap=m.host.n)
+        found = find_minor(m.host, m.pattern)
         assert found is not None and verify_minor_model(found)
     verdict(7, 120, started, "pyramid models valid at 4 sizes, 2 cross-checked by search")
 

@@ -19,7 +19,7 @@ from flatwall.serialize import (certificate_from_json, certificate_to_json, grap
                                 graph_to_json)
 from flatwall.structure import TRICHOTOMY_HOST_CAP, trichotomy_check, verify_certificate
 
-from fixtures import document_mutations
+from fixtures import document_mutations, k5_piece_host
 
 
 def run(capsys, *argv):
@@ -216,10 +216,40 @@ def test_check_flat_refutes_crossed_wall(capsys, tmp_path):
 def test_check_flat_budget_runs_out(capsys, tmp_path):
     _, graph, wall = generate_wall(capsys, tmp_path, 2)
     rc, rep, err = run_json(capsys, "check-flat", "--graph", graph, "--wall", wall,
-                            "--budget-ms", "0")
+                            "--budget", "0")
     assert rc == 3
-    assert rep["verdict"] == "undetermined"
+    assert rep == {"explored": 0, "schema_version": 1, "verdict": "undetermined"}
     assert "budget" in err
+    rc, out, err = run(capsys, "check-flat", "--graph", graph, "--wall", wall, "--budget", "-1")
+    assert (rc, out) == (2, "")
+    assert "budget" in err
+
+
+def test_check_flat_budget_gives_the_same_bytes_every_run(capsys, tmp_path):
+    # the search on this flat compass (72 vertices) needs far more than 100,000 states
+    g, w = k5_piece_host(5)
+    g2, m = cli._relabel(g)
+    graph = write_doc(tmp_path, "g.json", graph_to_json(g2))
+    wall = write_doc(tmp_path, "w.json", cli._mapped_wall_doc(w, m))
+    runs = [run(capsys, "check-flat", "--graph", graph, "--wall", wall, "--budget", "100000")
+            for _ in range(3)]
+    assert runs[0][:2] == (3, '{"explored": 100000, "schema_version": 1, '
+                              '"verdict": "undetermined"}\n')
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_a_wall_document_may_run_end_to_start(capsys, tmp_path):
+    # every entry [b, a] with its path reversed, the entries in reverse order
+    doc, graph, wall = generate_wall(capsys, tmp_path, 3)
+    forward = doc["meta"]["wall"]
+    backward = dict(forward, paths=[{"edge": e["edge"][::-1], "path": e["path"][::-1]}
+                                    for e in reversed(forward["paths"])])
+    host = graph_from_json(doc["graph"])
+    a, b = ser.wall_from_json(host, forward), ser.wall_from_json(host, backward)
+    assert (a.original, a.paths) == (b.original, b.paths)
+    back = write_doc(tmp_path, "backward.json", backward)
+    outs = [run(capsys, "check-flat", "--graph", graph, "--wall", path) for path in (wall, back)]
+    assert outs[0][0] == 0 and outs[1] == outs[0]
 
 
 def test_check_flat_rejects_a_height_the_host_cannot_hold(capsys, tmp_path):

@@ -19,7 +19,7 @@ from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitn
 from flatwall.planarity import (RotationEmbedding, _canon_cycle, planarizing_set, trace_faces,
                                 validate_embedding)
 
-from fixtures import apex_over
+from fixtures import apex_over, identity_witness
 from oracles import (apex_rule_by_loop, dumps_like_jsonable, embed_planar, find_minor_unpruned,
                      has_minor_by_partition, minor_to_contraction, preimage_by_scan, random_graph,
                      verify_contraction_by_induced_subgraphs, verify_minor_model_pairwise,
@@ -218,9 +218,10 @@ def test_find_minor_heavy_negatives():
     assert find_minor(pyramid(3, 1), complete_graph(6)) is None
 
 
-def test_find_minor_pyramid_first_model():
+def test_find_minor_pyramid_first_model(monkeypatch):
     # the model the unpruned search finds (in about 30 s) for test_criterion_07
-    m = find_minor(pyramid(4, 1), pyramid(3, 1), pattern_cap=10, host_cap=17)
+    monkeypatch.setattr(minors, "MINOR_PATTERN_CAP", 10)
+    m = find_minor(pyramid(4, 1), pyramid(3, 1))
     assert {p: sorted(s) for p, s in m.branch_sets.items()} == {
         0: [5], 1: [6], 2: [7], 3: [9], 4: [10], 5: [11], 6: [13], 7: [14], 8: [15],
         9: [0, 1, 2, 3, 4, 8, 12, 16]}
@@ -403,27 +404,17 @@ def test_find_topological_minor_subdivision():
     assert next(iter_topological_embeddings(cycle_graph(8), k4), None) is None
 
 
-def _identity_witness(g, loaded):
-    model = ContractionModel(g, g, {v: v for v in g.vertices})
-    part = delete(g, [loaded])
-    emb = embed_planar(part)
-    assert emb is not None
-    outer = _canon_cycle(emb.outer_face)
-    faces = [f for f in trace_faces(emb.graph, emb.rotation) if _canon_cycle(f) != outer]
-    return SmoothContractionWitness(model, emb, loaded, faces)
-
-
 def test_smooth_contraction_identity_witness():
     from flatwall.generators import gamma
     tg = gamma(4)
-    w = _identity_witness(tg.graph, tg.loaded)
+    w = identity_witness(tg.graph, tg.loaded)
     assert verify_smooth_contraction(w)
 
 
 def test_smooth_contraction_rejects_wrong_disk():
     from flatwall.generators import gamma
     tg = gamma(4)
-    w = _identity_witness(tg.graph, tg.loaded)
+    w = identity_witness(tg.graph, tg.loaded)
     # punch an interior face out of the disk: the union stops being a disk
     faces = sorted(w.disk_faces)
     bad = SmoothContractionWitness(w.model, w.embedding, w.v, faces[:2] + faces[3:])
@@ -434,7 +425,7 @@ def test_smooth_contraction_rejects_wrong_disk():
 def test_smooth_contraction_names_each_broken_condition():
     from flatwall.generators import gamma
     tg = gamma(4)
-    w = _identity_witness(tg.graph, tg.loaded)
+    w = identity_witness(tg.graph, tg.loaded)
     faces = sorted(w.disk_faces)
 
     def check(disk_faces, v=w.v):

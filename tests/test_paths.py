@@ -41,8 +41,10 @@ def test_two_disjoint_paths_budget_runs_out():
     g, coords = grid(4, 4)
     a, b = coords.id(1, 1), coords.id(4, 4)
     c, d = coords.id(4, 1), coords.id(1, 4)
-    r = two_disjoint_paths(g, (a, b), (c, d), budget_ms=0)
-    assert r.verdict == "unknown"
+    r = two_disjoint_paths(g, (a, b), (c, d), budget=0)
+    assert (r.verdict, r.explored) == ("unknown", 0)
+    with pytest.raises(ValueError):
+        two_disjoint_paths(g, (a, b), (c, d), budget=-1)
 
 
 def ladder(n: int, step: int) -> Graph:
@@ -101,6 +103,25 @@ def test_two_disjoint_paths_transcripts_pinned():
     c1, c2, c3, c4 = c.corners
     r = two_disjoint_paths(c.graph, (c1, c3), (c2, c4))
     assert (r.verdict, r.explored) == ("none", 8391)
+
+
+def test_a_budget_counts_states():
+    # the pinned searches above: a budget of at least their count changes
+    # nothing; a smaller one stops at exactly that many states, every run
+    g, coords = grid(4, 4)
+    c = subdivided_compass(4, 0)
+    c1, c2, c3, c4 = c.corners
+    cases = [(g, (coords.id(1, 1), coords.id(4, 4)), (coords.id(4, 1), coords.id(1, 4))),
+             (ladder(150, 50), (0, 149), (150, 299)),
+             (c.graph, (c1, c3), (c2, c4))]
+    for graph, first, second in cases:
+        full = two_disjoint_paths(graph, first, second)
+        for budget in (full.explored, full.explored + 1):
+            assert outcome(two_disjoint_paths(graph, first, second, budget)) == outcome(full)
+        for budget in (0, 1, full.explored // 2, full.explored - 1):
+            for _ in range(2):
+                r = two_disjoint_paths(graph, first, second, budget)
+                assert (r.verdict, r.paths, r.explored) == ("unknown", None, budget)
 
 
 def test_route_reuse_matches_bfs_each_node_on_random_graphs():

@@ -99,7 +99,7 @@ def test_pyramid_models_validate():
 
 def test_pyramid_model_agrees_with_search():
     m = pyramid_minor_model(2, 1)
-    found = find_minor(m.host, m.pattern, pattern_cap=m.pattern.n, host_cap=m.host.n)
+    found = find_minor(m.host, m.pattern)
     assert found is not None
     assert verify_minor_model(found)
 
@@ -318,6 +318,13 @@ def test_certificate_payload_validation():
         WeakStructureCertificate(1, minor=m, decomposition=td, width_bound=1)
     with pytest.raises(ValueError):
         WeakStructureCertificate("undetermined", minor=m)
+    # a bound belongs to its clause
+    with pytest.raises(ValueError, match="undetermined certificate carries a payload"):
+        WeakStructureCertificate("undetermined", width_bound=3, flap_width_bound=7)
+    with pytest.raises(ValueError, match="certificate populates clauses 1 and 2"):
+        WeakStructureCertificate(1, minor=m, width_bound=3, flap_width_bound=2)
+    with pytest.raises(ValueError, match="certificate populates clauses 1 and 3"):
+        WeakStructureCertificate(1, minor=m, flap_width_bound=2)
 
 
 def test_verify_rejects_undetermined():

@@ -65,6 +65,13 @@ def test_verify_wall_names_each_broken_path():
     around[(min(brick[:2]), max(brick[:2]))] = (brick[0],) + brick[:0:-1]
     v = verify_wall(SubdividedWall(w.host, 2, w.original, around))
     assert (v.condition, v.witness) == ("paths-overlap", brick[-1])
+    # the constructor keeps a path as given, even written from its larger end
+    flipped = dict(w.paths)
+    flipped[key] = w.paths[key][::-1]
+    fw = SubdividedWall(w.host, 2, w.original, flipped)
+    assert fw.paths[key] == (b, a)
+    v = verify_wall(fw)
+    assert (v.condition, v.witness) == ("path-endpoints", key)
 
 
 def test_subdivided_wall_still_verifies():
@@ -194,8 +201,8 @@ def test_flatness_budget_gives_unknown():
     g = wired_nonflat_host(3, (i1, i2))
     w = identity_wall(3)
     c = compass(g, SubdividedWall(g, 3, w.original, w.paths))
-    r = is_flat(c, budget_ms=0)
-    assert r.flat is None
+    r = is_flat(c, budget=0)
+    assert (r.flat, r.explored) == (None, 0)
 
 
 def test_large_plane_wall_takes_the_corner_wheel():
@@ -203,7 +210,7 @@ def test_large_plane_wall_takes_the_corner_wheel():
     c = compass(w.host, w)
     assert c.graph.n > WHEEL_FIRST_ABOVE
     start = time.process_time()
-    r = is_flat(c, budget_ms=1000)  # the search alone would not end here
+    r = is_flat(c, budget=0)  # the search would answer None at once
     assert time.process_time() - start < 1.0
     assert (r.flat, r.explored) == (True, 0)
 
