@@ -17,7 +17,7 @@ fixtures reject deterministically:
 """
 
 from itertools import combinations
-from typing import AbstractSet, Collection, Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .common import Verdict
 from .graph import Graph, _norm_edge, bfs
@@ -26,12 +26,18 @@ from .planarity import _disk_planar
 from .wall import Compass, _require_valid, _rim
 
 
+class Flap(NamedTuple):
+    """A flap as read: its sorted vertices and its sorted, normalised edges."""
+    vertices: Tuple[int, ...]
+    edges: Tuple[Tuple[int, int], ...]
+
+
 class RuralDivision:
-    """A compass together with an ordered list of flap subgraphs."""
+    """A compass together with an ordered list of flaps (Flap records, or Graphs)."""
 
     __slots__ = ("compass", "flaps")
 
-    def __init__(self, compass: Compass, flaps: Iterable[Graph]):
+    def __init__(self, compass: Compass, flaps: Iterable[Flap]):
         self.compass = compass
         self.flaps = tuple(flaps)
 
@@ -44,8 +50,8 @@ def division_from_edge_lists(c: Compass, groups: Sequence[Sequence[Tuple[int, in
     """Build a division whose flaps are the subgraphs spanned by each edge list."""
     flaps = []
     for edges in groups:
-        es = sorted({_norm_edge((a, b)) for a, b in edges})
-        flaps.append(Graph._trusted(sorted({v for e in es for v in e}), es))
+        es = tuple(sorted({_norm_edge((a, b)) for a, b in edges}))
+        flaps.append(Flap(tuple(sorted({v for e in es for v in e})), es))
     return RuralDivision(c, flaps)
 
 
@@ -155,11 +161,6 @@ def _linked_by_top(top: Dict[int, int], e: Collection[int]) -> bool:
     return None not in tops and len(tops) == len(e)
 
 
-def _pair_joined(d: Graph, u: int, v: int, others: AbstractSet[int]) -> bool:
-    # internal vertices must avoid the rest of the boundary, endpoints may not
-    return d.has_edge(u, v) or bfs(d, u, (set(d.vertices) - others) | {v}, (v,))[1] is not None
-
-
 def _swept_boundaries(rd: RuralDivision, seen: Dict[Tuple[int, int], int]
                       ) -> Tuple[FrozenSet[int], ...]:
     """The boundary of each flap of rd, from seen, which maps every compass
@@ -202,7 +203,7 @@ def validate_rural(rd: RuralDivision) -> Verdict:
                                       % (i, a, b))
     seen = {}
     for i, d in enumerate(rd.flaps):
-        if d.m == 0:
+        if not d.edges:
             return Verdict.reject("property-1", witness=i,
                                   detail="flap %d has no edges" % i)
         for e in d.edges:
@@ -248,10 +249,12 @@ def validate_rural(rd: RuralDivision) -> Verdict:
                                       detail="flaps %d and %d share %r beyond their boundaries"
                                       % (i, j, v))
 
-    # 3: boundary pairs joined inside the flap, internally off the boundary
+    # 3: boundary pairs joined inside the flap, by an edge (seen holds the
+    # flap's edges) or a path whose internal vertices avoid the boundary
     for i, d in enumerate(rd.flaps):
         for a, b in combinations(sorted(bounds[i]), 2):
-            if not _pair_joined(d, a, b, bounds[i]):
+            if seen.get((a, b)) != i and bfs(Graph._trusted(d.vertices, d.edges), a,
+                                             (set(d.vertices) - bounds[i]) | {b}, (b,))[1] is None:
                 return Verdict.reject("property-3", witness=(i, a, b),
                                       detail="boundary pair %r,%r not joined inside flap %d"
                                       % (a, b, i))
@@ -276,12 +279,13 @@ def validate_rural(rd: RuralDivision) -> Verdict:
 
 
 def internal_flaps(rd: RuralDivision) -> List[Graph]:
-    """Flaps that avoid the wall perimeter entirely; raises on an invalid wall."""
+    """Flaps that avoid the wall perimeter entirely, as Graphs; raises on an invalid wall."""
     _require_valid(rd.compass.wall)
-    return _internal_flaps(rd)
+    return _internal_flaps(rd, 0)
 
 
-def _internal_flaps(rd: RuralDivision) -> List[Graph]:
-    # internal_flaps for a wall already verified in its host
+def _internal_flaps(rd: RuralDivision, over: int) -> List[Graph]:
+    # internal_flaps of more than over vertices, for a wall already verified
     ring = set(_rim(rd.compass.wall))
-    return [d for d in rd.flaps if ring.isdisjoint(d.vertices)]
+    return [Graph._trusted(d.vertices, d.edges) for d in rd.flaps
+            if len(d.vertices) > over and ring.isdisjoint(d.vertices)]

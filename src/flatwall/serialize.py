@@ -57,12 +57,13 @@ def _int_keyed(obj: dict, valid, what: str, key_what: str) -> dict:
 
 
 def _int_pairs(obj, what: str, *args) -> List[Tuple[int, int]]:
-    """obj read as a list of int pairs; the message names obj as what % args
-    and, as in _require, is formatted only on failure."""
-    if not (isinstance(obj, list) and all(map(_is_int_pair, obj))):
+    """obj read as a list of int pairs; a failure names obj as what % args, formatted then."""
+    pairs = [(e[0], e[1]) for e in obj if isinstance(e, list) and len(e) == 2
+             and type(e[0]) is int and type(e[1]) is int] if isinstance(obj, list) else None
+    if pairs is None or len(pairs) < len(obj):
         _require(isinstance(obj, list), what + " is not a list", *args)
         _require(False, what + " entry %r", *args, next(e for e in obj if not _is_int_pair(e)))
-    return [(e[0], e[1]) for e in obj]
+    return pairs
 
 
 def graph_to_json(g: Graph) -> dict:
@@ -76,9 +77,12 @@ def graph_from_json(obj) -> Graph:
     _require(_is_int(obj.get("n")) and obj["n"] >= 0, "bad vertex count")
     n = obj["n"]
     edges = _int_pairs(obj.get("edges", []), "edges")
-    for a, b in edges:
-        _require(0 <= a < n and 0 <= b < n, "edge (%d,%d) out of range", a, b)
-    return Graph(range(n), edges)
+    es = [(a, b) if a < b else (b, a) for a, b in edges if a != b and 0 <= a < n and 0 <= b < n]
+    if len(es) < len(edges):  # every range error outranks the first loop
+        for a, b in edges:
+            _require(0 <= a < n and 0 <= b < n, "edge (%d,%d) out of range", a, b)
+        Graph(range(n), edges)  # raises on the first loop
+    return Graph._trusted(range(n), sorted(set(es)))
 
 
 def td_to_json(td: TreeDecomposition) -> dict:

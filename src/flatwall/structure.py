@@ -219,7 +219,7 @@ def _find_flat_wall_certificate(g: Graph, apexes: Tuple[int, ...], k: int):
         rd = trivial_division(c)
         if not validate_rural(rd):
             continue
-        widths = [exact_treewidth(d)[0] for d in _internal_flaps(rd)]
+        widths = [exact_treewidth(d)[0] for d in _internal_flaps(rd, 0)]
         return cand, rd, max(widths, default=0)
     return None
 
@@ -336,9 +336,9 @@ def verify_certificate(g: Graph, h_graph: Graph, k: int,
         return Verdict.reject("division-invalid", witness=ok.witness,
                               detail="%s: %s" % (ok.condition, ok.detail))
     bound = cert.flap_width_bound
-    for d in _internal_flaps(rd):
-        # decided first; the exact width is computed only for a rejection's
-        # detail, or over the cap, where exact_treewidth raises as before
+    # tw(d) <= |V(d)| - 1 clears flaps of at most bound + 1 vertices; the others are
+    # decided first, and their exact width is computed only for a rejection or over the cap
+    for d in _internal_flaps(rd, bound + 1):
         if d.n <= TREEWIDTH_CAP and treewidth_at_most(adjacency_masks(d)[1], (1 << d.n) - 1,
                                                       bound):
             continue

@@ -25,10 +25,10 @@ class SubdividedWall:
     """A height-h wall in a host graph.
 
     original maps pattern vertices to host vertices; paths maps each
-    pattern edge (stored with min endpoint first) to the host path from
-    the smaller endpoint's original to the larger's.  The constructor only
-    copies, so re-anchoring a wall in another host never raises;
-    verify_wall decides whether the result is a wall there.
+    pattern edge, keyed (min, max), to the host path tuple from the smaller
+    endpoint's original to the larger's.  The constructor only copies both
+    maps, so re-anchoring a wall in another host never raises; verify_wall
+    decides whether the result is a wall there.
     """
 
     __slots__ = ("host", "height", "original", "paths")
@@ -39,7 +39,7 @@ class SubdividedWall:
         self.host = host
         self.height = height
         self.original = dict(original)
-        self.paths = {(min(e), max(e)): tuple(p) for e, p in paths.items()}
+        self.paths = dict(paths)
 
     @property
     def pattern(self) -> WallGraph:
@@ -215,6 +215,8 @@ def is_flat(c: Compass, budget: Optional[int] = None) -> FlatnessResult:
     separations spoil it), so the exhaustive search decides, within budget
     states as in two_disjoint_paths.
     """
+    if budget is not None and budget < 0:  # refused whether or not the search runs
+        raise ValueError("budget must be at least 0, got %r" % (budget,))
     if c.graph.n > WHEEL_FIRST_ABOVE and embeds_in_disk_with_boundary(c.graph, c.corners):
         return FlatnessResult(True, None, 0)
     hit = two_disjoint_paths(c.graph, c.corners[0::2], c.corners[1::2], budget=budget)

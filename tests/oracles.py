@@ -19,7 +19,7 @@ from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitn
 from flatwall.paths import DisjointPathsResult
 from flatwall.planarity import (RotationEmbedding, _canon_cycle, embeds_in_disk_with_boundary,
                                 is_planar, planarizing_set, trace_faces, validate_embedding)
-from flatwall.rural import RuralDivision, _pair_joined, check_linkage
+from flatwall.rural import RuralDivision, check_linkage
 from flatwall.wall import Compass
 
 
@@ -734,9 +734,11 @@ def is_isomorphic_to_subdivision(big: Graph, small: Graph) -> bool:
 # validate_rural reads every boundary off (rural._swept_boundaries)
 
 
-def boundary(k: Compass, j: Graph) -> FrozenSet[int]:
-    """Boundary of a subgraph j: corners of the compass lying in j, plus
-    vertices of j incident to a compass edge outside j."""
+def boundary(k: Compass, j) -> FrozenSet[int]:
+    """Boundary of a subgraph j (a Graph or a flap record): corners of the
+    compass lying in j, plus vertices of j incident to a compass edge
+    outside j."""
+    j = Graph(j.vertices, j.edges)
     kg = k.graph
     for v in j.vertices:
         if not kg.has_vertex(v):
@@ -767,10 +769,12 @@ def validate_rural_pairwise(rd: RuralDivision) -> Verdict:
     indexes: property 2 compares every pair of flaps.  Check properties 1-5
     in order; the verdict names the first failure.
 
-    Raises if a flap is not a subgraph of the compass.
+    Raises if a flap is not a subgraph of the compass.  Each flap, a Graph
+    or a record, is read as Graph(vertices, edges).
     """
     kg = rd.compass.graph
-    for i, d in enumerate(rd.flaps):
+    flaps = [Graph(d.vertices, d.edges) for d in rd.flaps]
+    for i, d in enumerate(flaps):
         for v in d.vertices:
             if not kg.has_vertex(v):
                 raise ValueError("flap %d references vertex %r outside the compass" % (i, v))
@@ -780,7 +784,7 @@ def validate_rural_pairwise(rd: RuralDivision) -> Verdict:
 
     # 1: non-empty edge sets partitioning the compass edges
     seen = {}
-    for i, d in enumerate(rd.flaps):
+    for i, d in enumerate(flaps):
         if d.m == 0:
             return Verdict.reject("property-1", witness=i,
                                   detail="flap %d has no edges" % i)
@@ -797,24 +801,26 @@ def validate_rural_pairwise(rd: RuralDivision) -> Verdict:
 
     # 2: distinct boundaries; shared vertices are exactly shared boundary
     bounds = boundaries(rd)
-    for i in range(len(rd.flaps)):
-        for j in range(i + 1, len(rd.flaps)):
+    for i in range(len(flaps)):
+        for j in range(i + 1, len(flaps)):
             if bounds[i] == bounds[j]:
                 return Verdict.reject("property-2", witness=(i, j),
                                       detail="flaps %d and %d have the same boundary" % (i, j))
-            shared = set(rd.flaps[i].vertices) & set(rd.flaps[j].vertices)
+            shared = set(flaps[i].vertices) & set(flaps[j].vertices)
             if shared != set(bounds[i] & bounds[j]):
                 v = sorted(shared ^ (bounds[i] & bounds[j]))[0]
                 return Verdict.reject("property-2", witness=(i, j, v),
                                       detail="flaps %d and %d share %r beyond their boundaries"
                                       % (i, j, v))
 
-    # 3: boundary pairs joined inside the flap, internally off the boundary
-    for i, d in enumerate(rd.flaps):
+    # 3: boundary pairs joined inside the flap, internally off the boundary:
+    # a search from one end that enters no other boundary vertex
+    for i, d in enumerate(flaps):
         bs = sorted(bounds[i])
         for a in range(len(bs)):
             for b in range(a + 1, len(bs)):
-                if not _pair_joined(d, bs[a], bs[b], set(bs)):
+                inside = (set(d.vertices) - set(bs)) | {bs[b]}
+                if bfs(d, bs[a], inside, (bs[b],))[1] is None:
                     return Verdict.reject("property-3", witness=(i, bs[a], bs[b]),
                                           detail="boundary pair %r,%r not joined inside flap %d"
                                           % (bs[a], bs[b], i))

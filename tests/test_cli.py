@@ -220,9 +220,13 @@ def test_check_flat_budget_runs_out(capsys, tmp_path):
     assert rc == 3
     assert rep == {"explored": 0, "schema_version": 1, "verdict": "undetermined"}
     assert "budget" in err
-    rc, out, err = run(capsys, "check-flat", "--graph", graph, "--wall", wall, "--budget", "-1")
-    assert (rc, out) == (2, "")
-    assert "budget" in err
+    # refused on wall(8) too (160 vertices), whose compass the corner wheel decides
+    for k in (2, 8):
+        _, graph, wall = generate_wall(capsys, tmp_path, k)
+        rc, out, err = run(capsys, "check-flat", "--graph", graph, "--wall", wall,
+                           "--budget", "-1")
+        assert (rc, out) == (2, "")
+        assert "budget must be at least 0, got -1" in err
 
 
 def test_check_flat_budget_gives_the_same_bytes_every_run(capsys, tmp_path):

@@ -7,7 +7,7 @@ from flatwall.generators import wall
 from flatwall.graph import Graph
 from flatwall.minors import subdivide
 import flatwall.rural as rural
-from flatwall.rural import (RuralDivision, _boundaries_embed_in_disk, _linked_by_top,
+from flatwall.rural import (Flap, RuralDivision, _boundaries_embed_in_disk, _linked_by_top,
                             _separator_tree, _swept_boundaries, check_linkage,
                             division_from_edge_lists, internal_flaps, trivial_division,
                             validate_rural)
@@ -498,9 +498,36 @@ def test_swept_boundaries_match_boundary():
                     owners = {seen[min(u, v), max(u, v)] for u in kg.neighbors(v)}
                     if v in corners and owners == {i}:
                         cases["corner only"] += 1
-                    elif not d.degree(v):
+                    elif not any(v in e for e in d.edges):
                         cases["isolated, other owner" if owners else "isolated, no owner"] += 1
     assert min(cases.values()) >= 20, cases
+
+
+def test_flap_records_and_graphs_validate_alike():
+    # validate_rural reads only a flap's vertices and edges: a division of
+    # records and the same division of Graphs, isolated vertices included,
+    # get the same verdict
+    rng = random.Random(31)
+    modes = {}
+    for _ in range(20):
+        w = subdivided_wall(rng, rng.choice((2, 3)))
+        c = compass(w.host, w)
+        x = c.graph.fresh_id()
+        lonely = Compass(c.wall, c.graph.add_vertices([x]))
+        divisions = list(merged_and_split(rng, c))
+        divisions += [overlapping_division(rng, rd) for rd in divisions]
+        divisions += [RuralDivision(lonely, [Graph(d.vertices + (x,), d.edges) if i == 0 else d
+                                             for i, d in enumerate(rd.flaps)])
+                      for rd in divisions[:2]]
+        for rd in divisions:
+            verdicts = set()
+            for kind in (Flap, Graph):
+                v = validate_rural(RuralDivision(rd.compass,
+                                                 [kind(d.vertices, d.edges) for d in rd.flaps]))
+                verdicts.add((bool(v), v.condition, v.witness, v.detail))
+            assert len(verdicts) == 1, verdicts
+            modes[v.condition] = modes.get(v.condition, 0) + 1
+    assert min(modes.get(m, 0) for m in (None, "property-2", "property-3")) >= 20, modes
 
 
 def test_flaps_outside_the_compass_fail_before_any_boundary(monkeypatch):

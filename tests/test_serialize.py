@@ -114,6 +114,15 @@ def test_malformed_shapes_name_the_entry_exactly():
          "malformed document: edges entry [0, 1, 2]"),
         (lambda: graph_from_json({"n": 3, "edges": [[0, 5]]}),
          "malformed document: edge (0,5) out of range"),
+        # every range error outranks a loop, wherever the two sit
+        (lambda: graph_from_json({"n": 3, "edges": [[0, 1], [1, 1], [0, 5], [-1, 2]]}),
+         "malformed document: edge (0,5) out of range"),
+        (lambda: graph_from_json({"n": 3, "edges": [[0, 1], [2, 2], [1, 1]]}),
+         "loop edge (2, 2) not allowed"),
+        (lambda: graph_from_json({"n": 3, "edges": [[1, 1], "x"]}),
+         "malformed document: edges entry 'x'"),
+        (lambda: graph_from_json({"n": 3, "edges": {"0": [0, 1]}}),
+         "malformed document: edges is not a list"),
         (lambda: wall_from_json(host, wall_with(None, 5)),
          "malformed document: path entry 5"),
         (lambda: wall_from_json(host, wall_with(None, {"edge": [0, 1]})),
@@ -130,6 +139,10 @@ def test_malformed_shapes_name_the_entry_exactly():
          "malformed document: flap 1 is not a list"),
         (lambda: rural_from_json(c, {"flaps": [[[0, 1], [3, 3]]]}),
          "loop edge (3, 3) not allowed"),
+        (lambda: rural_from_json(c, {"flaps": [[[0, 1]], [[2, 2], [0, 99]]]}),
+         "loop edge (2, 2) not allowed"),
+        (lambda: rural_from_json(c, {"flaps": [[[3, 3]], [[0, 1], [1, 0, 2]]]}),
+         "malformed document: flap 1 entry [1, 0, 2]"),
         (lambda: td_from_json(host, {"bags": {"0": [1, True]}}),
          "malformed document: bag '0'"),
         (lambda: certificate_from_json(host, {"clause": (3,)}),
@@ -145,8 +158,7 @@ def test_flap_lists_are_normalised():
     # reversed and repeated edges read as one edge, ends sorted
     c = compass(wall(2).graph, identity_wall(2))
     rd = rural_from_json(c, {"flaps": [[[1, 0], [0, 1], [2, 1]]]})
-    assert rd.flaps == (Graph([0, 1, 2], [(0, 1), (1, 2)]),)
-    assert rd.flaps[0].neighbors(1) == (0, 2)
+    assert [(d.vertices, d.edges) for d in rd.flaps] == [((0, 1, 2), ((0, 1), (1, 2)))]
 
 
 def test_td_round_trip():

@@ -17,7 +17,8 @@ from flatwall.minors import MinorModel, find_minor, verify_minor_model
 from flatwall.planarity import embeds_in_disk_with_boundary
 from flatwall.rural import (RuralDivision, division_from_edge_lists, internal_flaps,
                             trivial_division)
-from flatwall.serialize import certificate_to_json
+from flatwall.serialize import (certificate_from_json, certificate_to_json, graph_from_json,
+                                graph_to_json)
 from flatwall.structure import (HMinorFound, WeakStructureCertificate, _f5, apex_number,
                                 apex_reduce, merge_flaps, pyramid_minor_model, trichotomy_check,
                                 verify_certificate)
@@ -430,6 +431,66 @@ def test_hand_built_flat_wall_certificate():
             "flap-width", (8, f, f + 1, f + 2, f + 3), "internal flap width 3 exceeds %d" % bound)
     assert verify_certificate(gk, K6, 2, WeakStructureCertificate(
         3, apex_set=(), wall=w, division=rdk, flap_width_bound=3))
+
+
+def test_a_flap_of_at_most_bound_plus_one_vertices_is_not_measured(monkeypatch):
+    # tw <= n - 1, so such a flap is within the bound whatever its edges:
+    # neither width search runs, and past TREEWIDTH_CAP (18 vertices) the
+    # verifier accepts where exact_treewidth would raise SizeCapExceeded
+    g = wall(2).graph
+    w = identity_wall(2)
+    f = g.fresh_id()
+    k4 = [(f + a, f + b) for a in range(4) for b in range(a + 1, 4)] + [(8, f)]
+    tail = [(8, f)] + [(f + i, f + i + 1) for i in range(19)]  # 21 vertices
+    cases = []
+    for piece, size in ((k4, 5), (tail, 21)):
+        gp = g.add_vertices(sorted({v for e in piece for v in e} - {8})).add_edges(piece)
+        cp = compass(gp, SubdividedWall(gp, 2, w.original, w.paths))
+        rd = division_from_edge_lists(cp, [[e] for e in cp.graph.edges if e not in piece]
+                                      + [piece])
+        cases.append((gp, rd, size))
+
+    def certificate(rd, bound):
+        return WeakStructureCertificate(3, apex_set=(), wall=w, division=rd,
+                                        flap_width_bound=bound)
+
+    with monkeypatch.context() as m:
+        for name in ("treewidth_at_most", "exact_treewidth"):
+            m.setattr(structure, name, lambda *args: pytest.fail("a flap width was measured"))
+        for gp, rd, size in cases:
+            assert verify_certificate(gp, K6, 2, certificate(rd, size - 1))
+    # one vertex more and the width is measured as before (for the K4 piece
+    # test_hand_built_flat_wall_certificate pins the flap-width verdicts)
+    gt, rdt, _ = cases[1]
+    with pytest.raises(SizeCapExceeded):
+        verify_certificate(gt, K6, 2, certificate(rdt, 19))
+
+
+def test_reading_and_verifying_a_certificate_builds_few_graphs(monkeypatch):
+    # flaps are read as records and only a flap that is searched or measured
+    # becomes a Graph, so the builds do not grow with the flap count
+    counts = []
+    for k in (3, 4, 5):
+        w = identity_wall(k)
+        m = {v: i for i, v in enumerate(w.host.vertices)}
+        apex = len(m)
+        g = Graph(range(apex + 1), [(m[a], m[b]) for a, b in w.host.edges]
+                  + [(apex, i) for i in range(0, apex, 7)])
+        w = SubdividedWall(g, k, {p: m[v] for p, v in w.original.items()},
+                           {e: tuple(m[v] for v in p) for e, p in w.paths.items()})
+        rd = trivial_division(compass(delete(g, [apex]), w))
+        docs = json.loads(json.dumps([graph_to_json(g), certificate_to_json(
+            WeakStructureCertificate(3, apex_set=(apex,), wall=w, division=rd,
+                                     flap_width_bound=1))]))
+        builds = []
+        fill = Graph._fill
+        with monkeypatch.context() as mp:
+            mp.setattr(Graph, "_fill", lambda *args: builds.append(1) or fill(*args))
+            host = graph_from_json(docs[0])
+            assert verify_certificate(host, K6, k, certificate_from_json(host, docs[1]))
+        assert len(rd.flaps) > 35
+        counts.append(len(builds))
+    assert len(set(counts)) == 1 and counts[0] <= 4, counts
 
 
 def apex_wall3_certificates():
