@@ -20,13 +20,12 @@ from functools import lru_cache
 from typing import Dict
 
 from .common import SizeCapExceeded
-from .decomposition import TREEWIDTH_CAP, _width, exact_treewidth, validate as validate_td
+from .decomposition import _width, exact_treewidth, validate as validate_td
 from .graph import Graph, delete
 from .generators import gamma, gamma_star, grid, lower_bound_graph, pyramid, wall
 from .minors import verify_minor_model
 from .rural import validate_rural
-from .structure import (TRICHOTOMY_HOST_CAP, HMinorFound, apex_reduce, trichotomy_check,
-                        verify_certificate)
+from .structure import HMinorFound, apex_reduce, trichotomy_check, verify_certificate
 from .wall import _compass, identity_wall, is_flat, verify_wall
 from . import serialize as ser
 
@@ -36,7 +35,7 @@ EXIT_USAGE = 2
 EXIT_UNDETERMINED = 3
 
 # Every graph document a verb reads is refused above this many declared
-# vertices, before anything is built; treewidth and trichotomy cap lower.
+# vertices, before anything is built; a search with a lower cap checks its own.
 HOST_CAP = 10_000
 
 
@@ -73,14 +72,12 @@ def _reject_report(verdict) -> dict:
             "witness": verdict.witness, "detail": verdict.detail}
 
 
-def _read_host(path: str, cap: int = HOST_CAP, capped: str = "host") -> Graph:
-    """A graph document, refused over the cap (at most HOST_CAP) by its
-    declared n before it is built."""
-    if cap > HOST_CAP:
-        cap, capped = HOST_CAP, "host"
+def _read_host(path: str) -> Graph:
+    """A graph document, refused over HOST_CAP by its declared n before it
+    is built."""
     doc = _read_json(path)
-    if isinstance(doc, dict) and ser._is_int(doc.get("n")) and doc["n"] > cap:
-        raise SizeCapExceeded("%s capped at %d vertices, got %d" % (capped, cap, doc["n"]))
+    if isinstance(doc, dict) and ser._is_int(doc.get("n")) and doc["n"] > HOST_CAP:
+        raise SizeCapExceeded("host capped at %d vertices, got %d" % (HOST_CAP, doc["n"]))
     return ser.graph_from_json(doc)
 
 
@@ -183,7 +180,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_treewidth(args) -> int:
-    tw, td = exact_treewidth(_read_host(args.graph, args.cap, "treewidth DP"), cap=args.cap)
+    tw, td = exact_treewidth(_read_host(args.graph))
     _emit({"treewidth": tw, "decomposition": ser.td_to_json(td)})
     return EXIT_OK
 
@@ -264,7 +261,7 @@ def cmd_reduce_apex(args) -> int:
 
 def cmd_trichotomy(args) -> int:
     try:
-        g = _read_host(args.graph, TRICHOTOMY_HOST_CAP)
+        g = _read_host(args.graph)
         h_graph = _read_host(args.excluded)
         cert = trichotomy_check(g, h_graph, args.height, args.width_threshold)
     except SizeCapExceeded as e:
@@ -303,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("treewidth", help="exact treewidth with a decomposition")
     p.add_argument("--graph", required=True)
-    p.add_argument("--cap", type=int, default=TREEWIDTH_CAP, help="vertex cap for the exact search")
     p.set_defaults(func=cmd_treewidth)
 
     p = sub.add_parser("td-validate", help="check a tree decomposition")

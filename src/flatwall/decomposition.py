@@ -299,7 +299,7 @@ def _first_feasible_order(adj: List[int], k: int) -> Optional[List[int]]:
             return None
 
 
-def exact_treewidth(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDecomposition]:
+def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:
     """Exact treewidth with a witnessing decomposition of that width.
 
     Tries k upward from the minimum degree, a lower bound since a vertex
@@ -309,11 +309,12 @@ def exact_treewidth(g: Graph, cap: int = TREEWIDTH_CAP) -> Tuple[int, TreeDecomp
     optimal order, so the bags and the tree are reproducible.  Each k
     first gets a walk that takes the smallest vertex of degree <= k
     unchecked; only where that walk meets a dead end does _fits decide k,
-    and then check every step of a second walk.
+    and then check every step of a second walk.  A graph over TREEWIDTH_CAP
+    vertices raises SizeCapExceeded.
     """
     n = g.n
-    if n > cap:
-        raise SizeCapExceeded("treewidth DP capped at %d vertices, got %d" % (cap, n))
+    if n > TREEWIDTH_CAP:
+        raise SizeCapExceeded("treewidth DP capped at %d vertices, got %d" % (TREEWIDTH_CAP, n))
     if n == 0:
         return -1, TreeDecomposition(g, Graph([0]), {0: ()})
 

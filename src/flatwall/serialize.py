@@ -33,7 +33,7 @@ def _is_int(obj) -> bool:
 
 
 def _is_int_list(obj) -> bool:
-    return isinstance(obj, list) and all(map(_is_int, obj))
+    return isinstance(obj, list) and not [x for x in obj if type(x) is not int]
 
 
 def _is_int_pair(obj) -> bool:

@@ -143,19 +143,20 @@ def test_treewidth_and_td_validate(capsys, tmp_path):
 
 
 def test_treewidth_cap_is_undetermined(capsys, tmp_path):
-    k5 = complete_doc(tmp_path, 5)
-    rc, doc, err = run_json(capsys, "treewidth", "--graph", k5, "--cap", "3")
+    path = write_doc(tmp_path, "path.json", graph_to_json(path_graph(TREEWIDTH_CAP + 1)))
+    rc, doc, err = run_json(capsys, "treewidth", "--graph", path)
     assert rc == 3
     assert doc["verdict"] == "undetermined"
     assert "capped" in doc["reason"]
     assert "treewidth" in err
 
 
-def test_treewidth_long_path_under_large_cap(capsys, tmp_path):
-    path = write_doc(tmp_path, "path.json", graph_to_json(path_graph(1200)))
-    rc, doc, _ = run_json(capsys, "treewidth", "--graph", path, "--cap", "2000")
-    assert rc == 0
-    assert doc["treewidth"] == 1
+def test_treewidth_takes_no_cap_flag(capsys, tmp_path):
+    # the cap is the library's, read when exact_treewidth is called
+    with pytest.raises(SystemExit) as exc:
+        main(["treewidth", "--graph", complete_doc(tmp_path, 5), "--cap", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_td_validate_rejects_holes(capsys, tmp_path):
@@ -493,7 +494,7 @@ def test_trichotomy_size_cap(capsys, tmp_path):
                              "--height", "1", "--width-threshold", "1")
     assert rc == 3
     assert cert == {"clause": "undetermined", "schema_version": 1}
-    assert "capped" in err
+    assert "host capped at %d vertices, got 17" % TRICHOTOMY_HOST_CAP in err
 
 
 def test_trichotomy_height_below_one_is_a_usage_error(capsys, tmp_path):
@@ -502,10 +503,23 @@ def test_trichotomy_height_below_one_is_a_usage_error(capsys, tmp_path):
         rc, out, err = run(capsys, "trichotomy", "--graph", graph, "--excluded", k4,
                            "--height", height, "--width-threshold", "1")
         assert (rc, out) == (2, "") and "must be positive" in err
-    rc, cert, err = run_json(capsys, "trichotomy", "--graph", graph, "--excluded", k4,
-                             "--height", "3", "--width-threshold", "1")
+    # past height 2 no wall fits a trichotomy host, but clauses 1 and 2 still answer
+    rc, cert, _ = run_json(capsys, "trichotomy", "--graph", graph, "--excluded", k4,
+                           "--height", "3", "--width-threshold", "1")
+    assert (rc, cert["clause"]) == (0, 1)
+    k5 = complete_graph(5)
+    assert verify_certificate(k5, complete_graph(4), 3, certificate_from_json(k5, cert))
+    cycle = write_doc(tmp_path, "c6.json", {"n": 6, "edges": [[i, (i + 1) % 6]
+                                                              for i in range(6)]})
+    rc, cert, _ = run_json(capsys, "trichotomy", "--graph", cycle, "--excluded", k4,
+                           "--height", "3", "--width-threshold", "1")
     assert (rc, cert) == (3, {"clause": "undetermined", "schema_version": 1})
-    assert "1 or 2 at this scale" in err
+    # a wall taller than the host is not built
+    start = time.process_time()
+    rc, cert, _ = run_json(capsys, "trichotomy", "--graph", k4, "--excluded", graph,
+                           "--height", "1000000", "--width-threshold", "1")
+    assert time.process_time() - start < 0.5
+    assert (rc, cert) == (3, {"clause": "undetermined", "schema_version": 1})
 
 
 def test_json_true_is_not_a_vertex_count_or_id(capsys, tmp_path):
@@ -519,9 +533,9 @@ def test_json_true_is_not_a_vertex_count_or_id(capsys, tmp_path):
 
 
 def test_host_over_the_cap_is_refused_before_it_is_built(capsys, tmp_path):
-    # the declared n alone decides, and the report is the one a built
-    # over-cap host gets: treewidth names the library's reason, trichotomy
-    # prints its certificate document
+    # the declared n alone decides at the host ceiling; under it the library
+    # refuses a built over-cap host: treewidth names the library's reason,
+    # trichotomy prints its certificate document
     with pytest.raises(SizeCapExceeded) as exc:
         exact_treewidth(path_graph(TREEWIDTH_CAP + 1))
     built = write_doc(tmp_path, "built.json", graph_to_json(path_graph(TREEWIDTH_CAP + 1)))
@@ -529,19 +543,17 @@ def test_host_over_the_cap_is_refused_before_it_is_built(capsys, tmp_path):
     assert (rc, rep) == (3, {"verdict": "undetermined", "reason": str(exc.value),
                              "schema_version": 1})
     huge = write_doc(tmp_path, "huge.json", {"n": 10 ** 9, "edges": []})
-    for cap, argv in ((TREEWIDTH_CAP, ()), (5, ("--cap", "5"))):
-        start = time.process_time()
-        rc, rep, _ = run_json(capsys, "treewidth", "--graph", huge, *argv)
-        assert time.process_time() - start < 0.5
-        assert (rc, rep["reason"]) == (3, "treewidth DP capped at %d vertices, got %d"
-                                       % (cap, 10 ** 9))
+    start = time.process_time()
+    rc, rep, _ = run_json(capsys, "treewidth", "--graph", huge)
+    assert time.process_time() - start < 0.5
+    assert (rc, rep["reason"]) == (3, "host capped at %d vertices, got %d" % (HOST_CAP, 10 ** 9))
     start = time.process_time()
     rc, cert, err = run_json(capsys, "trichotomy", "--graph", huge,
                              "--excluded", complete_doc(tmp_path, 4),
                              "--height", "1", "--width-threshold", "1")
     assert time.process_time() - start < 0.5
     assert (rc, cert) == (3, {"clause": "undetermined", "schema_version": 1})
-    assert "host capped at %d vertices, got %d" % (TRICHOTOMY_HOST_CAP, 10 ** 9) in err
+    assert "host capped at %d vertices, got %d" % (HOST_CAP, 10 ** 9) in err
 
 
 def test_every_verb_refuses_a_graph_over_the_ceiling_unbuilt(capsys, tmp_path, monkeypatch):
@@ -559,7 +571,7 @@ def test_every_verb_refuses_a_graph_over_the_ceiling_unbuilt(capsys, tmp_path, m
              ("verify-minor", "--graph", big, "--minor", other),
              ("check-flat", "--graph", big, "--wall", other),
              ("check-rural", "--graph", big, "--wall", other, "--division", other),
-             ("treewidth", "--graph", big, "--cap", str(HOST_CAP + 5))]
+             ("treewidth", "--graph", big)]
     for graph, excluded in ((big, k6), (small, big)):
         verbs += [("reduce-apex", "--graph", graph, "--excluded", excluded, "--wall", other,
                    "--apexes", "0", "--height", "1"),

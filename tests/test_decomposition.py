@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import flatwall.decomposition as decomposition
 from flatwall.common import SizeCapExceeded
 from flatwall.decomposition import (TreeDecomposition, closure_bag, exact_treewidth, make_small,
                                     treewidth_at_most, validate, width)
@@ -48,15 +49,17 @@ def test_treewidth_matches_elimination_oracle():
         assert tw(g) == treewidth_by_elimination(g)
 
 
-def test_treewidth_past_the_default_cap():
+def test_treewidth_past_the_default_cap(monkeypatch):
     for g, k in ((grid(5, 5)[0], 5), (wall(3).graph, 4)):
-        tw, td = exact_treewidth(g, cap=g.n)
+        monkeypatch.setattr(decomposition, "TREEWIDTH_CAP", g.n)
+        tw, td = exact_treewidth(g)
         assert tw == k and validate(td) and width(td) == k
 
 
-def test_treewidth_cap():
-    with pytest.raises(SizeCapExceeded):
-        exact_treewidth(grid(5, 5)[0], cap=20)
+def test_treewidth_cap(monkeypatch):
+    monkeypatch.setattr(decomposition, "TREEWIDTH_CAP", 20)
+    with pytest.raises(SizeCapExceeded, match="capped at 20 vertices, got 25"):
+        exact_treewidth(grid(5, 5)[0])
 
 
 def _result(res):
@@ -116,9 +119,10 @@ def test_treewidth_at_cap_matches_pinned_dp_output():
     assert digests == CAP_DIGESTS
 
 
-def test_treewidth_long_path_under_large_cap():
+def test_treewidth_long_path_under_large_cap(monkeypatch):
     # 1,200 vertices: no 2^n table, and the search keeps its own stack.
-    assert exact_treewidth(path_graph(1200), cap=2000)[0] == 1
+    monkeypatch.setattr(decomposition, "TREEWIDTH_CAP", 2000)
+    assert exact_treewidth(path_graph(1200))[0] == 1
 
 
 def test_treewidth_between_lower_and_upper_bounds():

@@ -246,10 +246,10 @@ def test_trichotomy_deterministic():
 def test_trichotomy_caps():
     with pytest.raises(SizeCapExceeded):
         trichotomy_check(complete_graph(17), K4, 1, 1)
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match="pattern capped at 6 vertices, got 7"):
         trichotomy_check(K4, K7, 1, 1)
-    with pytest.raises(SizeCapExceeded, match="1 or 2 at this scale"):
-        trichotomy_check(K4, K5, 3, 1)
+    # no wall of height 3 (30 vertices) fits the host, and none is built
+    assert trichotomy_check(K4, K5, 3, 1).clause == "undetermined"
     # a height below one is an input error, not a question of scale
     for k in (0, -1):
         with pytest.raises(ValueError, match="must be positive") as exc:
@@ -599,7 +599,31 @@ def test_flat_wall_with_a_non_planar_piece_falls_back_to_the_search(monkeypatch)
                                        division=RuralDivision(cp, rd.flaps[1:]),
                                        flap_width_bound=4)
     calls = []
-    monkeypatch.setattr(structure, "is_flat", lambda cp: calls.append(cp) or is_flat(cp))
+    monkeypatch.setattr(structure, "is_flat",
+                        lambda cp, budget: calls.append(budget) or is_flat(cp, budget=budget))
     v = verify_certificate(g, K6, 3, dropped)
     assert v.condition == "division-invalid" and "property-1" in v.detail
-    assert len(calls) == 1
+    assert calls == [structure.VERIFY_FLAT_BUDGET]
+
+
+def test_rejected_division_search_stops_at_its_budget(monkeypatch):
+    # the K5 piece keeps the corner wheel non-planar, so the search runs,
+    # and a spent budget leaves the division's own verdict; a crossing
+    # found within the budget still outranks it
+    monkeypatch.setattr(structure, "VERIFY_FLAT_BUDGET", 100)
+    results = []
+    monkeypatch.setattr(structure, "is_flat", lambda cp, budget: results.append(
+        is_flat(cp, budget=budget)) or results[-1])
+    g, w = k5_piece_host(4)
+    cp = compass(g, SubdividedWall(g, 4, w.original, w.paths))
+    rd = trivial_division(cp)
+    dropped = WeakStructureCertificate(3, apex_set=(), wall=w,
+                                       division=RuralDivision(cp, rd.flaps[1:]),
+                                       flap_width_bound=4)
+    v = verify_certificate(g, K6, 4, dropped)
+    assert v.condition == "division-invalid" and "property-1" in v.detail
+    assert (results[-1].flat, results[-1].explored) == (None, 100)
+    for name, host, cert in apex_wall3_certificates():
+        if name.startswith("crossed"):
+            v = verify_certificate(host, K6, 3, cert)
+            assert (v.condition, v.witness) == ("not-flat", CROSSING), name
