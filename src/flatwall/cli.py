@@ -214,7 +214,7 @@ def cmd_check_flat(args) -> int:
     if not ok:
         _emit(_reject_report(ok))
         return EXIT_REFUTED
-    res = is_flat(_compass(w), budget=args.budget)
+    res = is_flat(_compass(w))
     if res.flat is None:
         print("check-flat: search budget exhausted after %d states" % res.explored,
               file=sys.stderr)
@@ -315,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-flat", help="decide flatness of a wall's compass")
     p.add_argument("--graph", required=True)
     p.add_argument("--wall", required=True)
-    p.add_argument("--budget", type=int, help="search states allowed before undetermined")
     p.set_defaults(func=cmd_check_flat)
 
     p = sub.add_parser("check-rural", help="validate a rural division of a compass")

@@ -6,8 +6,8 @@ one, walks to the lexicographically smallest elimination order within it.
 One depth-first search over elimination graphs, which eliminates almost
 simplicial vertices without branching, decides "treewidth <= k": it settles
 the thresholds the first walk cannot (see exact_treewidth) and, as
-treewidth_at_most, answers the question for other callers.  No 2^n table
-is built.
+has_treewidth_at_most, answers the question for other callers.  No 2^n
+table is built.
 """
 
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -264,6 +264,17 @@ def treewidth_at_most(adj: List[int], mask: int, k: int) -> bool:
     return _fits([a & mask for a in adj], mask, k, {})
 
 
+def _capped_masks(g: Graph) -> Tuple[List[int], List[int]]:
+    if g.n > TREEWIDTH_CAP:
+        raise SizeCapExceeded("treewidth DP capped at %d vertices, got %d" % (TREEWIDTH_CAP, g.n))
+    return adjacency_masks(g)
+
+
+def has_treewidth_at_most(g: Graph, k: int) -> bool:
+    """Whether g has treewidth at most k; over TREEWIDTH_CAP vertices it raises SizeCapExceeded."""
+    return treewidth_at_most(_capped_masks(g)[1], (1 << g.n) - 1, k)
+
+
 def _first_feasible_order(adj: List[int], k: int) -> Optional[List[int]]:
     # The lexicographically smallest elimination order of width <= k, or
     # None: after each prefix the smallest vertex of degree <= k whose
@@ -312,13 +323,10 @@ def exact_treewidth(g: Graph) -> Tuple[int, TreeDecomposition]:
     and then check every step of a second walk.  A graph over TREEWIDTH_CAP
     vertices raises SizeCapExceeded.
     """
-    n = g.n
-    if n > TREEWIDTH_CAP:
-        raise SizeCapExceeded("treewidth DP capped at %d vertices, got %d" % (TREEWIDTH_CAP, n))
+    order, adj = _capped_masks(g)
+    n = len(order)
     if n == 0:
         return -1, TreeDecomposition(g, Graph([0]), {0: ()})
-
-    order, adj = adjacency_masks(g)
     tw = min(a.bit_count() for a in adj)
     elim = _first_feasible_order(adj, tw)
     while elim is None:

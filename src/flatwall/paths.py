@@ -14,6 +14,10 @@ from typing import Iterable, List, Optional, Tuple
 
 from .graph import Graph, bfs, path_to
 
+# states two_disjoint_paths may enter before it answers "unknown": over 1,400 times
+# the 701 of the largest not-flat verdict in the tests and flat-verify seeds 1-20
+TWO_PATHS_BUDGET = 1_000_000
+
 
 class DisjointPathsResult:
     """Outcome of a two-disjoint-paths search.
@@ -34,8 +38,8 @@ class DisjointPathsResult:
         return "DisjointPathsResult(%r, explored=%d)" % (self.verdict, self.explored)
 
 
-def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int],
-                       budget: Optional[int] = None) -> DisjointPathsResult:
+def two_disjoint_paths(g: Graph, first: Tuple[int, int],
+                       second: Tuple[int, int]) -> DisjointPathsResult:
     """Search for vertex-disjoint paths first[0]..first[1] and second[0]..second[1].
 
     Depth-first enumeration of candidate first paths, abandoning a branch as
@@ -50,8 +54,8 @@ def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int]
     only frees vertices, so a route stays free until the path enters it;
     the visited states and explored are those of a search at every state.
 
-    budget caps the states entered: with budget states entered and another
-    to enter, the answer is "unknown" with explored equal to budget.
+    TWO_PATHS_BUDGET caps the states entered: with that many entered and
+    another to enter, the answer is "unknown" with explored equal to it.
     """
     s1, t1 = first
     s2, t2 = second
@@ -60,8 +64,6 @@ def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int]
             raise ValueError("vertex %r is not in the graph" % (v,))
     if len({s1, t1, s2, t2}) != 4:
         raise ValueError("need four distinct endpoints")
-    if budget is not None and budget < 0:
-        raise ValueError("budget must be at least 0, got %r" % (budget,))
     explored = 0
 
     path = [s1]
@@ -76,7 +78,7 @@ def two_disjoint_paths(g: Graph, first: Tuple[int, int], second: Tuple[int, int]
         # unless it ends at t1 or already cuts the second pair apart.  The
         # result once the search is decided, else None.
         nonlocal explored, route
-        if budget is not None and explored >= budget:
+        if explored >= TWO_PATHS_BUDGET:
             return DisjointPathsResult("unknown", None, explored)
         explored += 1
         u = path[-1]

@@ -202,6 +202,7 @@ def certificate_from_json(g: Graph, obj) -> WeakStructureCertificate:
     if clause == 3:
         apexes = obj.get("apex_set")
         _require(_is_int_list(apexes), "missing apex_set")
+        _require(len(set(apexes)) == len(apexes), "apex_set %r repeats a vertex", apexes)
         _require(_is_int(obj.get("flap_width_bound")), "missing flap_width_bound")
         w = wall_from_json(g, obj.get("wall"))
         c = Compass(w, g)  # placeholder anchor; the verifier recomputes it

@@ -203,7 +203,7 @@ class FlatnessResult:
         return "FlatnessResult(flat=%r, explored=%d)" % (self.flat, self.explored)
 
 
-def is_flat(c: Compass, budget: Optional[int] = None) -> FlatnessResult:
+def is_flat(c: Compass) -> FlatnessResult:
     """A wall is flat when no two disjoint paths join its opposite corner pairs.
 
     Past WHEEL_FIRST_ABOVE vertices a planar corner wheel answers flat with
@@ -212,14 +212,11 @@ def is_flat(c: Compass, budget: Optional[int] = None) -> FlatnessResult:
     paths, the cycle and the hub would form a K5 minor (branch sets: the
     hub, c1, c2, the c1-c3 path minus c1 and the c2-c4 path minus c2).  A
     non-planar wheel proves nothing (non-planar pieces behind small
-    separations spoil it), so the exhaustive search decides, within budget
-    states as in two_disjoint_paths.
+    separations spoil it), so the exhaustive search decides within its budget.
     """
-    if budget is not None and budget < 0:  # refused whether or not the search runs
-        raise ValueError("budget must be at least 0, got %r" % (budget,))
     if c.graph.n > WHEEL_FIRST_ABOVE and embeds_in_disk_with_boundary(c.graph, c.corners):
         return FlatnessResult(True, None, 0)
-    hit = two_disjoint_paths(c.graph, c.corners[0::2], c.corners[1::2], budget=budget)
+    hit = two_disjoint_paths(c.graph, c.corners[0::2], c.corners[1::2])
     if hit.verdict == "found":
         return FlatnessResult(False, tuple(hit.paths), hit.explored)
     return FlatnessResult(True if hit.verdict == "none" else None, None, hit.explored)

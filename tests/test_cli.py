@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import flatwall.paths as paths_module
 from flatwall import cli, serialize as ser
 from flatwall.cli import HOST_CAP, main
 from flatwall.common import SizeCapExceeded
@@ -19,7 +20,7 @@ from flatwall.serialize import (certificate_from_json, certificate_to_json, grap
                                 graph_to_json)
 from flatwall.structure import TRICHOTOMY_HOST_CAP, trichotomy_check, verify_certificate
 
-from fixtures import document_mutations, k5_piece_host
+from fixtures import apexed_wall_host, document_mutations, k5_piece_host
 
 
 def run(capsys, *argv):
@@ -142,15 +143,6 @@ def test_treewidth_and_td_validate(capsys, tmp_path):
     assert doc == {"schema_version": 1, "verdict": "accepted", "width": 4}
 
 
-def test_treewidth_cap_is_undetermined(capsys, tmp_path):
-    path = write_doc(tmp_path, "path.json", graph_to_json(path_graph(TREEWIDTH_CAP + 1)))
-    rc, doc, err = run_json(capsys, "treewidth", "--graph", path)
-    assert rc == 3
-    assert doc["verdict"] == "undetermined"
-    assert "capped" in doc["reason"]
-    assert "treewidth" in err
-
-
 def test_treewidth_takes_no_cap_flag(capsys, tmp_path):
     # the cap is the library's, read when exact_treewidth is called
     with pytest.raises(SystemExit) as exc:
@@ -214,30 +206,30 @@ def test_check_flat_refutes_crossed_wall(capsys, tmp_path):
     assert ends == {0, 4, 15, 11}
 
 
-def test_check_flat_budget_runs_out(capsys, tmp_path):
+def test_check_flat_budget_runs_out(capsys, tmp_path, monkeypatch):
     _, graph, wall = generate_wall(capsys, tmp_path, 2)
-    rc, rep, err = run_json(capsys, "check-flat", "--graph", graph, "--wall", wall,
-                            "--budget", "0")
+    monkeypatch.setattr(paths_module, "TWO_PATHS_BUDGET", 0)
+    rc, rep, err = run_json(capsys, "check-flat", "--graph", graph, "--wall", wall)
     assert rc == 3
     assert rep == {"explored": 0, "schema_version": 1, "verdict": "undetermined"}
     assert "budget" in err
-    # refused on wall(8) too (160 vertices), whose compass the corner wheel decides
+    # the budget is the search's own: no flag sets it, on wall(8) (160 vertices) either
     for k in (2, 8):
         _, graph, wall = generate_wall(capsys, tmp_path, k)
-        rc, out, err = run(capsys, "check-flat", "--graph", graph, "--wall", wall,
-                           "--budget", "-1")
-        assert (rc, out) == (2, "")
-        assert "budget must be at least 0, got -1" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["check-flat", "--graph", graph, "--wall", wall, "--budget", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
-def test_check_flat_budget_gives_the_same_bytes_every_run(capsys, tmp_path):
+def test_check_flat_budget_gives_the_same_bytes_every_run(capsys, tmp_path, monkeypatch):
     # the search on this flat compass (72 vertices) needs far more than 100,000 states
     g, w = k5_piece_host(5)
     g2, m = cli._relabel(g)
     graph = write_doc(tmp_path, "g.json", graph_to_json(g2))
     wall = write_doc(tmp_path, "w.json", cli._mapped_wall_doc(w, m))
-    runs = [run(capsys, "check-flat", "--graph", graph, "--wall", wall, "--budget", "100000")
-            for _ in range(3)]
+    monkeypatch.setattr(paths_module, "TWO_PATHS_BUDGET", 100_000)
+    runs = [run(capsys, "check-flat", "--graph", graph, "--wall", wall) for _ in range(3)]
     assert runs[0][:2] == (3, '{"explored": 100000, "schema_version": 1, '
                               '"verdict": "undetermined"}\n')
     assert runs[1] == runs[0] and runs[2] == runs[0]
@@ -413,6 +405,23 @@ def test_trichotomy_to_verify_cert_pipeline(capsys, tmp_path):
     assert rep["condition"] == "division-invalid"
 
 
+def test_verify_cert_refuses_an_apex_given_twice(capsys, tmp_path):
+    # wall(2) plus one apex on its corners, against K6 (apex number 2)
+    g, (a,), w = apexed_wall_host(2, [[0, 4, 17, 13]])
+    g2, m = cli._relabel(g)
+    graph = write_doc(tmp_path, "g.json", graph_to_json(g2))
+    k6 = complete_doc(tmp_path, 6)
+    cert = {"clause": 3, "apex_set": [m[a]], "wall": cli._mapped_wall_doc(w, m),
+            "division": {"flaps": [[[m[x], m[y]]] for x, y in w.host.edges]},
+            "flap_width_bound": 1}
+    for apexes, want in (([m[a]], (0, "accepted")), ([m[a], m[a]], (2, None))):
+        path = write_doc(tmp_path, "cert.json", dict(cert, apex_set=apexes))
+        rc, rep, err = run_json(capsys, "verify-cert", "--graph", graph, "--excluded", k6,
+                                "--height", "2", "--certificate", path)
+        assert (rc, rep and rep["verdict"]) == want
+    assert "malformed document: apex_set [%d, %d] repeats a vertex" % (m[a], m[a]) in err
+
+
 def test_each_wall_verb_verifies_the_wall_once(capsys, tmp_path, monkeypatch):
     # the compass and the internal flaps take the wall as verified
     calls = []
@@ -539,9 +548,10 @@ def test_host_over_the_cap_is_refused_before_it_is_built(capsys, tmp_path):
     with pytest.raises(SizeCapExceeded) as exc:
         exact_treewidth(path_graph(TREEWIDTH_CAP + 1))
     built = write_doc(tmp_path, "built.json", graph_to_json(path_graph(TREEWIDTH_CAP + 1)))
-    rc, rep, _ = run_json(capsys, "treewidth", "--graph", built)
+    rc, rep, err = run_json(capsys, "treewidth", "--graph", built)
     assert (rc, rep) == (3, {"verdict": "undetermined", "reason": str(exc.value),
                              "schema_version": 1})
+    assert "treewidth" in err
     huge = write_doc(tmp_path, "huge.json", {"n": 10 ** 9, "edges": []})
     start = time.process_time()
     rc, rep, _ = run_json(capsys, "treewidth", "--graph", huge)

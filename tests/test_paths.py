@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import flatwall.paths as paths_module
 from flatwall.generators import grid, wall
 from flatwall.graph import Graph, complete_graph, cycle_graph, path_graph
 from flatwall.minors import subdivide
@@ -37,14 +38,15 @@ def test_two_disjoint_paths_in_grid():
     assert r.verdict == "found"
 
 
-def test_two_disjoint_paths_budget_runs_out():
+def test_two_disjoint_paths_budget_runs_out(monkeypatch):
     g, coords = grid(4, 4)
     a, b = coords.id(1, 1), coords.id(4, 4)
     c, d = coords.id(4, 1), coords.id(1, 4)
-    r = two_disjoint_paths(g, (a, b), (c, d), budget=0)
+    monkeypatch.setattr(paths_module, "TWO_PATHS_BUDGET", 0)
+    r = two_disjoint_paths(g, (a, b), (c, d))
     assert (r.verdict, r.explored) == ("unknown", 0)
-    with pytest.raises(ValueError):
-        two_disjoint_paths(g, (a, b), (c, d), budget=-1)
+    with pytest.raises(TypeError):
+        two_disjoint_paths(g, (a, b), (c, d), budget=0)
 
 
 def ladder(n: int, step: int) -> Graph:
@@ -105,7 +107,7 @@ def test_two_disjoint_paths_transcripts_pinned():
     assert (r.verdict, r.explored) == ("none", 8391)
 
 
-def test_a_budget_counts_states():
+def test_a_budget_counts_states(monkeypatch):
     # the pinned searches above: a budget of at least their count changes
     # nothing; a smaller one stops at exactly that many states, every run
     g, coords = grid(4, 4)
@@ -115,12 +117,15 @@ def test_a_budget_counts_states():
              (ladder(150, 50), (0, 149), (150, 299)),
              (c.graph, (c1, c3), (c2, c4))]
     for graph, first, second in cases:
+        monkeypatch.undo()
         full = two_disjoint_paths(graph, first, second)
         for budget in (full.explored, full.explored + 1):
-            assert outcome(two_disjoint_paths(graph, first, second, budget)) == outcome(full)
+            monkeypatch.setattr(paths_module, "TWO_PATHS_BUDGET", budget)
+            assert outcome(two_disjoint_paths(graph, first, second)) == outcome(full)
         for budget in (0, 1, full.explored // 2, full.explored - 1):
+            monkeypatch.setattr(paths_module, "TWO_PATHS_BUDGET", budget)
             for _ in range(2):
-                r = two_disjoint_paths(graph, first, second, budget)
+                r = two_disjoint_paths(graph, first, second)
                 assert (r.verdict, r.paths, r.explored) == ("unknown", None, budget)
 
 

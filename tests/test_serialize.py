@@ -8,7 +8,7 @@ import pytest
 from flatwall.common import Verdict
 from flatwall.decomposition import exact_treewidth
 from flatwall.generators import grid, lower_bound_graph, wall
-from flatwall.graph import Graph, complete_graph, graph_hash, path_graph
+from flatwall.graph import Graph, complete_graph, delete, graph_hash, path_graph
 from flatwall.minors import MinorModel, find_minor
 from flatwall.rural import division_from_edge_lists, trivial_division
 from flatwall.serialize import (certificate_from_json, certificate_to_json,
@@ -19,7 +19,7 @@ from flatwall.serialize import (certificate_from_json, certificate_to_json,
 from flatwall.structure import WeakStructureCertificate, trichotomy_check, verify_certificate
 from flatwall.wall import SubdividedWall, compass, identity_wall
 
-from fixtures import document_mutations
+from fixtures import apexed_wall_host, document_mutations
 from oracles import boundaries, dumps_like_jsonable, random_elimination_td
 
 K4 = complete_graph(4)
@@ -335,6 +335,19 @@ def test_semantic_corruption_is_left_to_the_verifier():
     fat["apex_set"] = [0, 1, 2]
     v = verify_certificate(g, K6, 1, certificate_from_json(g, fat))
     assert v.condition == "apex-set-too-large"
+
+
+def test_an_apex_given_twice_is_malformed():
+    # a repeated id would count twice against the apex bound
+    g, (a,), w = apexed_wall_host(2, [[0, 4, 17, 13]])
+    rd = trivial_division(compass(delete(g, (a,)), w))
+    doc = certificate_to_json(WeakStructureCertificate(3, apex_set=(a,), wall=w, division=rd,
+                                                       flap_width_bound=1))
+    assert verify_certificate(g, K6, 2, certificate_from_json(g, doc))
+    doc["apex_set"] = [a, a]
+    with pytest.raises(ValueError) as exc:
+        certificate_from_json(g, doc)
+    assert str(exc.value) == "malformed document: apex_set [%d, %d] repeats a vertex" % (a, a)
 
 
 def mutation_cases():

@@ -7,6 +7,8 @@ from importlib import import_module
 
 import pytest
 
+import flatwall.decomposition as decomposition
+import flatwall.paths as paths_module
 import flatwall.structure as structure
 from flatwall.cli import main as cli_main
 from flatwall.common import SizeCapExceeded
@@ -243,6 +245,16 @@ def test_trichotomy_deterministic():
             == json.dumps(certificate_to_json(two), sort_keys=True))
 
 
+def test_a_spent_budget_gives_the_same_certificate(monkeypatch):
+    # with no state to spend, is_flat answers None and every candidate goes
+    # on to validate_rural, whose pass proves flatness: the same first wall
+    g, h = lower_bound_graph(3, 6), K6
+    want = json.dumps(certificate_to_json(trichotomy_check(g, h, 1, 3)), sort_keys=True)
+    monkeypatch.setattr(paths_module, "TWO_PATHS_BUDGET", 0)
+    got = json.dumps(certificate_to_json(trichotomy_check(g, h, 1, 3)), sort_keys=True)
+    assert got == want
+
+
 def test_trichotomy_caps():
     with pytest.raises(SizeCapExceeded):
         trichotomy_check(complete_graph(17), K4, 1, 1)
@@ -285,6 +297,13 @@ def test_wall_search_skips_a_crossed_candidate(monkeypatch):
     assert cand.vertices() == set(range(6, 12))
     assert calls[0] == ("flat", False)
     assert calls[-2:] == [("flat", True), ("rural", None)]
+    # a spent budget rules no candidate out: validate_rural rejects the crossed ones
+    monkeypatch.setattr(paths_module, "TWO_PATHS_BUDGET", 0)
+    calls.clear()
+    cand, _, _ = structure._find_flat_wall_certificate(g, (), 1)
+    assert cand.vertices() == set(range(6, 12))
+    assert calls[:2] == [("flat", None), ("rural", "property-5")]
+    assert calls[-2:] == [("flat", None), ("rural", None)]
 
 
 def test_wall_search_skips_a_flat_candidate_whose_division_fails(monkeypatch):
@@ -455,15 +474,21 @@ def test_a_flap_of_at_most_bound_plus_one_vertices_is_not_measured(monkeypatch):
                                         flap_width_bound=bound)
 
     with monkeypatch.context() as m:
-        for name in ("treewidth_at_most", "exact_treewidth"):
+        for name in ("has_treewidth_at_most", "exact_treewidth"):
             m.setattr(structure, name, lambda *args: pytest.fail("a flap width was measured"))
         for gp, rd, size in cases:
             assert verify_certificate(gp, K6, 2, certificate(rd, size - 1))
     # one vertex more and the width is measured as before (for the K4 piece
     # test_hand_built_flat_wall_certificate pins the flap-width verdicts)
     gt, rdt, _ = cases[1]
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match="capped at 18 vertices, got 21"):
         verify_certificate(gt, K6, 2, certificate(rdt, 19))
+    # the verifier reads the cap only through decomposition: lifted there,
+    # the path flap is decided against bound 1 and no width is measured
+    monkeypatch.setattr(decomposition, "TREEWIDTH_CAP", 30)
+    monkeypatch.setattr(structure, "exact_treewidth",
+                        lambda *args: pytest.fail("a flap width was measured"))
+    assert verify_certificate(gt, K6, 2, certificate(rdt, 1))
 
 
 def test_reading_and_verifying_a_certificate_builds_few_graphs(monkeypatch):
@@ -598,22 +623,20 @@ def test_flat_wall_with_a_non_planar_piece_falls_back_to_the_search(monkeypatch)
     dropped = WeakStructureCertificate(3, apex_set=(), wall=w,
                                        division=RuralDivision(cp, rd.flaps[1:]),
                                        flap_width_bound=4)
-    calls = []
-    monkeypatch.setattr(structure, "is_flat",
-                        lambda cp, budget: calls.append(budget) or is_flat(cp, budget=budget))
+    results = []
+    monkeypatch.setattr(structure, "is_flat", lambda cp: results.append(is_flat(cp)) or results[-1])
     v = verify_certificate(g, K6, 3, dropped)
     assert v.condition == "division-invalid" and "property-1" in v.detail
-    assert calls == [structure.VERIFY_FLAT_BUDGET]
+    assert [r.flat for r in results] == [True] and results[0].explored > 0
 
 
 def test_rejected_division_search_stops_at_its_budget(monkeypatch):
     # the K5 piece keeps the corner wheel non-planar, so the search runs,
     # and a spent budget leaves the division's own verdict; a crossing
     # found within the budget still outranks it
-    monkeypatch.setattr(structure, "VERIFY_FLAT_BUDGET", 100)
+    monkeypatch.setattr(paths_module, "TWO_PATHS_BUDGET", 100)
     results = []
-    monkeypatch.setattr(structure, "is_flat", lambda cp, budget: results.append(
-        is_flat(cp, budget=budget)) or results[-1])
+    monkeypatch.setattr(structure, "is_flat", lambda cp: results.append(is_flat(cp)) or results[-1])
     g, w = k5_piece_host(4)
     cp = compass(g, SubdividedWall(g, 4, w.original, w.paths))
     rd = trivial_division(cp)

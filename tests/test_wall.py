@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import flatwall.paths as paths_module
 from flatwall.common import SizeCapExceeded
 from flatwall.generators import gamma, wall
 from flatwall.graph import connected_components, delete, strip_leaves
@@ -196,21 +197,25 @@ def test_wired_hosts_are_not_flat():
     assert not (set(p1) & set(p2))
 
 
-def test_flatness_budget_gives_unknown():
+def test_flatness_budget_gives_unknown(monkeypatch):
     i1, i2 = interior_vertices(3)[:2]
     g = wired_nonflat_host(3, (i1, i2))
     w = identity_wall(3)
     c = compass(g, SubdividedWall(g, 3, w.original, w.paths))
-    r = is_flat(c, budget=0)
+    monkeypatch.setattr(paths_module, "TWO_PATHS_BUDGET", 0)
+    r = is_flat(c)
     assert (r.flat, r.explored) == (None, 0)
+    with pytest.raises(TypeError):
+        is_flat(c, budget=0)
 
 
-def test_large_plane_wall_takes_the_corner_wheel():
+def test_large_plane_wall_takes_the_corner_wheel(monkeypatch):
     w = identity_wall(8)
     c = compass(w.host, w)
     assert c.graph.n > WHEEL_FIRST_ABOVE
+    monkeypatch.setattr(paths_module, "TWO_PATHS_BUDGET", 0)
     start = time.process_time()
-    r = is_flat(c, budget=0)  # the search would answer None at once
+    r = is_flat(c)  # the search would answer None at once
     assert time.process_time() - start < 1.0
     assert (r.flat, r.explored) == (True, 0)
 
