@@ -111,9 +111,13 @@ def _parse_ids(text: str):
     if not text.strip():
         return ()
     try:
-        return tuple(int(t) for t in text.split(","))
+        ids = tuple(int(t) for t in text.split(","))
     except ValueError:
         raise ValueError("expected comma-separated vertex ids, got %r" % text)
+    for i, v in enumerate(ids):
+        if v in ids[:i]:
+            raise ValueError("vertex id %d is given twice in %r" % (v, text))
+    return ids
 
 
 def _mapped_wall_doc(w, m) -> dict:

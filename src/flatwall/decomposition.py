@@ -275,40 +275,40 @@ def has_treewidth_at_most(g: Graph, k: int) -> bool:
     return treewidth_at_most(_capped_masks(g)[1], (1 << g.n) - 1, k)
 
 
-def _first_feasible_order(adj: List[int], k: int) -> Optional[List[Tuple[int, int]]]:
-    # The lexicographically smallest elimination order of width <= k, or
-    # None, as pairs (v, the neighbour mask of v in the elimination graph
-    # just before v goes): after each prefix the smallest vertex of degree
-    # <= k whose elimination keeps the rest within k (once k+1 vertices are
-    # left, that is the smallest of them).  The first walk takes the
-    # smallest vertex of degree <= k unchecked, which is right whenever the
-    # walk gets through; at a dead end, _fits decides k and a second walk
-    # checks every step.
-    full = (1 << len(adj)) - 1
-    memo: Optional[Dict[int, bool]] = None
-    while True:
-        h, alive, order = adj, full, []
-        while alive:
-            m = alive
-            while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
-                if h[v].bit_count() <= k:
-                    g = _eliminate(h, v)
-                    if memo is None or _fits(g, alive & ~low, k, memo):
-                        break
-            else:
-                break
-            order.append((v, h[v]))
-            h, alive = g, alive & ~low
+def _walk(adj: List[int], k: int, memo: Optional[Dict[int, bool]]
+          ) -> Optional[List[Tuple[int, int]]]:
+    # After each prefix the smallest vertex of degree <= k (with memo, whose
+    # elimination keeps the rest within k), as pairs (v, the neighbour mask
+    # of v in the elimination graph just before v goes); None at a dead end.
+    h, alive, order = adj, (1 << len(adj)) - 1, []
+    while alive:
+        m = alive
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            if h[v].bit_count() <= k:
+                g = _eliminate(h, v)
+                if memo is None or _fits(g, alive & ~low, k, memo):
+                    break
         else:
-            return order
-        if memo is not None:
             return None
-        memo = {}
-        if not _fits(adj, full, k, memo):
-            return None
+        order.append((v, h[v]))
+        h, alive = g, alive & ~low
+    return order
+
+
+def _first_feasible_order(adj: List[int], k: int) -> Optional[List[Tuple[int, int]]]:
+    # The lexicographically smallest elimination order of width <= k, as
+    # _walk's pairs, or None.  The unchecked walk is right whenever it gets
+    # through; at a dead end, _fits decides k, and the checked walk after
+    # an accepting _fits never ends dead, since _fits is exact.
+    order = _walk(adj, k, None)
+    if order is None:
+        memo: Dict[int, bool] = {}
+        if _fits(adj, (1 << len(adj)) - 1, k, memo):
+            order = _walk(adj, k, memo)
+    return order
 
 
 def _contraction_bound(adj: List[int]) -> int:

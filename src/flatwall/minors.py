@@ -241,7 +241,7 @@ def _dead_test(adj: List[int], free: int, cap: List[Tuple[int, int]], reach: Lis
 @lru_cache(maxsize=32)
 def _pattern_tables(pattern: Graph) -> tuple:
     """find_minor's tables that depend on the pattern alone, kept for the
-    last few patterns: (apex number, has_k4, porder, own, needs, k4, room)."""
+    last few patterns: (apex number, porder, own, needs, k4, room)."""
     a, _ = apex_number(pattern)
     porder = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
     pos = {q: j for j, q in enumerate(porder)}
@@ -249,7 +249,9 @@ def _pattern_tables(pattern: Graph) -> tuple:
     # own[i]: the unplaced neighbour count of porder[i] once it is placed;
     # needs[i]: (q, count) for each earlier q with unplaced neighbours left,
     # newest first, since the newest sets are the likeliest to fail;
-    # k4[i]: whether the pattern vertices after porder[i] hold a K4 minor;
+    # k4[i]: whether porder[i] and the pattern vertices after it hold a K4
+    # minor; at i = 0 only for a planar pattern, since a host of treewidth at
+    # most 2 is planar and the apex rule answers every non-planar one;
     # room[i]: (size, placed neighbours but porder[i]) for each component of
     # the pattern vertices after porder[i] that has such neighbours
     own, needs, k4, room = [], [], [], []
@@ -258,7 +260,7 @@ def _pattern_tables(pattern: Graph) -> tuple:
         count = [(padj[j] & later).bit_count() for j in range(i + 1)]
         own.append(count[i])
         needs.append(tuple((porder[j], count[j]) for j in reversed(range(i)) if count[j]))
-        k4.append(not treewidth_at_most(padj, later, 2))
+        k4.append((i > 0 or not a) and not treewidth_at_most(padj, later | 1 << i, 2))
         groups, rest = [], later
         while rest:
             # no group reaches len(porder) vertices, so this is a whole component
@@ -269,8 +271,7 @@ def _pattern_tables(pattern: Graph) -> tuple:
                 groups.append((group.bit_count(),
                                tuple(porder[j] for j in range(i) if placed >> j & 1)))
         room.append(tuple(groups))
-    has_k4 = not treewidth_at_most(padj, (1 << len(porder)) - 1, 2)
-    return a, has_k4, tuple(porder), tuple(own), tuple(needs), tuple(k4), tuple(room)
+    return a, tuple(porder), tuple(own), tuple(needs), tuple(k4), tuple(room)
 
 
 def find_minor(host: Graph, pattern: Graph) -> Optional[MinorModel]:
@@ -318,18 +319,19 @@ def find_minor(host: Graph, pattern: Graph) -> Optional[MinorModel]:
     N(B(r)), no component of G[free - t] is either.  p is left out of R
     because N(B(p)) changes with s.
 
-    K4 rule: the pattern vertices still unplaced must form a minor of the
-    free host vertices.  K4-minor-free graphs (treewidth at most 2) form a
-    minor-closed class, so when the unplaced vertices hold a K4 minor and
-    the free vertices do not, the placement has no completion and is cut,
-    again without changing which model is found first.  Both sides are
-    decided by treewidth_at_most(..., 2).  At k = 2 every vertex of degree
-    at most 2 is almost simplicial, so that search never branches: it is
-    the series-parallel reduction (delete a vertex of degree <= 1, replace
-    one of degree 2 by an edge between its neighbours), and it is exact.
-    It is first tried on the whole pattern and host, before the search,
-    for a planar pattern only: a host of treewidth at most 2 is planar, so
-    the apex rule below answers a non-planar pattern.
+    K4 rule, checked as each placement level starts: the pattern vertices
+    still unplaced must form a minor of the free host vertices.
+    K4-minor-free graphs (treewidth at most 2) form a minor-closed class,
+    so when the unplaced vertices hold a K4 minor and the free vertices do
+    not, the placement has no completion and is cut, again without
+    changing which model is found first.  Both sides are decided by
+    treewidth_at_most(..., 2).  At k = 2 every vertex of degree at most 2
+    is almost simplicial, so that search never branches: it is the
+    series-parallel reduction (delete a vertex of degree <= 1, replace one
+    of degree 2 by an edge between its neighbours), and it is exact.  At
+    the first level, with the whole pattern and host, it is tried for a
+    planar pattern only: a host of treewidth at most 2 is planar, so the
+    apex rule below answers a non-planar pattern.
 
     Apex rule, checked before the search: the graphs G with a set A of at
     most a vertices such that G - A is planar form a minor-closed class.
@@ -353,24 +355,24 @@ def find_minor(host: Graph, pattern: Graph) -> Optional[MinorModel]:
         return None
     if pattern.n == 0:
         return MinorModel(host, pattern, {})
-    a, has_k4, porder, own, needs, k4, room = _pattern_tables(pattern)
+    a, porder, own, needs, k4, room = _pattern_tables(pattern)
     if a and planarizing_set(host, a - 1) is not None:
         return None
 
     order, adj = adjacency_masks(host)
     full = (1 << host.n) - 1
-    if not a and has_k4 and treewidth_at_most(adj, full, 2):
-        return None
     nbs: Dict[int, int] = {}  # placed pattern vertex -> N(branch set)
 
     def rec(i: int, used: int, sets: Dict[int, int]) -> Optional[Dict[int, int]]:
         if i == len(porder):
             return sets
-        p = porder[i]
         free = full & ~used
-        max_size = free.bit_count() - (len(porder) - i - 1)
-        if max_size <= 0:
+        if k4[i] and treewidth_at_most(adj, free, 2):
             return None
+        p = porder[i]
+        # at least 1: each earlier set left a free vertex for each later
+        # pattern vertex, and the pattern has no more vertices than the host
+        max_size = free.bit_count() - (len(porder) - i - 1)
         req = [nbs[q] for q in pattern.neighbors(p) if q in sets]
         anchors = (req[0] & free) if req else free
         dead = _dead_test(adj, free, [(nbs[q] & free, c) for q, c in needs[i]],
@@ -380,10 +382,7 @@ def find_minor(host: Graph, pattern: Graph) -> Optional[MinorModel]:
             if any(not r & s for r in req[1:]):
                 continue
             nbs[p] = _mask_neighborhood(adj, s)
-            left = free & ~s
-            if (nbs[p] & left).bit_count() < own[i]:
-                continue
-            if k4[i] and treewidth_at_most(adj, left, 2):
+            if (nbs[p] & free).bit_count() < own[i]:  # nbs[p] lies outside s
                 continue
             sets[p] = s
             out = rec(i + 1, used | s, sets)

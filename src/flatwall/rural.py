@@ -5,9 +5,11 @@ each other only at small boundary sets.  Validation checks five numbered
 properties in order and reports the lowest-numbered failure, so broken
 fixtures reject deterministically:
 
-  1. the flap edge sets partition the compass edges into non-empty parts;
-  2. the flap boundaries are pairwise distinct, and two flaps share
-     exactly their boundary intersection;
+  1. the flap edge sets partition the compass edges into non-empty parts,
+     and each flap is spanned by its edges (its vertices are their ends);
+  2. the flap boundaries are pairwise distinct (two flaps then share
+     exactly their boundary intersection: a vertex of both has an edge in
+     each, so it lies on both boundaries);
   3. inside each flap, every pair of boundary vertices is joined by a
      path whose internal vertices avoid the rest of the boundary;
   4. every boundary has at most three vertices;
@@ -33,7 +35,8 @@ class Flap(NamedTuple):
 
 
 class RuralDivision:
-    """A compass together with an ordered list of flaps (Flap records, or Graphs)."""
+    """A compass together with an ordered list of flaps (Flap records, or
+    Graphs); validate_rural asks each flap to be spanned by its edges."""
 
     __slots__ = ("compass", "flaps")
 
@@ -166,9 +169,8 @@ def _swept_boundaries(rd: RuralDivision, seen: Dict[Tuple[int, int], int]
     """The boundary of each flap of rd, from seen, which maps every compass
     edge to the one flap holding it (property 1 holds).
 
-    The boundary of flap i is its corners plus its vertices incident to a
-    compass edge outside it: v's edges lie in more than one flap, or all in
-    one flap other than i (v is an isolated vertex of i).
+    Every flap is spanned by its edges, so a flap vertex is on the boundary
+    iff it is a corner or its edges lie in two or more flaps.
     """
     owner: Dict[int, int] = {}
     for (a, b), i in seen.items():
@@ -178,18 +180,20 @@ def _swept_boundaries(rd: RuralDivision, seen: Dict[Tuple[int, int], int]
         if owner.setdefault(b, i) != i:
             owner[b] = -1
     corners = set(rd.compass.corners)
-    return tuple(frozenset(v for v in d.vertices if owner.get(v, i) != i or v in corners)
-                 for i, d in enumerate(rd.flaps))
+    return tuple(frozenset(v for v in d.vertices if owner[v] < 0 or v in corners)
+                 for d in rd.flaps)
 
 
 def validate_rural(rd: RuralDivision) -> Verdict:
     """Check properties 1-5 in order; the verdict names the first failure.
 
     A flap vertex or edge outside the compass fails property 1, which
-    asks the flaps to partition the compass edges.
+    asks the flaps to partition the compass edges, and so does a flap that
+    its edges do not span: a vertex on none of its edges, or an edge end
+    missing from its vertices.
     """
     kg = rd.compass.graph
-    # 1: flaps inside the compass, with non-empty edge sets partitioning its edges
+    # 1: flaps inside the compass, spanned by non-empty edge sets partitioning its edges
     for i, d in enumerate(rd.flaps):
         for v in d.vertices:
             if not kg.has_vertex(v):
@@ -206,6 +210,12 @@ def validate_rural(rd: RuralDivision) -> Verdict:
         if not d.edges:
             return Verdict.reject("property-1", witness=i,
                                   detail="flap %d has no edges" % i)
+        off = {v for e in d.edges for v in e}.symmetric_difference(d.vertices)
+        if off:
+            v = min(off)
+            return Verdict.reject("property-1", witness=v,
+                                  detail="flap %d is not spanned by its edges at vertex %r"
+                                  % (i, v))
         for e in d.edges:
             if e in seen:
                 return Verdict.reject("property-1", witness=e,
@@ -217,37 +227,17 @@ def validate_rural(rd: RuralDivision) -> Verdict:
         return Verdict.reject("property-1", witness=missing[0],
                               detail="edge %r-%r is in no flap" % missing[0])
 
-    # 2: distinct boundaries; shared vertices are exactly shared boundary.
-    # A boundary lies inside its flap, so only flaps with equal boundaries,
-    # or that share a vertex off the boundary of one of them, can fail;
-    # those pairs are checked in (i, j) order, which names the same first
-    # failure as checking every pair.
+    # 2: distinct boundaries.  The first failing pair has the smallest first
+    # flap, and its partner is that flap's next one with the same boundary.
     bounds = _swept_boundaries(rd, seen)
-    verts = [set(d.vertices) for d in rd.flaps]
     by_bound: Dict[FrozenSet[int], List[int]] = {}
     for i, bs in enumerate(bounds):
         by_bound.setdefault(bs, []).append(i)
-    groups = [group for group in by_bound.values() if len(group) > 1]
-    by_vertex: Dict[int, List[int]] = {v: [] for vs, bs in zip(verts, bounds) for v in vs - bs}
-    for i, vs in enumerate(verts):
-        for v in vs & by_vertex.keys():
-            by_vertex[v].append(i)
-    groups += by_vertex.values()
-    near: Dict[int, set] = {}  # i -> the flaps that may fail beside flap i
-    for group in groups:
-        for i in group:
-            near.setdefault(i, set()).update(group)
-    for i in sorted(near):
-        for j in sorted(j for j in near[i] if j > i):
-            if bounds[i] == bounds[j]:
-                return Verdict.reject("property-2", witness=(i, j),
-                                      detail="flaps %d and %d have the same boundary" % (i, j))
-            shared = verts[i] & verts[j]
-            if shared != bounds[i] & bounds[j]:
-                v = sorted(shared ^ (bounds[i] & bounds[j]))[0]
-                return Verdict.reject("property-2", witness=(i, j, v),
-                                      detail="flaps %d and %d share %r beyond their boundaries"
-                                      % (i, j, v))
+    pairs = [group[:2] for group in by_bound.values() if len(group) > 1]
+    if pairs:
+        i, j = min(pairs)
+        return Verdict.reject("property-2", witness=(i, j),
+                              detail="flaps %d and %d have the same boundary" % (i, j))
 
     # 3: boundary pairs joined inside the flap, by an edge (seen holds the
     # flap's edges) or a path whose internal vertices avoid the boundary

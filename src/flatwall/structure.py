@@ -205,7 +205,10 @@ def _find_flat_wall_certificate(g: Graph, apexes: Tuple[int, ...], k: int):
 
     Candidates are subdivision embeddings of the wall pattern, so each is
     a valid wall and its compass cannot fail.  A wall with more vertices
-    (2k(k+2)) than g minus apexes is not built."""
+    (2k(k+2)) than g minus apexes is not built.  The division has one edge
+    per flap, so n - 1 is each internal flap's exact width (1); the
+    verifier passes flaps of at most bound + 1 vertices without measuring
+    them either."""
     ga = delete(g, apexes)
     if 2 * k * (k + 2) > ga.n:
         return None
@@ -218,8 +221,7 @@ def _find_flat_wall_certificate(g: Graph, apexes: Tuple[int, ...], k: int):
         rd = trivial_division(c)
         if not validate_rural(rd):
             continue
-        widths = [exact_treewidth(d)[0] for d in _internal_flaps(rd, 0)]
-        return cand, rd, max(widths, default=0)
+        return cand, rd, max((d.n - 1 for d in _internal_flaps(rd, 0)), default=0)
     return None
 
 

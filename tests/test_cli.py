@@ -313,6 +313,35 @@ def test_reduce_apex_drops_blind_apex(capsys, tmp_path):
     assert rep["wall"]["height"] == 1
 
 
+def test_reduce_apex_refuses_a_repeated_apex_id(capsys, tmp_path):
+    # the distinct ids run; with one of them given twice the list is
+    # malformed, as a certificate's apex_set that repeats a vertex is
+    graph, wall, (a1, a2) = apexed_wall_files(capsys, tmp_path, [])
+    common = ["reduce-apex", "--graph", graph, "--excluded", complete_doc(tmp_path, 6),
+              "--wall", wall, "--height", "1", "--windows", "2"]
+    rc, rep, _ = run_json(capsys, *common, "--apexes", "%d,%d" % (a1, a2))
+    assert (rc, rep["apex_set"]) == (0, [a1])
+    ids = "%d,%d,%d" % (a1, a1, a2)
+    rc, out, err = run(capsys, *common, "--apexes", ids)
+    assert (rc, out) == (2, "")
+    assert "reduce-apex: vertex id %d is given twice in %r" % (a1, ids) in err
+
+
+def test_trichotomy_with_the_empty_excluded_graph(capsys, tmp_path):
+    # every graph has the empty graph as a minor: clause 1 with no branch sets
+    graph = write_doc(tmp_path, "p3.json", graph_to_json(path_graph(3)))
+    empty = write_doc(tmp_path, "empty.json", {"n": 0, "edges": []})
+    rc, cert, _ = run_json(capsys, "trichotomy", "--graph", graph, "--excluded", empty,
+                           "--height", "1", "--width-threshold", "1")
+    assert rc == 0
+    assert cert["clause"] == 1 and cert["minor"]["branch_sets"] == {}
+    assert cert["minor"]["pattern"] == {"n": 0, "edges": []}
+    cert_path = write_doc(tmp_path, "cert.json", cert)
+    rc, rep, _ = run_json(capsys, "verify-cert", "--graph", graph, "--excluded", empty,
+                          "--height", "1", "--certificate", cert_path)
+    assert (rc, rep) == (0, {"verdict": "accepted", "clause": 1, "schema_version": 1})
+
+
 def test_reduce_apex_is_undetermined_when_every_apex_sees_every_window(capsys, tmp_path):
     # wall(2) plus two apices on its first vertex (n = 18) has no K6 minor, yet
     # both apices see the one window: no minor is claimed

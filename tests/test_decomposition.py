@@ -324,6 +324,28 @@ def test_make_small_is_small_and_bounded():
             assert not small.bags[j] <= small.bags[i]
 
 
+def test_make_small_contracts_a_first_bag_inside_its_neighbour():
+    # tree edge (0, 1) with bags[0] <= bags[1]: node 0 goes, node 1 stays
+    td = TreeDecomposition(path_graph(3), path_graph(3), {0: [0], 1: [0, 1], 2: [1, 2]})
+    small = make_small(td)
+    assert small.tree.vertices == (1, 2) and small.tree.edges == ((1, 2),)
+    assert small.bags == {1: frozenset({0, 1}), 2: frozenset({1, 2})}
+
+
+def test_decomposition_constructor_pairs_bags_with_tree_nodes():
+    g = path_graph(2)
+    with pytest.raises(ValueError, match="tree node 1 has no bag"):
+        TreeDecomposition(g, path_graph(2), {0: [0, 1]})
+    with pytest.raises(ValueError, match="bag id 5 is not a tree node"):
+        TreeDecomposition(g, path_graph(1), {0: [0, 1], 5: [1]})
+
+
+def test_width_of_an_invalid_decomposition_raises():
+    td = TreeDecomposition(path_graph(3), path_graph(1), {0: [0, 1]})
+    with pytest.raises(ValueError, match="invalid decomposition: uncovered-vertex"):
+        width(td)
+
+
 def test_closure_bag_adds_neighbor_cliques():
     g = path_graph(4)
     tree = path_graph(2)

@@ -244,6 +244,35 @@ def test_find_minor_pyramid_first_model(monkeypatch):
         9: [0, 1, 2, 3, 4, 8, 12, 16]}
 
 
+def test_find_minor_empty_pattern():
+    m = find_minor(path_graph(3), Graph([], []))
+    assert m is not None and m.branch_sets == {}
+    assert verify_minor_model(m)
+
+
+def test_find_minor_k4_rule_runs_as_each_level_starts(monkeypatch):
+    # the rule's one call site tests the free vertices as a level starts:
+    # first the whole host, for a planar pattern with a K4 minor only
+    calls = []
+    tw2 = minors.treewidth_at_most
+    for pat in (complete_graph(4), complete_graph(5), W4):
+        minors._pattern_tables(pat)  # the pattern's own tables are cached first
+
+    def counted(adj, mask, k):
+        calls.append(mask)
+        return tw2(adj, mask, k)
+    monkeypatch.setattr(minors, "treewidth_at_most", counted)
+    assert find_minor(grid(2, 5)[0], complete_graph(4)) is None
+    assert calls == [(1 << 10) - 1]
+    calls.clear()
+    # K5 is not planar: the apex rule answers, and no host is tested
+    assert find_minor(grid(2, 5)[0], complete_graph(5)) is None
+    assert calls == []
+    # W4 = K1 + C4: after its hub no K4 minor is left, so only level 0 tests
+    assert find_minor(grid(3, 3)[0], W4) is not None
+    assert calls == [(1 << 9) - 1]
+
+
 def test_find_minor_caps():
     with pytest.raises(SizeCapExceeded):
         find_minor(grid(7, 7)[0], complete_graph(4))

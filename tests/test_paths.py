@@ -26,6 +26,14 @@ def test_two_disjoint_paths_on_cycle():
     assert not (set(p1) & set(p2))
 
 
+def test_two_disjoint_paths_refuses_bad_endpoints():
+    g = cycle_graph(6)
+    with pytest.raises(ValueError, match="vertex 9 is not in the graph"):
+        two_disjoint_paths(g, (0, 9), (1, 4))
+    with pytest.raises(ValueError, match="need four distinct endpoints"):
+        two_disjoint_paths(g, (0, 3), (3, 5))
+
+
 def test_two_disjoint_paths_in_grid():
     g, coords = grid(4, 4)
     a, b = coords.id(1, 1), coords.id(4, 4)

@@ -84,6 +84,47 @@ def test_property2_equal_boundaries():
     assert not v and v.condition == "property-2"
 
 
+def test_property2_names_the_smallest_first_flap():
+    # boundaries A, B, B, A: the pair is (0, 3), the first flap's partner,
+    # not the adjacent pair (1, 2)
+    c = augmented_compass([20, 21], [(8, 20), (20, 9), (7, 21), (21, 8)])
+    groups = [[(8, 20), (20, 9)], [(7, 21), (21, 8)], [(7, 8)], [(8, 9)]]
+    groups += [[e] for e in wall(2).graph.edges if e not in ((7, 8), (8, 9))]
+    rd = division_from_edge_lists(c, groups)
+    assert boundaries(rd)[:4] == (frozenset({8, 9}), frozenset({7, 8}),
+                                  frozenset({7, 8}), frozenset({8, 9}))
+    v = validate_rural(rd)
+    assert (v.condition, v.witness) == ("property-2", (0, 3))
+    assert v.detail == "flaps 0 and 3 have the same boundary"
+
+
+def test_property1_unspanned_flap():
+    # a flap vertex on none of the flap's edges, as a Graph or a record, and
+    # an edge end missing from a record's vertices: the smallest such vertex
+    c = bare_compass(2)
+    flaps = list(trivial_division(c).flaps)
+    i = next(i for i, d in enumerate(flaps) if 9 not in d.vertices and 3 not in d.vertices)
+    d = flaps[i]
+    for kind in (Graph, Flap):
+        for extra in ((9,), (3, 9)):
+            rd = RuralDivision(c, flaps[:i] + [kind(d.vertices + extra, d.edges)] + flaps[i + 1:])
+            v = validate_rural(rd)
+            assert (v.condition, v.witness) == ("property-1", extra[0])
+            assert v.detail == ("flap %d is not spanned by its edges at vertex %d"
+                                % (i, extra[0]))
+    a, b = d.edges[0]
+    v = validate_rural(RuralDivision(c, flaps[:i] + [Flap((b,), d.edges)] + flaps[i + 1:]))
+    assert (v.condition, v.witness) == ("property-1", a)
+    assert v.detail == "flap %d is not spanned by its edges at vertex %d" % (i, a)
+    # it is checked after "no edges", and a vertex outside the compass comes first
+    v = validate_rural(RuralDivision(c, [Flap((9,), ())] + flaps))
+    assert (v.condition, v.witness, v.detail) == ("property-1", 0, "flap 0 has no edges")
+    v = validate_rural(RuralDivision(c, flaps[:i] + [Flap(d.vertices + (99,), d.edges)]
+                                     + flaps[i + 1:]))
+    assert (v.condition, v.witness) == ("property-1", 99)
+    assert v.detail == "flap %d references vertex 99 outside the compass" % i
+
+
 def test_property3_boundary_pair_not_joined():
     # two wall edges at a degree-3 vertex in one flap: its boundary has a
     # pair whose only inside-connection runs through the boundary itself
@@ -425,9 +466,21 @@ def pendant_compass(rng: random.Random, w: SubdividedWall) -> Compass:
     return compass(g, SubdividedWall(g, w.height, w.original, w.paths))
 
 
+def first_unspanned(rd: RuralDivision):
+    """(i, v) for the first flap i that its edges do not span, with v its
+    smallest vertex on none of its edges or edge end missing from its
+    vertices; None when the edges span every flap."""
+    for i, d in enumerate(rd.flaps):
+        off = {v for e in d.edges for v in e} ^ set(d.vertices)
+        if off:
+            return i, min(off)
+    return None
+
+
 def test_validate_rural_matches_pairwise_oracle():
-    # property 2 checks only flaps that share a vertex or a boundary; the
-    # pairwise loop it replaced must name the same first failure everywhere
+    # property 2 compares boundaries alone; on every division whose flaps
+    # their edges span, the pairwise loop it replaced names the same first
+    # failure, and a flap with a vertex on none of its edges fails property 1
     rng = random.Random(11)
     side = random.Random(13)  # the pendant compasses, which leave rng's draws as they were
     modes = {}
@@ -451,25 +504,33 @@ def test_validate_rural_matches_pairwise_oracle():
         pc = pendant_compass(side, w)
         divisions += list(merged_divisions(side, pc, [[e] for e in pc.graph.edges]))
         for rd in divisions:
-            v, want = validate_rural(rd), validate_rural_pairwise(rd)
+            v = validate_rural(rd)
+            assert dumps_like_jsonable(v.witness)
+            off = first_unspanned(rd)
+            if off is not None:
+                i, x = off
+                assert (v.condition, v.witness) == ("property-1", x)
+                assert v.detail == "flap %d is not spanned by its edges at vertex %r" % (i, x)
+                modes["unspanned"] = modes.get("unspanned", 0) + 1
+                continue
+            want = validate_rural_pairwise(rd)
             got = (bool(v), v.condition, v.witness, v.detail)
             assert got == (bool(want), want.condition, want.witness, want.detail)
-            assert dumps_like_jsonable(v.witness)
             mode = v.detail.split(" ")[-1] if v.condition == "property-2" else v.condition
             if v.condition == "property-5":
                 mode = "disk" if v.witness == "disk" else "linkage"
             modes[mode] = modes.get(mode, 0) + 1
-    # both property-2 failures ("same boundary", "beyond their boundaries")
-    assert modes["boundary"] >= 100 and modes["boundaries"] >= 60, modes
+    assert modes["boundary"] >= 100 and modes["unspanned"] >= 60, modes
     assert modes[None] >= 100 and modes["property-3"] >= 100, modes
     assert modes["linkage"] >= 60, modes
 
 
 def test_swept_boundaries_match_boundary():
     # validate_rural reads every boundary off one owner index of the compass
-    # edges; boundary() is the oracle, flap by flap
+    # edges; boundary() is the oracle, flap by flap, on every division whose
+    # flaps their edges span (the others fail property 1 before the sweep)
     rng = random.Random(21)
-    cases = {"corner only": 0, "isolated, other owner": 0, "isolated, no owner": 0}
+    corner_only = unspanned = 0
     for _ in range(30):
         w = subdivided_wall(rng, rng.choice((2, 3)))
         c = compass(w.host, w)
@@ -489,25 +550,26 @@ def test_swept_boundaries_match_boundary():
                                              for i, d in enumerate(rd.flaps)])
                       for rd in divisions[:2]]
         for rd in divisions:
+            if first_unspanned(rd) is not None:
+                assert validate_rural(rd).condition == "property-1"
+                unspanned += 1
+                continue
             kg, corners = rd.compass.graph, set(rd.compass.corners)
             seen = {e: i for i, d in enumerate(rd.flaps) for e in d.edges}
             swept = _swept_boundaries(rd, seen)
             assert swept == boundaries(rd)
-            for i, d in enumerate(rd.flaps):
-                for v in d.vertices:
-                    owners = {seen[min(u, v), max(u, v)] for u in kg.neighbors(v)}
-                    if v in corners and owners == {i}:
-                        cases["corner only"] += 1
-                    elif not any(v in e for e in d.edges):
-                        cases["isolated, other owner" if owners else "isolated, no owner"] += 1
-    assert min(cases.values()) >= 20, cases
+            corner_only += sum(v in corners and {seen[min(u, v), max(u, v)]
+                                                 for u in kg.neighbors(v)} == {i}
+                               for i, d in enumerate(rd.flaps) for v in d.vertices)
+    assert corner_only >= 20 and unspanned >= 20, (corner_only, unspanned)
 
 
 def test_flap_records_and_graphs_validate_alike():
     # validate_rural reads only a flap's vertices and edges: a division of
-    # records and the same division of Graphs, isolated vertices included,
-    # get the same verdict
+    # records and the same division of Graphs, flaps with a vertex on none
+    # of their edges included, get the same verdict
     rng = random.Random(31)
+    side = random.Random(37)  # the equal-boundary divisions, which leave rng's draws as they were
     modes = {}
     for _ in range(20):
         w = subdivided_wall(rng, rng.choice((2, 3)))
@@ -519,6 +581,7 @@ def test_flap_records_and_graphs_validate_alike():
         divisions += [RuralDivision(lonely, [Graph(d.vertices + (x,), d.edges) if i == 0 else d
                                              for i, d in enumerate(rd.flaps)])
                       for rd in divisions[:2]]
+        divisions += [equal_boundary_division(side, c) for _ in range(2)]
         for rd in divisions:
             verdicts = set()
             for kind in (Flap, Graph):
@@ -527,7 +590,8 @@ def test_flap_records_and_graphs_validate_alike():
                 verdicts.add((bool(v), v.condition, v.witness, v.detail))
             assert len(verdicts) == 1, verdicts
             modes[v.condition] = modes.get(v.condition, 0) + 1
-    assert min(modes.get(m, 0) for m in (None, "property-2", "property-3")) >= 20, modes
+    assert min(modes.get(m, 0) for m in (None, "property-1", "property-2", "property-3")) >= 20, \
+        modes
 
 
 def test_flaps_outside_the_compass_fail_before_any_boundary(monkeypatch):

@@ -13,7 +13,8 @@ from flatwall.paths import two_disjoint_paths
 from flatwall.rural import RuralDivision, internal_flaps
 from flatwall.wall import (WHEEL_FIRST_ABOVE, Compass, SubdividedWall, bricks, compass,
                            disjoint_subwalls, extract_wall_from_gamma_contraction,
-                           identity_wall, is_flat, layers, perimeter, subwall, verify_wall)
+                           _window_map, identity_wall, is_flat, layers, perimeter, subwall,
+                           verify_wall)
 
 from fixtures import identity_witness, interior_vertices, k5_piece_host, random_wired_compass, \
     subdivided_witness, wired_nonflat_host
@@ -291,6 +292,35 @@ def test_subwall_windows():
         subwall(w, 50, 1, 1)
 
 
+def test_subwall_window_at_a_pruned_corner():
+    # the window's second vertex lands on (8, 1), inside wall(3)'s grid but
+    # pruned from the wall
+    w = identity_wall(3)
+    assert w.pattern.coords.contains(8, 1)
+    assert not w.pattern.graph.has_vertex(w.pattern.coords.id(8, 1))
+    with pytest.raises(ValueError, match=r"no height-1 window at \(7,1\)"):
+        subwall(w, 7, 1, 1)
+
+
+def test_window_maps_send_edges_onto_edges():
+    # _window_map checks vertices alone: every map it returns is injective
+    # and sends each small-wall edge onto a big-wall edge
+    placed = 0
+    for k in range(1, 7):
+        big = wall(k)
+        for h in range(1, k + 1):
+            small = wall(h)
+            for y0 in range(-1, k + 3):
+                for x0 in range(-1, 2 * k + 4):
+                    m = _window_map(small, big, x0, y0)
+                    if m is None:
+                        continue
+                    placed += 1
+                    assert len(set(m.values())) == small.graph.n
+                    assert all(big.graph.has_edge(m[a], m[b]) for a, b in small.graph.edges)
+    assert placed == 357, placed
+
+
 def test_disjoint_subwalls_pack_and_avoid():
     w = identity_wall(3)
     subs = disjoint_subwalls(w, 2, 1)
@@ -302,6 +332,10 @@ def test_disjoint_subwalls_pack_and_avoid():
         seen |= sw.vertices()
     with pytest.raises(ValueError):
         disjoint_subwalls(w, 50, 1)
+    for sub_height in (0, 4):
+        with pytest.raises(ValueError, match="sub_height must be between 1 and 3, got %d"
+                           % sub_height):
+            disjoint_subwalls(w, 1, sub_height)
 
 
 def test_extract_wall_identity_contraction():
