@@ -6,11 +6,10 @@ from .graph import Graph, complete_graph, cycle_graph, delete, graph_hash, induc
     path_graph, union
 from .decomposition import TreeDecomposition, closure_bag, exact_treewidth, make_small, width
 from .decomposition import validate as validate_decomposition
-from .minors import ContractionModel, MinorModel, SmoothContractionWitness, delta_y, \
-    find_minor, subdivide, verify_contraction, verify_minor_model, verify_smooth_contraction
+from .minors import MinorModel, delta_y, find_minor, subdivide, verify_minor_model
 from .wall import Compass, FlatnessResult, SubdividedWall, bricks, compass, \
-    disjoint_subwalls, extract_wall_from_gamma_contraction, identity_wall, is_flat, \
-    layers, perimeter, refind_after_transform, subwall, verify_wall
+    disjoint_subwalls, identity_wall, is_flat, layers, perimeter, refind_after_transform, \
+    subwall, verify_wall
 # generators last: the wall() generator, not the .wall submodule, owns the name
 from .generators import gamma, gamma_star, grid, lower_bound_graph, pyramid, wall
 from .rural import RuralDivision, division_from_edge_lists, internal_flaps, trivial_division, \
@@ -24,13 +23,11 @@ __all__ = [
     "induced_subgraph", "path_graph", "union",
     "TreeDecomposition", "closure_bag", "exact_treewidth", "make_small", "width",
     "validate_decomposition",
-    "ContractionModel", "MinorModel", "SmoothContractionWitness", "delta_y",
-    "find_minor", "subdivide", "verify_contraction",
-    "verify_minor_model", "verify_smooth_contraction",
+    "MinorModel", "delta_y", "find_minor", "subdivide", "verify_minor_model",
     "gamma", "gamma_star", "grid", "lower_bound_graph", "pyramid", "wall",
     "Compass", "FlatnessResult", "SubdividedWall", "bricks", "compass",
-    "disjoint_subwalls", "extract_wall_from_gamma_contraction", "identity_wall",
-    "is_flat", "layers", "perimeter", "refind_after_transform", "subwall", "verify_wall",
+    "disjoint_subwalls", "identity_wall", "is_flat", "layers", "perimeter",
+    "refind_after_transform", "subwall", "verify_wall",
     "RuralDivision", "division_from_edge_lists", "internal_flaps",
     "trivial_division", "validate_rural",
     "HMinorFound", "WeakStructureCertificate", "apex_number", "apex_reduce", "merge_flaps",

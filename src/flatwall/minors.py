@@ -1,83 +1,25 @@
-"""Minor and contraction relations with explicit certifying models.
+"""Minor relations with explicit certifying models, and the host rewrites
+(edge subdivision, triangle-to-star) that preserve them.
 
-A contraction is certified by a total map phi (host vertex -> pattern
-vertex), a minor by disjoint connected branch sets, a topological minor by
-an injective branch-vertex map plus internally disjoint paths.  find_minor
-is exhaustive within size caps, so a None is a proof of absence, not a
-timeout, and iter_topological_embeddings lists every subdivision
-embedding.  find_minor also answers None without a search
+A minor is certified by disjoint connected branch sets, a topological
+minor by an injective branch-vertex map plus internally disjoint paths.
+find_minor is exhaustive within size caps, so a None is a proof of
+absence, not a timeout, and iter_topological_embeddings lists every
+subdivision embedding.  find_minor also answers None without a search
 when the host's apex number is below the pattern's; apex number cannot
 grow under taking minors, so that None is a proof of absence too.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .common import SizeCapExceeded, Verdict
 from .decomposition import treewidth_at_most
-from .graph import Graph, adjacency_masks, bfs, delete, is_connected
-from .planarity import (RotationEmbedding, _canon_cycle, apex_number, planarizing_set,
-                        trace_faces, validate_embedding)
+from .graph import Graph, adjacency_masks, bfs, delete
+from .planarity import apex_number, planarizing_set
 
 MINOR_PATTERN_CAP = 6
 MINOR_HOST_CAP = 30
-
-
-class ContractionModel:
-    """Total map phi from host vertices onto pattern vertices."""
-
-    __slots__ = ("host", "pattern", "phi", "models")
-
-    def __init__(self, host: Graph, pattern: Graph, phi: Mapping[int, int]):
-        for v in host.vertices:
-            if v not in phi:
-                raise ValueError("phi is not total: vertex %r unmapped" % (v,))
-        models = {v: set() for v in pattern.vertices}
-        for v, img in phi.items():
-            if not host.has_vertex(v):
-                raise ValueError("phi maps unknown host vertex %r" % (v,))
-            if not pattern.has_vertex(img):
-                raise ValueError("phi hits unknown pattern vertex %r" % (img,))
-            models[img].add(v)
-        self.host = host
-        self.pattern = pattern
-        self.phi = dict(phi)
-        self.models = {v: frozenset(s) for v, s in models.items()}
-
-    def model_of(self, v: int) -> frozenset:
-        """The set of host vertices mapped to pattern vertex v."""
-        return self.models.get(v, frozenset())
-
-
-def verify_contraction(m: ContractionModel) -> Verdict:
-    """Check the three contraction conditions; report the first failure.
-
-    In order: each preimage induces a connected subgraph, each pattern
-    edge's joint preimage induces a connected subgraph, and each host edge
-    maps to equal endpoints or to a pattern edge.  The preimages are
-    disjoint, so verify_minor_model on them as branch sets checks the first
-    two in the same order: two connected preimages have a connected union
-    iff a host edge joins them.
-    """
-    empty = [v for v in m.pattern.vertices if not m.models[v]]
-    if empty:
-        raise ValueError("phi is not surjective: no preimage for %r" % (empty[0],))
-    ok = verify_minor_model(MinorModel(m.host, m.pattern, m.models))
-    if ok.condition == "branch-set-disconnected":
-        v = ok.witness
-        return Verdict.reject("model-disconnected", witness=v,
-                              detail="preimage of %r induces a disconnected graph" % (v,))
-    if ok.condition == "unrealized-pattern-edge":
-        v, u = ok.witness
-        return Verdict.reject("edge-union-disconnected", witness=(v, u),
-                              detail="joint preimage of pattern edge %r-%r is disconnected" % (v, u))
-    for a, b in m.host.edges:
-        fa, fb = m.phi[a], m.phi[b]
-        if fa != fb and not m.pattern.has_edge(fa, fb):
-            return Verdict.reject("host-edge-unmatched", witness=(a, b),
-                                  detail="host edge %r-%r maps to non-edge %r-%r" % (a, b, fa, fb))
-    return Verdict.accept()
 
 
 class MinorModel:
@@ -561,85 +503,3 @@ def subdivide(g: Graph, e: Tuple[int, int]) -> Tuple[Graph, int]:
     w = g.fresh_id()
     out = delete(g, edges=[(a, b)])
     return out.add_vertices([w]).add_edges([(a, w), (w, b)]), w
-
-
-@dataclass(frozen=True)
-class SmoothContractionWitness:
-    """A contraction plus the closed disk that isolates one model.
-
-    The disk is a union of faces of the embedded part of the host; every
-    host vertex outside that union (including any vertex missing from the
-    embedding entirely) must belong to the model of v.
-    """
-
-    model: ContractionModel
-    embedding: RotationEmbedding
-    v: int
-    disk_faces: frozenset
-
-
-def verify_smooth_contraction(w: SmoothContractionWitness) -> Verdict:
-    ok = verify_contraction(w.model)
-    if not ok:
-        raise ValueError("invalid contraction model: %s" % ok.condition)
-    emb_ok = validate_embedding(w.embedding)
-    if not emb_ok:
-        raise ValueError("invalid embedding: %s" % emb_ok.condition)
-    host = w.model.host
-    eg = w.embedding.graph
-    if not (set(eg.vertices) <= set(host.vertices) and set(eg.edges) <= set(host.edges)):
-        raise ValueError("embedded part is not a subgraph of the host")
-    if not w.model.pattern.has_vertex(w.v):
-        raise ValueError("unknown pattern vertex %r" % (w.v,))
-
-    all_faces = trace_faces(eg, w.embedding.rotation)
-    by_canon = {_canon_cycle(f): f for f in all_faces}
-    chosen = []
-    for f in w.disk_faces:
-        cf = by_canon.get(_canon_cycle(tuple(f)))
-        if cf is None:
-            return Verdict.reject("unknown-disk-face", witness=tuple(f))
-        chosen.append(cf)
-    if not chosen:
-        return Verdict.reject("disk-not-a-disk", detail="no faces chosen")
-
-    # The chosen faces covering each undirected edge: interior edges are
-    # covered twice, boundary edges once.
-    edge_faces: Dict[Tuple[int, int], List[int]] = {}
-    region_vertices = set()
-    for i, f in enumerate(chosen):
-        region_vertices.update(f)
-        for j in range(len(f)):
-            a, b = f[j], f[(j + 1) % len(f)]
-            edge_faces.setdefault((a, b) if a < b else (b, a), []).append(i)
-    if any(len(fs) > 2 for fs in edge_faces.values()):
-        return Verdict.reject("disk-not-a-disk", detail="an edge lies on more than two chosen face sides")
-
-    # Chosen faces must form one edge-connected patch.
-    patch = Graph(range(len(chosen)),
-                  [(i, j) for fs in edge_faces.values() for i in fs for j in fs if i < j])
-    if not is_connected(patch):
-        return Verdict.reject("disk-not-a-disk", detail="chosen faces are not edge-connected")
-
-    if len(region_vertices) - len(edge_faces) + len(chosen) != 1:
-        return Verdict.reject("disk-not-a-disk", detail="face union is not simply connected")
-
-    boundary = [e for e, fs in edge_faces.items() if len(fs) == 1]
-    ring = Graph({v for e in boundary for v in e}, boundary)
-    if not boundary or any(ring.degree(v) != 2 for v in ring.vertices) or not is_connected(ring):
-        return Verdict.reject("disk-not-a-disk", detail="boundary is not a single cycle")
-
-    exterior = set(host.vertices) - region_vertices
-    model_v = w.model.model_of(w.v)
-    if exterior != model_v:
-        return Verdict.reject("exterior-mismatch",
-                              witness=sorted(exterior ^ model_v),
-                              detail="vertices outside the disk differ from the model of %r" % (w.v,))
-
-    # Every other model must avoid some face, so it fits in an open disk: phi
-    # must not give its vertex on every face (all_faces holds the chosen ones).
-    on_every_face = set.intersection(*({w.model.phi[x] for x in f} for f in all_faces))
-    for u in w.model.pattern.vertices:
-        if u != w.v and u in on_every_face:
-            return Verdict.reject("model-not-in-open-disk", witness=u)
-    return Verdict.accept()

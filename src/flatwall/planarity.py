@@ -1,4 +1,5 @@
-"""Planarity: a yes/no test, rotation-system embeddings and their faces.
+"""Planarity: a yes/no test, disk embeddings with a given boundary, and
+apex sets.
 
 The yes/no test `is_planar` first shrinks the graph to its degree-3 kernel:
 it deletes vertices of degree at most one and smooths vertices of degree two
@@ -7,61 +8,18 @@ preserves planarity both ways.  Only the kernel, often empty, is tested, by
 the left-right planarity test (de Fraysseix, Ossona de Mendez and
 Rosenstiehl, "Trémaux trees and planarity", 2006; Brandes, "The Left-Right
 Planarity Test", 2009): two depth-first searches, linear in the kernel's
-size, that answer yes or no and build no embedding.
-
-Embeddings are rotation systems (`RotationEmbedding`) that a caller
-supplies, as smooth-contraction witnesses do; this module traces their
-faces and validates them, and builds none itself.
+size, that answer yes or no and build no embedding.  The disk test and
+the apex search reduce to it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .common import SizeCapExceeded, Verdict
-from .graph import Graph, connected_components
+from .common import SizeCapExceeded
+from .graph import Graph
 
 APEX_CAP = 16
-
-
-# ---------------------------------------------------------------------------
-# public embedding type
-
-
-@dataclass(frozen=True)
-class RotationEmbedding:
-    """Rotation system plus one designated outer facial walk."""
-
-    graph: Graph
-    rotation: Dict[int, Tuple[int, ...]]
-    outer_face: Tuple[int, ...]
-
-
-def trace_faces(graph: Graph, rotation: Dict[int, Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-    """Facial walks: orbits of directed edges under the rotation successor rule."""
-    faces = []
-    seen = set()
-    for a in graph.vertices:
-        for b in rotation.get(a, ()):
-            if (a, b) in seen:
-                continue
-            walk = []
-            x, y = a, b
-            while (x, y) not in seen:
-                seen.add((x, y))
-                walk.append(x)
-                rot = rotation[y]
-                z = rot[(rot.index(x) + 1) % len(rot)]
-                x, y = y, z
-            faces.append(tuple(walk))
-    return faces
-
-
-def _canon_cycle(walk: Sequence[int]) -> Tuple[int, ...]:
-    w = tuple(walk)
-    rots = [w[i:] + w[:i] for i in range(len(w))]
-    return min(rots)
 
 
 def _lr_planar(adj: Dict[int, set]) -> bool:
@@ -293,26 +251,6 @@ def apex_number(g: Graph) -> Tuple[int, Tuple[int, ...]]:
         if s is not None:
             return size, s
     raise AssertionError("unreachable: the empty graph is planar")
-
-
-def validate_embedding(emb: RotationEmbedding) -> Verdict:
-    g = emb.graph
-    if set(emb.rotation) != set(g.vertices):
-        return Verdict.reject("rotation-domain", sorted(set(emb.rotation) ^ set(g.vertices)))
-    for v in g.vertices:
-        if tuple(sorted(emb.rotation[v])) != g.neighbors(v):
-            return Verdict.reject("rotation-neighbors", v)
-    faces = trace_faces(g, emb.rotation)
-    if emb.outer_face and _canon_cycle(emb.outer_face) not in {_canon_cycle(f) for f in faces}:
-        return Verdict.reject("outer-face", emb.outer_face)
-    # Euler formula per connected component; an isolated vertex counts one face
-    for comp in connected_components(g):
-        cset = set(comp)
-        ecount = sum(1 for e in g.edges if e[0] in cset)
-        fcount = sum(1 for f in faces if set(f) <= cset) if ecount else 1
-        if len(comp) - ecount + fcount != 2:
-            return Verdict.reject("euler", comp)
-    return Verdict.accept()
 
 
 def embeds_in_disk_with_boundary(g: Graph, cycle: Sequence[int]) -> bool:

@@ -3,20 +3,17 @@
 A subdivided wall is the canonical wall pattern with each pattern edge
 realized by a host path; paths share no internal vertices.  This module
 keeps that bookkeeping honest and implements the operations that need it:
-perimeter/layer/brick geometry, the compass, the flatness test, wall
-extraction from a smooth contraction of a loaded triangulated grid,
-packing of disjoint subwalls, and re-finding the wall after sequences of
-edge subdivisions and triangle-to-star rewrites.
+perimeter/layer/brick geometry, the compass, the flatness test, packing
+of disjoint subwalls, and re-finding the wall after sequences of edge
+subdivisions and triangle-to-star rewrites.
 """
 
-from math import isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .common import SizeCapExceeded, Verdict
-from .graph import Graph, bfs, induced_subgraph, path_to
-from .generators import WallGraph, gamma, wall
-from .minors import (SmoothContractionWitness, delta_y, subdivide, verify_smooth_contraction,
-                     verify_topological_embedding)
+from .common import Verdict
+from .graph import Graph, bfs, induced_subgraph
+from .generators import WallGraph, wall
+from .minors import delta_y, subdivide, verify_topological_embedding
 from .paths import two_disjoint_paths
 from .planarity import embeds_in_disk_with_boundary
 
@@ -284,104 +281,6 @@ def disjoint_subwalls(w: SubdividedWall, count: int, sub_height: int) -> List[Su
         raise ValueError("wall of height %d cannot pack %d subwalls of height %d"
                          % (k, count, sub_height))
     return out
-
-
-def _route_to_set(g: Graph, allowed: frozenset, start: int, targets) -> List[int]:
-    """Shortest path from start to the target set, staying inside allowed."""
-    parent, hit = bfs(g, start, allowed, targets)
-    if hit is None:
-        raise ValueError("branch set fails to reach its own attachment")
-    return path_to(parent, hit)
-
-
-def _lift_wall_through_contraction(g: Graph, model, gw_map: Dict[int, int],
-                                   k: int) -> Optional[SubdividedWall]:
-    """Realize a wall drawn on the contracted grid as a subdivision in the host.
-
-    gw_map places each wall pattern vertex on a pattern vertex of the
-    contraction; each placement vertex expands to its branch set, inside
-    which the two or three incident wall paths are routed as a Y that
-    shares only its center.
-    """
-    pat = wall(k).graph
-    sets = {p: model.model_of(gw_map[p]) for p in pat.vertices}
-    realizer = {}
-    for p, q in pat.edges:
-        hit = None
-        for a in sorted(sets[p]):
-            for b in g.neighbors(a):
-                if b in sets[q]:
-                    hit = (a, b)
-                    break
-            if hit:
-                break
-        if hit is None:
-            return None
-        realizer[(p, q)] = hit
-        realizer[(q, p)] = (hit[1], hit[0])
-    original = {}
-    legs = {}
-    for p in pat.vertices:
-        nbs = sorted(pat.neighbors(p))
-        ends = [realizer[(p, q)][0] for q in nbs]
-        spine = _route_to_set(g, sets[p], ends[0], {ends[1]})
-        if len(nbs) == 2:
-            w0 = spine[0]
-            legs[(p, nbs[0])] = (w0,)
-            legs[(p, nbs[1])] = tuple(spine)
-        else:
-            branch = _route_to_set(g, sets[p], ends[2], set(spine))
-            w0 = branch[-1]
-            i0 = spine.index(w0)
-            legs[(p, nbs[0])] = tuple(spine[i0::-1])
-            legs[(p, nbs[1])] = tuple(spine[i0:])
-            legs[(p, nbs[2])] = tuple(branch[::-1])
-        original[p] = w0
-    paths = {}
-    for p, q in pat.edges:
-        paths[(p, q)] = legs[(p, q)] + legs[(q, p)][::-1]
-    return SubdividedWall(g, k, original, paths)
-
-
-def extract_wall_from_gamma_contraction(g: Graph, witness: SmoothContractionWitness) -> SubdividedWall:
-    """Pull a wall of height k out of a smooth contraction onto a loaded
-    triangulated grid of size 2k+8.
-
-    The wall is drawn on the internal part of the grid and lifted through
-    the contraction's branch sets, sliding the window until the compass in
-    g embeds in a closed disk bounded by the perimeter.  Whether a window
-    works depends on the witness, not on k: on gamma(12) every window of
-    the witness that subdivides each edge once passes, while no window of
-    the identity witness does, because there the compass has chords whose
-    ends interleave along the perimeter.  When no window works the
-    extraction is undetermined and SizeCapExceeded is raised.
-    """
-    pat = witness.model.pattern
-    m = isqrt(pat.n)
-    if m * m != pat.n or m < 10 or m % 2 != 0:
-        raise ValueError("pattern has %d vertices, expected an even square >= 100" % pat.n)
-    tg = gamma(m)
-    if pat != tg.graph:
-        raise ValueError("pattern is not the loaded triangulated %d-grid" % m)
-    if witness.v != tg.loaded:
-        raise ValueError("witness must contract onto the loaded corner %d, got %r"
-                         % (tg.loaded, witness.v))
-    ok = verify_smooth_contraction(witness)
-    if not ok:
-        raise ValueError("smooth contraction rejected: %s" % ok.condition)
-    k = (m - 8) // 2
-
-    target = wall(k)
-    for y0 in range(2, m - k - 1):
-        for x0 in range(2, m - 2 * k - 1):
-            gw_map = {p: tg.coords.id(x0 - 1 + x, y0 - 1 + y)
-                      for p in target.graph.vertices
-                      for x, y in [target.coord(p)]}
-            cand = _lift_wall_through_contraction(g, witness.model, gw_map, k)
-            if (cand is not None and verify_wall(cand)
-                    and embeds_in_disk_with_boundary(_compass(cand).graph, _rim(cand))):
-                return cand
-    raise SizeCapExceeded("window search found no height-%d wall with a disk compass" % k)
 
 
 def _locate_edges(w: SubdividedWall) -> Dict[frozenset, Tuple[Tuple[int, int], int]]:

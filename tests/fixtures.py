@@ -1,42 +1,10 @@
-"""Shared handmade fixtures: contraction witnesses, wired hosts and
-mutated documents."""
+"""Shared handmade fixtures: wired hosts and mutated documents."""
 
 import json
 
 from flatwall.generators import wall
-from flatwall.graph import Graph, delete
-from flatwall.minors import ContractionModel, SmoothContractionWitness, subdivide
-from flatwall.planarity import _canon_cycle, trace_faces
-
-from oracles import embed_planar
-
-
-def identity_witness(g: Graph, loaded: int) -> SmoothContractionWitness:
-    """g contracts onto itself; the disk is everything minus the loaded corner."""
-    model = ContractionModel(g, g, {v: v for v in g.vertices})
-    part = delete(g, [loaded])
-    emb = embed_planar(part)
-    assert emb is not None
-    outer = _canon_cycle(emb.outer_face)
-    faces = [f for f in trace_faces(emb.graph, emb.rotation) if _canon_cycle(f) != outer]
-    return SmoothContractionWitness(model, emb, loaded, faces)
-
-
-def subdivided_witness(g: Graph, loaded: int) -> SmoothContractionWitness:
-    """Every edge of g subdivided once; midpoints contract into an endpoint."""
-    host = g
-    phi = {v: v for v in g.vertices}
-    for a, b in sorted(g.edges):
-        host, mid = subdivide(host, (a, b))
-        phi[mid] = loaded if loaded in (a, b) else min(a, b)
-    model = ContractionModel(host, g, phi)
-    hidden = sorted(v for v, p in phi.items() if p == loaded)
-    part = delete(host, hidden)
-    emb = embed_planar(part)
-    assert emb is not None
-    outer = _canon_cycle(emb.outer_face)
-    faces = [f for f in trace_faces(emb.graph, emb.rotation) if _canon_cycle(f) != outer]
-    return SmoothContractionWitness(model, emb, loaded, faces)
+from flatwall.graph import Graph
+from flatwall.minors import subdivide
 
 
 def wired_nonflat_host(k: int, wiring) -> Graph:

@@ -8,17 +8,16 @@ import itertools
 import json
 import random
 from collections import Counter, deque
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from flatwall.graph import (Graph, adjacency_masks, bfs, delete, induced_subgraph, is_connected,
                             path_to)
 from flatwall.common import SizeCapExceeded, Verdict
 from flatwall.decomposition import TREEWIDTH_CAP, TreeDecomposition
-from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitness,
-                             _connected_subsets, _mask_neighborhood)
+from flatwall.minors import MinorModel, _connected_subsets, _mask_neighborhood
 from flatwall.paths import DisjointPathsResult
-from flatwall.planarity import (RotationEmbedding, _canon_cycle, embeds_in_disk_with_boundary,
-                                is_planar, planarizing_set, trace_faces, validate_embedding)
+from flatwall.planarity import embeds_in_disk_with_boundary, is_planar, planarizing_set
 from flatwall.rural import RuralDivision, check_linkage
 from flatwall.wall import Compass
 
@@ -407,99 +406,6 @@ def verify_topological_embedding_by_sorted_items(host: Graph, pattern: Graph,
     return Verdict.accept()
 
 
-def verify_contraction_by_induced_subgraphs(m: ContractionModel) -> Verdict:
-    """minors.verify_contraction as it was before it ran verify_minor_model:
-    one induced subgraph per preimage and one per pattern edge's joint
-    preimage, each tested for connectivity."""
-    models = {v: set() for v in m.pattern.vertices}
-    for u, img in m.phi.items():
-        models[img].add(u)
-    empty = [v for v in m.pattern.vertices if not models[v]]
-    if empty:
-        raise ValueError("phi is not surjective: no preimage for %r" % (empty[0],))
-    for v in m.pattern.vertices:
-        if not is_connected(induced_subgraph(m.host, models[v])):
-            return Verdict.reject("model-disconnected", witness=v,
-                                  detail="preimage of %r induces a disconnected graph" % (v,))
-    for v, u in m.pattern.edges:
-        if not is_connected(induced_subgraph(m.host, models[v] | models[u])):
-            return Verdict.reject("edge-union-disconnected", witness=(v, u),
-                                  detail="joint preimage of pattern edge %r-%r is disconnected" % (v, u))
-    for a, b in m.host.edges:
-        fa, fb = m.phi[a], m.phi[b]
-        if fa != fb and not m.pattern.has_edge(fa, fb):
-            return Verdict.reject("host-edge-unmatched", witness=(a, b),
-                                  detail="host edge %r-%r maps to non-edge %r-%r" % (a, b, fa, fb))
-    return Verdict.accept()
-
-
-def preimage_by_scan(m: ContractionModel, v: int) -> frozenset:
-    """ContractionModel.model_of as it was before the preimage map: a scan
-    of all of phi."""
-    return frozenset(u for u, img in m.phi.items() if img == v)
-
-
-def verify_smooth_contraction_by_scans(w: SmoothContractionWitness) -> Verdict:
-    """minors.verify_smooth_contraction as it was before the preimage map,
-    with its contraction check through the induced-subgraph oracle: one scan
-    of phi per model, and each model tested against every face in turn."""
-    ok = verify_contraction_by_induced_subgraphs(w.model)
-    if not ok:
-        raise ValueError("invalid contraction model: %s" % ok.condition)
-    emb_ok = validate_embedding(w.embedding)
-    if not emb_ok:
-        raise ValueError("invalid embedding: %s" % emb_ok.condition)
-    host = w.model.host
-    eg = w.embedding.graph
-    if not (set(eg.vertices) <= set(host.vertices) and set(eg.edges) <= set(host.edges)):
-        raise ValueError("embedded part is not a subgraph of the host")
-    if not w.model.pattern.has_vertex(w.v):
-        raise ValueError("unknown pattern vertex %r" % (w.v,))
-
-    all_faces = trace_faces(eg, w.embedding.rotation)
-    by_canon = {_canon_cycle(f): f for f in all_faces}
-    chosen = []
-    for f in w.disk_faces:
-        cf = by_canon.get(_canon_cycle(tuple(f)))
-        if cf is None:
-            return Verdict.reject("unknown-disk-face", witness=tuple(f))
-        chosen.append(cf)
-    if not chosen:
-        return Verdict.reject("disk-not-a-disk", detail="no faces chosen")
-    edge_faces: Dict[Tuple[int, int], List[int]] = {}
-    region_vertices = set()
-    for i, f in enumerate(chosen):
-        region_vertices.update(f)
-        for j in range(len(f)):
-            a, b = f[j], f[(j + 1) % len(f)]
-            edge_faces.setdefault((a, b) if a < b else (b, a), []).append(i)
-    if any(len(fs) > 2 for fs in edge_faces.values()):
-        return Verdict.reject("disk-not-a-disk", detail="an edge lies on more than two chosen face sides")
-    patch = Graph(range(len(chosen)),
-                  [(i, j) for fs in edge_faces.values() for i in fs for j in fs if i < j])
-    if not is_connected(patch):
-        return Verdict.reject("disk-not-a-disk", detail="chosen faces are not edge-connected")
-    if len(region_vertices) - len(edge_faces) + len(chosen) != 1:
-        return Verdict.reject("disk-not-a-disk", detail="face union is not simply connected")
-    boundary = [e for e, fs in edge_faces.items() if len(fs) == 1]
-    ring = Graph({v for e in boundary for v in e}, boundary)
-    if not boundary or any(ring.degree(v) != 2 for v in ring.vertices) or not is_connected(ring):
-        return Verdict.reject("disk-not-a-disk", detail="boundary is not a single cycle")
-    exterior = set(host.vertices) - region_vertices
-    model_v = preimage_by_scan(w.model, w.v)
-    if exterior != model_v:
-        return Verdict.reject("exterior-mismatch",
-                              witness=sorted(exterior ^ model_v),
-                              detail="vertices outside the disk differ from the model of %r" % (w.v,))
-    for u in w.model.pattern.vertices:
-        if u == w.v:
-            continue
-        mu = preimage_by_scan(w.model, u)
-        if not any(not (mu & set(f)) for f in all_faces):
-            return Verdict.reject("model-not-in-open-disk", witness=u)
-    return Verdict.accept()
-
-
 def jsonable(x):
     """The CLI's witness conversion before reports passed witnesses as they
     are: sets sorted, tuples as lists, dict keys as strings, any other
@@ -519,28 +425,6 @@ def dumps_like_jsonable(witness) -> bool:
     """Whether a report writes witness as it is, byte for byte as it wrote
     jsonable(witness)."""
     return json.dumps(witness, sort_keys=True) == json.dumps(jsonable(witness), sort_keys=True)
-
-
-def minor_to_contraction(m: MinorModel) -> ContractionModel:
-    """The contraction a minor model certifies, of a host subgraph.
-
-    The subgraph keeps all edges inside branch sets but only one
-    realizing edge per pattern edge, so that stray host edges between
-    non-adjacent branch sets do not break condition 3.
-    """
-    owner = {u: v for v, s in m.branch_sets.items() for u in s}
-    keep = []
-    realized = set()
-    for a, b in m.host.edges:
-        if a not in owner or b not in owner:
-            continue
-        va, vb = owner[a], owner[b]
-        if va == vb:
-            keep.append((a, b))
-        elif m.pattern.has_edge(va, vb) and (min(va, vb), max(va, vb)) not in realized:
-            realized.add((min(va, vb), max(va, vb)))
-            keep.append((a, b))
-    return ContractionModel(Graph(sorted(owner), keep), m.pattern, owner)
 
 
 def find_minor_unpruned(host: Graph, pattern: Graph) -> Optional[MinorModel]:
@@ -1146,8 +1030,37 @@ def _block_faces(g: Graph) -> Optional[list]:
     return out
 
 
-def embed_planar(g: Graph) -> Optional[RotationEmbedding]:
-    """Planar embedding with rotation system, or None if not planar."""
+class PlaneEmbedding(NamedTuple):
+    """The facial walks of a planar embedding, and the longest of them."""
+
+    faces: List[Tuple[int, ...]]
+    outer_face: Tuple[int, ...]
+
+
+def _trace_faces(g: Graph, rotation: Dict[int, Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+    """Facial walks: orbits of directed edges under the rotation successor rule."""
+    faces = []
+    seen = set()
+    for a in g.vertices:
+        for b in rotation[a]:
+            if (a, b) in seen:
+                continue
+            walk = []
+            x, y = a, b
+            while (x, y) not in seen:
+                seen.add((x, y))
+                walk.append(x)
+                rot = rotation[y]
+                z = rot[(rot.index(x) + 1) % len(rot)]
+                x, y = y, z
+            faces.append(tuple(walk))
+    return faces
+
+
+def embed_planar(g: Graph) -> Optional[PlaneEmbedding]:
+    """Faces of a planar embedding, traced from its rotation system, or None
+    if g is not planar.  The outer face is the longest walk; among equal
+    lengths, the one whose least rotation is largest."""
     blocks = _block_faces(g)
     if blocks is None:
         return None
@@ -1161,9 +1074,7 @@ def embed_planar(g: Graph) -> Optional[RotationEmbedding]:
         for v, cyc in _rotation_from_faces(faces).items():
             rotation[v].append(cyc)
     merged = {v: tuple(x for cyc in cycles for x in cyc) for v, cycles in rotation.items()}
-    faces = trace_faces(g, merged)
-    if faces:
-        outer = max(faces, key=lambda f: (len(f), _canon_cycle(f)))
-    else:
-        outer = ()
-    return RotationEmbedding(g, merged, tuple(outer))
+    faces = _trace_faces(g, merged)
+    outer = max(faces, key=lambda f: (len(f), min(f[i:] + f[:i] for i in range(len(f)))),
+                default=())
+    return PlaneEmbedding(faces, outer)

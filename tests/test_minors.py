@@ -2,8 +2,6 @@ import hashlib
 import json
 import random
 import time
-from collections import Counter
-from typing import Optional
 
 import pytest
 
@@ -13,17 +11,13 @@ from flatwall.decomposition import treewidth_at_most
 from flatwall.generators import grid, pyramid, wall
 from flatwall.graph import (Graph, adjacency_masks, complete_graph, cycle_graph, delete,
                             induced_subgraph, path_graph)
-from flatwall.minors import (ContractionModel, MinorModel, SmoothContractionWitness,
-                             delta_y, find_minor, iter_topological_embeddings, subdivide,
-                             verify_contraction, verify_minor_model, verify_smooth_contraction)
-from flatwall.planarity import (RotationEmbedding, _canon_cycle, planarizing_set, trace_faces,
-                                validate_embedding)
+from flatwall.minors import (MinorModel, delta_y, find_minor, iter_topological_embeddings,
+                             subdivide, verify_minor_model)
+from flatwall.planarity import planarizing_set
 
-from fixtures import apex_over, identity_witness
-from oracles import (apex_rule_by_loop, dumps_like_jsonable, embed_planar, find_minor_unpruned,
-                     has_minor_by_partition, minor_to_contraction, preimage_by_scan, random_graph,
-                     verify_contraction_by_induced_subgraphs, verify_minor_model_pairwise,
-                     verify_smooth_contraction_by_scans)
+from fixtures import apex_over
+from oracles import (apex_rule_by_loop, dumps_like_jsonable, find_minor_unpruned,
+                     has_minor_by_partition, random_graph, verify_minor_model_pairwise)
 
 K33 = Graph(range(6), [(a, b) for a in range(3) for b in range(3, 6)])
 C5_CHORD = Graph(range(5), list(cycle_graph(5).edges) + [(0, 2)])
@@ -334,91 +328,6 @@ def test_verify_minor_model_is_linear_on_a_long_path():
     assert time.process_time() - start < 0.5
 
 
-def test_contraction_model_roundtrip():
-    g = cycle_graph(6)
-    phi = {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}
-    m = ContractionModel(g, cycle_graph(3), phi)
-    assert verify_contraction(m)
-    assert m.model_of(1) == frozenset({2, 3})
-
-
-def test_contraction_must_be_total_and_onto_known_vertices():
-    g = cycle_graph(4)
-    with pytest.raises(ValueError):
-        ContractionModel(g, cycle_graph(3), {0: 0, 1: 1, 2: 2})
-    with pytest.raises(ValueError):
-        ContractionModel(g, cycle_graph(3), {0: 0, 1: 1, 2: 2, 3: 9})
-
-
-def test_verify_contraction_names_each_broken_condition():
-    # path 0-1-2-3-4 contracted onto path 0-1-2 by {0,1}, {2}, {3,4}
-    host, pattern = path_graph(5), path_graph(3)
-    phi = {0: 0, 1: 0, 2: 1, 3: 2, 4: 2}
-    assert verify_contraction(ContractionModel(host, pattern, phi))
-    v = verify_contraction(ContractionModel(host, pattern, {**phi, 0: 2}))
-    assert (v.condition, v.witness) == ("model-disconnected", 2)
-    v = verify_contraction(ContractionModel(host, pattern.add_edges([(0, 2)]), phi))
-    assert (v.condition, v.witness) == ("edge-union-disconnected", (0, 2))
-    v = verify_contraction(ContractionModel(host.add_edges([(0, 4)]), pattern, phi))
-    assert (v.condition, v.witness) == ("host-edge-unmatched", (0, 4))
-    with pytest.raises(ValueError, match="not surjective"):
-        verify_contraction(ContractionModel(host, pattern.add_vertices([3]), phi))
-
-
-def random_contraction(rng: random.Random):
-    """A random host, a map phi grown from k seeds along host edges (a stray
-    vertex sometimes moved, which can disconnect or empty a part) and the
-    quotient pattern with a few edges dropped and a few added."""
-    host = random_graph(rng, rng.randint(2, 10), rng.choice((0.2, 0.35, 0.5, 0.7)))
-    k = rng.randint(1, host.n)
-    phi = dict(zip(rng.sample(host.vertices, k), range(k)))
-    frontier = [(v, u) for v in phi for u in host.neighbors(v)]
-    while frontier:
-        v, u = frontier.pop(rng.randrange(len(frontier)))
-        if u not in phi:
-            phi[u] = phi[v]
-            frontier += [(u, x) for x in host.neighbors(u)]
-    for v in host.vertices:
-        phi.setdefault(v, rng.randrange(k))
-    if rng.random() < 0.3:
-        phi[rng.choice(host.vertices)] = rng.randrange(k)
-    quotient = {(min(phi[a], phi[b]), max(phi[a], phi[b])) for a, b in host.edges
-                if phi[a] != phi[b]}
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    edges = [e for e in pairs if (e in quotient) == (rng.random() > 0.1)]
-    return ContractionModel(host, Graph(range(k), edges), phi)
-
-
-def test_verify_contraction_matches_induced_subgraph_oracle():
-    # the owner-map route gives the same condition, witness and detail as one
-    # induced subgraph per preimage and per pattern edge, and the same refusal
-    rng = random.Random(23)
-    seen = Counter()
-
-    def outcome(check, m):
-        try:
-            v = check(m)
-        except ValueError as e:
-            return "raises", str(e)
-        return v.ok, v.condition, v.witness, v.detail
-
-    for _ in range(6000):
-        m = random_contraction(rng)
-        got = outcome(verify_contraction, m)
-        assert got == outcome(verify_contraction_by_induced_subgraphs, m)
-        seen["raises" if got[0] == "raises" else got[1]] += 1
-    assert set(seen) == {None, "model-disconnected", "edge-union-disconnected",
-                         "host-edge-unmatched", "raises"}
-    assert sum(seen.values()) - seen["raises"] >= 5000
-
-
-def test_minor_to_contraction():
-    g, _ = grid(3, 3)
-    m = find_minor(g, complete_graph(4))
-    cm = minor_to_contraction(m)
-    assert verify_contraction(cm)
-
-
 def test_subdivide_and_dissolve_are_inverse():
     g = cycle_graph(4)
     g2, nv = subdivide(g, (0, 1))
@@ -448,170 +357,6 @@ def test_find_topological_minor_subdivision():
     host, _ = subdivide(host, (2, 3))
     assert next(iter_topological_embeddings(host, k4), None) is not None
     assert next(iter_topological_embeddings(cycle_graph(8), k4), None) is None
-
-
-def test_smooth_contraction_identity_witness():
-    from flatwall.generators import gamma
-    tg = gamma(4)
-    w = identity_witness(tg.graph, tg.loaded)
-    assert verify_smooth_contraction(w)
-
-
-def test_smooth_contraction_rejects_wrong_disk():
-    from flatwall.generators import gamma
-    tg = gamma(4)
-    w = identity_witness(tg.graph, tg.loaded)
-    # punch an interior face out of the disk: the union stops being a disk
-    faces = sorted(w.disk_faces)
-    bad = SmoothContractionWitness(w.model, w.embedding, w.v, faces[:2] + faces[3:])
-    v = verify_smooth_contraction(bad)
-    assert not v and v.condition == "disk-not-a-disk"
-
-
-def test_smooth_contraction_names_each_broken_condition():
-    from flatwall.generators import gamma
-    tg = gamma(4)
-    w = identity_witness(tg.graph, tg.loaded)
-    faces = sorted(w.disk_faces)
-
-    def check(disk_faces, v=w.v):
-        return verify_smooth_contraction(SmoothContractionWitness(w.model, w.embedding, v,
-                                                                  disk_faces))
-
-    v = check(faces + [faces[0][:-1]])
-    assert (v.condition, v.witness) == ("unknown-disk-face", faces[0][:-1])
-    assert check([]).detail == "no faces chosen"
-    # the triangle 5-6-10 shares each edge with another disk face: a second
-    # copy covers those edges three times, and without it the disk has a hole
-    inner = (5, 6, 10)
-    assert inner in faces
-    v = check(faces + [inner])
-    assert v.detail == "an edge lies on more than two chosen face sides"
-    v = check([f for f in faces if f != inner])
-    assert v.detail == "face union is not simply connected"
-    v = check([(1, 2, 6), (9, 14, 13)])
-    assert v.detail == "chosen faces are not edge-connected"
-    other = next(u for u in tg.graph.vertices if u != w.v)
-    v = check(faces, v=other)
-    assert (v.condition, v.witness) == ("exterior-mismatch", sorted({w.v, other}))
-
-
-def test_smooth_contraction_rejects_a_model_on_every_face():
-    # wheel: hub 4 on rim 0-1-2-3, and 5 hanging off 0 outside the
-    # embedded part; the model {0, 2, 4} meets all four triangles and the rim
-    host = Graph(range(6), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4),
-                            (0, 5)])
-    model = ContractionModel(host, Graph(range(4), [(0, 1), (0, 2), (0, 3)]),
-                             {0: 0, 2: 0, 4: 0, 1: 1, 3: 2, 5: 3})
-    emb = embed_planar(delete(host, [5]))
-    outer = _canon_cycle(emb.outer_face)
-    disk = [f for f in trace_faces(emb.graph, emb.rotation) if _canon_cycle(f) != outer]
-    assert len(disk) == 4 and set(outer) == {0, 1, 2, 3}
-    v = verify_smooth_contraction(SmoothContractionWitness(model, emb, 3, disk))
-    assert (v.condition, v.witness) == ("model-not-in-open-disk", 0)
-
-
-# triangles 0-1-5 and 0-3-4 sharing vertex 0, whose outer face walk
-# (0, 1, 5, 0, 3, 4) meets 0 twice
-BOWTIE = Graph([0, 1, 3, 4, 5], [(0, 1), (1, 5), (0, 5), (0, 3), (3, 4), (0, 4)])
-BOWTIE_EMBEDDING = RotationEmbedding(BOWTIE, {0: (1, 5, 3, 4), 1: (0, 5), 5: (0, 1), 3: (0, 4),
-                                              4: (0, 3)}, (0, 1, 5, 0, 3, 4))
-
-
-def test_smooth_contraction_rejects_a_face_listed_twice():
-    # the bowtie's outer face listed under two rotations covers every edge
-    # twice, is edge-connected and passes Euler (5 - 6 + 2 = 1), so only the
-    # empty boundary tells it from a disk
-    bowtie, emb = BOWTIE, BOWTIE_EMBEDDING
-    assert validate_embedding(emb)
-    assert _canon_cycle((0, 1, 5, 0, 3, 4)) in map(_canon_cycle, trace_faces(bowtie, emb.rotation))
-    model = ContractionModel(bowtie, bowtie, {v: v for v in bowtie.vertices})
-    assert verify_contraction(model)
-    disk = [(0, 1, 5, 0, 3, 4), (0, 3, 4, 0, 1, 5)]
-    v = verify_smooth_contraction(SmoothContractionWitness(model, emb, 0, disk))
-    assert (v.condition, v.detail) == ("disk-not-a-disk", "boundary is not a single cycle")
-
-
-def random_smooth_witness(rng: random.Random) -> Optional[SmoothContractionWitness]:
-    """A small smooth-contraction witness, valid or not: the identity or a
-    merged contraction of a random graph (now and then with one vertex moved,
-    which can disconnect its old part), a random v, an embedding of the host
-    minus v's model or minus a few random vertices, and a random choice of
-    its faces; one in ten is the bowtie.  None when the part to embed is
-    not planar."""
-    if rng.random() < 0.1:
-        host, emb = BOWTIE, BOWTIE_EMBEDDING
-        model = ContractionModel(host, host, {v: v for v in host.vertices})
-    else:
-        host = random_graph(rng, rng.randint(3, 9), rng.choice((0.4, 0.55, 0.7)))
-        phi = {v: v for v in host.vertices}
-        if host.m and rng.random() < 0.5:
-            for a, b in rng.sample(host.edges, min(host.m, rng.randint(1, 3))):
-                lo, hi = sorted((phi[a], phi[b]))
-                phi = {u: lo if r == hi else r for u, r in phi.items()}
-        if rng.random() < 0.1:
-            phi[rng.choice(host.vertices)] = rng.choice(sorted(set(phi.values())))
-        pattern = Graph(set(phi.values()), {(min(phi[a], phi[b]), max(phi[a], phi[b]))
-                                             for a, b in host.edges if phi[a] != phi[b]})
-        model = ContractionModel(host, pattern, phi)
-        emb = None
-    v = rng.choice(model.pattern.vertices) if rng.random() < 0.97 else 99
-    if emb is None:
-        hidden = (model.model_of(v) if rng.random() < 0.7
-                  else rng.sample(host.vertices, rng.randint(0, 2)))
-        part = delete(host, hidden)
-        if rng.random() < 0.03:
-            part = part.add_vertices([99])  # not a host vertex
-        emb = embed_planar(part)
-        if emb is None:
-            return None
-    faces = trace_faces(emb.graph, emb.rotation)
-    inner = [f for f in faces if _canon_cycle(f) != _canon_cycle(emb.outer_face)]
-    pick = rng.random()
-    if pick < 0.45 or not faces:
-        disk = inner
-    elif pick < 0.6:
-        disk = rng.sample(faces, rng.randint(0, len(faces)))
-    elif pick < 0.7:
-        disk = faces
-    elif pick < 0.8:
-        disk = inner + [rng.choice(faces)]
-    elif pick < 0.9:
-        disk = [max(faces, key=len)] * 2  # on the bowtie, only its boundary is no cycle
-    else:
-        disk = inner + [rng.choice(faces)[:-1]]  # not a face
-    return SmoothContractionWitness(model, emb, v, disk)
-
-
-def test_verify_smooth_contraction_matches_the_scans_it_replaced():
-    # one preimage map and one pass over the faces give the same outcome as
-    # a scan of phi per model and a test of each model against every face
-    rng = random.Random(29)
-    seen = Counter()
-
-    def outcome(check, w):
-        try:
-            v = check(w)
-        except ValueError as e:
-            return "raises", str(e)
-        return v.ok, v.condition, v.witness, v.detail
-
-    while sum(seen.values()) < 2400:
-        w = random_smooth_witness(rng)
-        if w is None:
-            continue
-        m = w.model
-        assert all(m.model_of(u) == preimage_by_scan(m, u) for u in m.pattern.vertices)
-        got = outcome(verify_smooth_contraction, w)
-        assert got == outcome(verify_smooth_contraction_by_scans, w)
-        seen["raises" if got[0] == "raises" else
-             got[3] if got[1] == "disk-not-a-disk" else got[1]] += 1
-    assert set(seen) == {None, "raises", "unknown-disk-face", "no faces chosen",
-                         "an edge lies on more than two chosen face sides",
-                         "chosen faces are not edge-connected",
-                         "face union is not simply connected", "boundary is not a single cycle",
-                         "exterior-mismatch", "model-not-in-open-disk"}, seen
-    assert min(seen.values()) >= 20, seen
 
 
 # (count, sha256 over the JSON of each embedding's sorted vertex map and

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -8,7 +7,7 @@ from flatwall import cli, planarity
 from flatwall.generators import grid, wall
 from flatwall.graph import Graph, complete_graph, cycle_graph, delete
 from flatwall.minors import subdivide
-from flatwall.planarity import embeds_in_disk_with_boundary, is_planar, trace_faces, validate_embedding
+from flatwall.planarity import embeds_in_disk_with_boundary, is_planar
 
 from oracles import (biconnected_blocks, embed_planar, embeds_in_disk_by_subdivided_rim,
                      find_minor_unpruned, random_graph)
@@ -41,8 +40,7 @@ def test_embedding_is_validated_and_euler_consistent():
     for g in (complete_graph(4), grid(3, 3)[0], cycle_graph(5), wall(2).graph):
         emb = embed_planar(g)
         assert emb is not None
-        assert validate_embedding(emb)
-        assert len(trace_faces(g, emb.rotation)) == 2 - g.n + g.m  # connected Euler formula
+        assert len(emb.faces) == 2 - g.n + g.m  # connected Euler formula
 
 
 def test_embed_planar_refuses_nonplanar():
@@ -212,7 +210,7 @@ def test_kernel_is_planar_matches_networkx_on_families():
 def test_trace_faces_covers_each_edge_twice():
     g = grid(3, 3)[0]
     emb = embed_planar(g)
-    sides = sum(len(f) for f in trace_faces(g, emb.rotation))
+    sides = sum(len(f) for f in emb.faces)
     assert sides == 2 * g.m
 
 
@@ -269,18 +267,3 @@ def test_disk_embedding_matches_subdivided_rim_gadget():
         assert embeds_in_disk_with_boundary(open_rim, rim) == want, (open_rim.edges, rim)
         outcomes.add(want)
     assert outcomes == {True, False}
-
-
-def test_validate_embedding_names_each_broken_condition():
-    emb = embed_planar(complete_graph(4))
-    rot = emb.rotation
-    missing = {v: r for v, r in rot.items() if v != 3}
-    v = validate_embedding(replace(emb, rotation=missing))
-    assert (v.condition, v.witness) == ("rotation-domain", [3])
-    v = validate_embedding(replace(emb, rotation={**rot, 0: rot[0][:-1]}))
-    assert (v.condition, v.witness) == ("rotation-neighbors", 0)
-    v = validate_embedding(replace(emb, outer_face=(0, 1)))
-    assert (v.condition, v.witness) == ("outer-face", (0, 1))
-    # one vertex turned the other way round: the map stops being planar
-    v = validate_embedding(replace(emb, rotation={**rot, 0: rot[0][::-1]}, outer_face=()))
-    assert (v.condition, v.witness) == ("euler", (0, 1, 2, 3))

@@ -5,19 +5,16 @@ from collections import Counter
 import pytest
 
 import flatwall.paths as paths_module
-from flatwall.common import SizeCapExceeded
-from flatwall.generators import gamma, wall
+from flatwall.generators import wall
 from flatwall.graph import connected_components, delete, strip_leaves
 from flatwall.minors import subdivide, verify_topological_embedding
 from flatwall.paths import two_disjoint_paths
 from flatwall.rural import RuralDivision, internal_flaps
 from flatwall.wall import (WHEEL_FIRST_ABOVE, Compass, SubdividedWall, bricks, compass,
-                           disjoint_subwalls, extract_wall_from_gamma_contraction,
-                           _window_map, identity_wall, is_flat, layers, perimeter, subwall,
-                           verify_wall)
+                           disjoint_subwalls, _window_map, identity_wall, is_flat, layers,
+                           perimeter, subwall, verify_wall)
 
-from fixtures import identity_witness, interior_vertices, k5_piece_host, random_wired_compass, \
-    subdivided_witness, wired_nonflat_host
+from fixtures import interior_vertices, k5_piece_host, random_wired_compass, wired_nonflat_host
 from oracles import embed_planar, verify_topological_embedding_by_sorted_items
 
 
@@ -336,51 +333,3 @@ def test_disjoint_subwalls_pack_and_avoid():
         with pytest.raises(ValueError, match="sub_height must be between 1 and 3, got %d"
                            % sub_height):
             disjoint_subwalls(w, 1, sub_height)
-
-
-def test_extract_wall_identity_contraction():
-    tg = gamma(10)
-    w = extract_wall_from_gamma_contraction(tg.graph, identity_witness(tg.graph, tg.loaded))
-    assert verify_wall(w)
-    assert w.height == 1
-    r = is_flat(compass(w.host, w))
-    assert r.flat is True
-
-
-def test_extract_wall_subdivided_contraction():
-    tg = gamma(10)
-    witness = subdivided_witness(tg.graph, tg.loaded)
-    w = extract_wall_from_gamma_contraction(witness.model.host, witness)
-    assert verify_wall(w)
-    assert w.height == 1
-
-
-def test_extract_wall_needs_square_pattern():
-    small = gamma(4)  # 16 pattern vertices: far below the smallest usable square
-    with pytest.raises(ValueError):
-        extract_wall_from_gamma_contraction(small.graph,
-                                            identity_witness(small.graph, small.loaded))
-
-
-def test_extract_wall_rejects_wrong_corner():
-    tg = gamma(10)
-    model = identity_witness(tg.graph, tg.loaded)
-    bad = type(model)(model.model, model.embedding, 1, model.disk_faces)
-    with pytest.raises(ValueError):
-        extract_wall_from_gamma_contraction(tg.graph, bad)
-
-
-def test_extract_wall_height_two_from_subdivided_gamma12():
-    tg = gamma(12)
-    witness = subdivided_witness(tg.graph, tg.loaded)
-    w = extract_wall_from_gamma_contraction(witness.model.host, witness)
-    assert verify_wall(w)
-    assert w.height == 2
-
-
-def test_extract_wall_undetermined_when_no_window_works():
-    # every window of the identity gamma(12) witness has a compass that
-    # does not embed in the disk its perimeter bounds
-    tg = gamma(12)
-    with pytest.raises(SizeCapExceeded, match="window search"):
-        extract_wall_from_gamma_contraction(tg.graph, identity_witness(tg.graph, tg.loaded))
