@@ -128,9 +128,10 @@ def _mapped_wall_doc(w, m) -> dict:
     return doc
 
 
-# family -> (parameters with defaults, the smallest value of each, vertex count)
+# family -> (parameters with defaults, the smallest value of each, vertex count); a
+# default of None makes the parameter required, and the grid's "k" makes r equal k
 FAMILIES = {
-    "grid": ({"k": None, "r": 0}, (2, 2), lambda k, r: k * r),
+    "grid": ({"k": None, "r": "k"}, (2, 2), lambda k, r: k * r),
     "gamma": ({"k": None}, (3,), lambda k: k * k),
     "gamma-star": ({"k": None}, (3,), lambda k: k * k),
     "wall": ({"k": None}, (1,), lambda k: 2 * k * (k + 2)),
@@ -143,7 +144,7 @@ def cmd_generate(args) -> int:
     fam = args.family
     defaults, least, size = FAMILIES[fam]
     p = _parse_params(args.params, defaults)
-    if fam == "grid" and p["r"] == 0:
+    if fam == "grid" and p["r"] == "k":
         p["r"] = p["k"]
     # over the ceiling refused unbuilt, unless a parameter is below its least (a usage error)
     n = size(*p.values())

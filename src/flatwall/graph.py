@@ -1,6 +1,6 @@
 """Immutable simple graphs with opaque integer vertex ids.
 
-All derived orders (vertex lists, neighbor lists, component lists) are by
+All derived orders (vertex lists, neighbor lists, search orders) are by
 ascending id so that every operation is deterministic. Ids are stable under
 deletion; nothing is ever renumbered behind the caller's back.
 """
@@ -199,18 +199,6 @@ def path_to(parent: Mapping[int, Optional[int]], v: int) -> List[int]:
     return path[::-1]
 
 
-def connected_components(g: Graph) -> list:
-    """Components as sorted vertex tuples, ordered by smallest contained id."""
-    seen = set()
-    comps = []
-    for v in g.vertices:
-        if v not in seen:
-            comp = bfs(g, v, g._adj)[0]
-            seen.update(comp)
-            comps.append(tuple(sorted(comp)))
-    return comps
-
-
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(bfs(g, g.vertices[0], g._adj)[0]) == g.n
 
@@ -234,10 +222,6 @@ def strip_leaves(g: Graph) -> Graph:
         if not drop:
             return g
         g = delete(g, vertices=drop)
-
-
-def union(a: Graph, b: Graph) -> Graph:
-    return Graph(set(a.vertices) | set(b.vertices), list(a.edges) + list(b.edges))
 
 
 def graph_hash(g: Graph) -> str:

@@ -10,13 +10,13 @@ certificate is re-checkable from scratch by verify_certificate.
 
 from itertools import combinations
 from math import isqrt
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .common import SizeCapExceeded, Verdict
 from .decomposition import (TreeDecomposition, _width, exact_treewidth, has_treewidth_at_most,
                             validate as validate_td)
 from .generators import grid, pyramid, wall
-from .graph import Graph, connected_components, delete, induced_subgraph, union
+from .graph import Graph, delete
 from .minors import MinorModel, find_minor, iter_topological_embeddings, verify_minor_model
 from .planarity import apex_number
 from .rural import RuralDivision, _internal_flaps, trivial_division, validate_rural
@@ -88,10 +88,11 @@ def apex_reduce(g: Graph, h_graph: Graph, a: Iterable[int], w: SubdividedWall,
     compass in g minus the apex set.  The apices are scanned in order, each
     against the windows in order: the first apex with no edge into a
     window's compass is removed and that window's subwall returned; its
-    compass then avoids the entire original apex set.  If every apex sees
-    every compass, HMinorFound is raised.  The precondition that h_graph is
-    not already a minor of g is checked only within find_minor's caps; past
-    them it is assumed without a warning.
+    compass then avoids the entire original apex set, since the removed
+    apex has no neighbour in it and the others stay deleted.  If every apex
+    sees every compass, HMinorFound is raised.  The precondition that
+    h_graph is not already a minor of g is checked only within find_minor's
+    caps; past them it is assumed without a warning.
     """
     apexes = tuple(sorted(set(a)))
     if not apexes:
@@ -122,38 +123,10 @@ def apex_reduce(g: Graph, h_graph: Graph, a: Iterable[int], w: SubdividedWall,
         for sub, c in zip(subs, comps):
             if sees.isdisjoint(c):
                 reduced = tuple(x for x in apexes if x != aj)
-                ga2 = delete(g, reduced)
-                w2 = SubdividedWall(ga2, k, sub.original, sub.paths)  # valid in ga, so in ga2
-                c2 = _compass(w2)
-                leak = set(c2.graph.vertices) & set(apexes)
-                if leak:
-                    raise AssertionError("compass still meets apex set at %r" % sorted(leak))
-                return reduced, w2
+                # valid in ga, a subgraph of g minus the reduced set
+                return reduced, SubdividedWall(delete(g, reduced), k, sub.original, sub.paths)
     raise HMinorFound("every apex sees every window compass (apices %d, windows %d)"
                       % (len(apexes), count))
-
-
-def merge_flaps(family: Sequence[Graph], s: Iterable[int], g: Graph) -> List[Graph]:
-    """Union the components of each family member minus s by their trace.
-
-    Components missing V(g) minus s entirely are dropped; components with
-    equal trace merge into one class graph, and classes come back ordered
-    by their smallest trace vertex.
-    """
-    s = set(s)
-    keep = set(g.vertices) - s
-    classes: Dict[FrozenSet[int], Graph] = {}
-    for member in family:
-        cut = member if not (s & set(member.vertices)) else delete(member, s & set(member.vertices))
-        for comp in connected_components(cut):
-            trace = frozenset(comp) & keep
-            if not trace:
-                continue
-            piece = induced_subgraph(cut, comp)
-            t = frozenset(trace)
-            classes[t] = union(classes[t], piece) if t in classes else piece
-    order = sorted(classes, key=lambda t: (min(t), tuple(sorted(t))))
-    return [classes[t] for t in order]
 
 
 class WeakStructureCertificate:

@@ -3,9 +3,9 @@
 A subdivided wall is the canonical wall pattern with each pattern edge
 realized by a host path; paths share no internal vertices.  This module
 keeps that bookkeeping honest and implements the operations that need it:
-perimeter/layer/brick geometry, the compass, the flatness test, packing
-of disjoint subwalls, and re-finding the wall after sequences of edge
-subdivisions and triangle-to-star rewrites.
+the perimeter, the compass, the flatness test, packing of disjoint
+subwalls, and re-finding the wall after sequences of edge subdivisions and
+triangle-to-star rewrites.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -106,32 +106,6 @@ def perimeter(w: SubdividedWall) -> Tuple[int, ...]:
     """The host cycle around the wall, starting at the first corner."""
     _require_valid(w)
     return _rim(w)
-
-
-def layers(w: SubdividedWall) -> List[Tuple[int, ...]]:
-    """Nested disjoint cycles, outermost (the perimeter) first.
-
-    Layer i is the perimeter of the height k - 2i subwall at pattern
-    position (2i + 1, i + 1): the cycle that peeling i boundary cycles off
-    wall(k), with the leaves each peel leaves, uncovers.  It starts at that
-    subwall's first corner and heads toward its second; a wall of height k
-    has max(1, k // 2) layers.
-    """
-    _require_valid(w)
-    return [_rim(subwall(w, 2 * i + 1, i + 1, w.height - 2 * i))
-            for i in range(max(1, w.height // 2))]
-
-
-def bricks(w: SubdividedWall) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, int]]]:
-    """All brick cycles in the host plus the pairs that share an edge."""
-    _require_valid(w)
-    cycles = [_expand_cycle(w, b) for b in w.pattern.bricks()]
-    edge_sets = []
-    for c in cycles:
-        edge_sets.append({frozenset((c[i], c[(i + 1) % len(c)])) for i in range(len(c))})
-    touching = [(i, j) for i in range(len(cycles)) for j in range(i + 1, len(cycles))
-                if edge_sets[i] & edge_sets[j]]
-    return cycles, touching
 
 
 class Compass:

@@ -47,11 +47,12 @@ def k5_piece_host(k: int):
     fresh ones.  The wall stays flat (the piece sits behind a 3-separation
     whose three vertices share a face), but its corner wheel is no longer
     planar.  Returns the host and the identity wall(k)."""
-    from flatwall.wall import bricks, identity_wall, perimeter
-    wg = wall(k).graph
+    from flatwall.wall import identity_wall, perimeter
+    pattern = wall(k)
+    wg = pattern.graph
     w = identity_wall(k)
     ring = set(perimeter(w))
-    brick = next(b for b in bricks(w)[0] if not ring & set(b))
+    brick = next(b for b in pattern.bricks() if not ring & set(b))
     five = (brick[0], brick[2], brick[4], wg.fresh_id(), wg.fresh_id() + 1)
     g = wg.add_vertices(five[3:]).add_edges(
         [(x, y) for i, x in enumerate(five) for y in five[i + 1:]])

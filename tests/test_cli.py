@@ -93,6 +93,9 @@ def test_generate_param_errors(capsys):
     assert rc == 2 and "must be an integer" in err
     rc, out, err = run(capsys, "generate", "--family", "grid", "--params", "k")
     assert (rc, out) == (2, "") and "--params expects name=value, got 'k'" in err
+    # r=0 is a side of 0, not "r not given"
+    rc, out, err = run(capsys, "generate", "--family", "grid", "--params", "k=3,r=0")
+    assert (rc, out) == (2, "") and "grid needs both sides >= 2, got 3x0" in err
 
 
 def test_generate_refuses_a_member_over_the_ceiling_unbuilt(capsys, monkeypatch):

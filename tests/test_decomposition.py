@@ -11,7 +11,7 @@ from flatwall.decomposition import (TreeDecomposition, closure_bag, exact_treewi
                                     treewidth_at_most, validate, width)
 from flatwall.generators import grid, lower_bound_graph, pyramid, wall
 from flatwall.graph import (Graph, adjacency_masks, complete_graph, cycle_graph, delete,
-                            induced_subgraph, path_graph, union)
+                            induced_subgraph, path_graph)
 from flatwall.serialize import td_to_json
 
 from oracles import (dumps_like_jsonable, exact_treewidth_dp, random_elimination_td,
@@ -71,14 +71,14 @@ def test_treewidth_matches_subset_dp():
     # Same width, same bags and same tree as the full subset DP.
     rng = random.Random(5)
     graphs = [Graph(range(n)) for n in range(5)] + [complete_graph(n) for n in range(1, 10)]
-    graphs += [union(cycle_graph(4), Graph(range(4, 9), [(4, 5), (5, 6), (6, 4), (7, 8)])),
-               union(complete_graph(4), Graph(range(4, 10)))]
+    graphs += [Graph(range(9), cycle_graph(4).edges + ((4, 5), (5, 6), (6, 4), (7, 8))),
+               Graph(range(10), complete_graph(4).edges)]
     for _ in range(300):
         extra = rng.randint(1, 4) if rng.random() < 0.2 else 0  # a second component
         g = random_graph(rng, rng.randint(1, 12 - extra), rng.choice([0.1, 0.2, 0.3, 0.5, 0.8]))
         h = random_graph(rng, extra, 0.6)
-        graphs.append(union(g, Graph([g.n + v for v in h.vertices],
-                                     [(g.n + a, g.n + b) for a, b in h.edges])))
+        graphs.append(Graph(range(g.n + h.n),
+                            g.edges + tuple((g.n + a, g.n + b) for a, b in h.edges)))
     for g in graphs:
         assert _result(exact_treewidth(g)) == _result(exact_treewidth_dp(g))
 

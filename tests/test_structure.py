@@ -22,7 +22,7 @@ from flatwall.rural import (RuralDivision, division_from_edge_lists, internal_fl
 from flatwall.serialize import (certificate_from_json, certificate_to_json, graph_from_json,
                                 graph_to_json)
 from flatwall.structure import (HMinorFound, WeakStructureCertificate, _f5, apex_number,
-                                apex_reduce, merge_flaps, pyramid_minor_model, trichotomy_check,
+                                apex_reduce, pyramid_minor_model, trichotomy_check,
                                 verify_certificate)
 from flatwall.wall import SubdividedWall, compass, identity_wall, is_flat, perimeter, subwall
 
@@ -105,29 +105,6 @@ def test_pyramid_model_agrees_with_search():
     found = find_minor(m.host, m.pattern)
     assert found is not None
     assert verify_minor_model(found)
-
-
-def test_merge_flaps_classes():
-    tri = Graph([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
-    e23 = Graph([2, 3], [(2, 3)])
-    e13 = Graph([1, 3], [(1, 3)])
-    out = merge_flaps([tri, e23, e13], {1}, K4)
-    # traces {0,2}, {2,3}, {3} in smallest-vertex order
-    assert [sorted(p.vertices) for p in out] == [[0, 2], [2, 3], [3]]
-    assert out[0].edges == ((0, 2),)
-    assert out[2].edges == ()
-
-
-def test_merge_flaps_merges_equal_traces():
-    # both pieces trace to {0, 2}: vertex 9 sits outside K4, so it never counts
-    detour = Graph([0, 9, 2], [(0, 9), (9, 2)])
-    direct = Graph([0, 2], [(0, 2)])
-    out = merge_flaps([detour, direct], set(), K4)
-    assert len(out) == 1
-    assert sorted(out[0].vertices) == [0, 2, 9]
-    assert out[0].m == 3
-    # members that vanish inside the separator are dropped
-    assert merge_flaps([Graph([1], [])], {1}, K4) == []
 
 
 def test_apex_reduce_drops_unseen_apex(monkeypatch):

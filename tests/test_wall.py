@@ -6,13 +6,13 @@ import pytest
 
 import flatwall.paths as paths_module
 from flatwall.generators import wall
-from flatwall.graph import connected_components, delete, strip_leaves
+from flatwall.graph import delete, is_connected, strip_leaves
 from flatwall.minors import subdivide, verify_topological_embedding
 from flatwall.paths import two_disjoint_paths
 from flatwall.rural import RuralDivision, internal_flaps
-from flatwall.wall import (WHEEL_FIRST_ABOVE, Compass, SubdividedWall, bricks, compass,
-                           disjoint_subwalls, _window_map, identity_wall, is_flat, layers,
-                           perimeter, subwall, verify_wall)
+from flatwall.wall import (WHEEL_FIRST_ABOVE, Compass, SubdividedWall, compass,
+                           disjoint_subwalls, _window_map, identity_wall, is_flat, perimeter,
+                           subwall, verify_wall)
 
 from fixtures import interior_vertices, k5_piece_host, random_wired_compass, wired_nonflat_host
 from oracles import embed_planar, verify_topological_embedding_by_sorted_items
@@ -60,7 +60,7 @@ def test_verify_wall_names_each_broken_path():
     v = verify_wall(SubdividedWall(delete(w.host, edges=[key]), 2, w.original, w.paths))
     assert (v.condition, v.witness) == ("path-edge-missing", key)
     # the long way round a brick runs through other branch vertices
-    brick = bricks(w)[0][0]
+    brick = wall(2).bricks()[0]
     around = dict(w.paths)
     around[(min(brick[:2]), max(brick[:2]))] = (brick[0],) + brick[:0:-1]
     v = verify_wall(SubdividedWall(w.host, 2, w.original, around))
@@ -127,7 +127,6 @@ def test_perimeter_lengths():
 
 
 def test_interior_splits_into_layers():
-    assert [len(layers(identity_wall(k))) for k in (1, 2, 3, 4, 5)] == [1, 1, 1, 2, 2]
     w = identity_wall(2)
     assert set(perimeter(w)) | {8, 9} == w.vertices()
 
@@ -151,19 +150,14 @@ def test_perimeter_and_layers_follow_the_grid_coordinates():
         while len(peeled) < max(1, k // 2):
             g = strip_leaves(delete(g, vertices=peeled[-1]))
             peeled.append(embed_planar(g).outer_face)
+        # layer i is the perimeter of the subwall at (2i + 1, i + 1)
         w = identity_wall(k)
-        got = layers(w)
+        got = [perimeter(subwall(w, 2 * i + 1, i + 1, k - 2 * i)) for i in range(len(peeled))]
         assert [_cycle_class(c) for c in got] == [_cycle_class(c) for c in peeled], k
-        # layer i is the perimeter of the subwall at (2i + 1, i + 1), from its first corner
-        assert got == [perimeter(subwall(w, 2 * i + 1, i + 1, k - 2 * i))
-                       for i in range(len(got))], k
 
 
 def test_bricks_count():
-    cells, _ = bricks(identity_wall(2))
-    assert len(cells) == 2 * 2  # k rows of k bricks
-    cells, _ = bricks(identity_wall(3))
-    assert len(cells) == 9
+    assert [len(wall(k).bricks()) for k in (1, 2, 3, 4)] == [1, 4, 9, 16]  # k rows of k bricks
 
 
 def test_wall_pattern_has_no_chord_and_a_connected_interior():
@@ -177,7 +171,7 @@ def test_wall_pattern_has_no_chord_and_a_connected_interior():
         chords = [e for e in wg.graph.edges if on_ring.issuperset(e) and frozenset(e) not in rim]
         assert chords == [], k
         inside = delete(wg.graph, vertices=ring)
-        assert inside.n == 0 if k == 1 else len(connected_components(inside)) == 1, k
+        assert inside.n == 0 if k == 1 else is_connected(inside), k
 
 
 def test_compass_of_bare_wall_is_the_wall():
